@@ -6,8 +6,9 @@ Subcommands: `factor` (prime factorization of a graph file), `product`
 (empirical scaling of the two scan algorithms, with the shadow factorization
 synthesized from known factors so only the scans are timed).
 
-Exit codes: 0 ok, 2 unreadable or malformed input, 3 disconnected graph,
-4 no unlooped vertex, 5 verification failure.
+Exit codes: 0 ok, 2 unreadable or malformed input (or bad arguments),
+3 disconnected graph, 4 no unlooped vertex, 5 verification failure,
+6 internal invariant failed (a FactorizationError: a bug, not a bad input).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
 from .directed_factor import factor_directed
 from .errors import (
     DisconnectedGraphError,
+    FactorizationError,
     GraphFormatError,
     NoUnloopedVertexError,
 )
@@ -47,6 +49,7 @@ EXIT_INPUT = 2
 EXIT_DISCONNECTED = 3
 EXIT_ALL_LOOPED = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 6
 
 
 def _load_graph(path: str) -> DiGraph:
@@ -60,7 +63,7 @@ def _final_edge_colors(G: DiGraph, coords) -> dict[tuple[int, int], int]:
         cu, cv = coords[u], coords[v]
         diffs = [i for i in range(len(cu)) if cu[i] != cv[i]]
         if len(diffs) != 1:
-            raise RuntimeError(f"edge ({u}, {v}) changes {len(diffs)} coordinates")
+            raise FactorizationError(f"edge ({u}, {v}) changes {len(diffs)} coordinates")
         out[(u, v)] = diffs[0]
     return out
 
@@ -94,7 +97,7 @@ def cmd_factor(args) -> int:
     else:
         B = bfs(S, root)
         t0 = time.perf_counter()
-        SF = factor_shadow(S, root)
+        SF = factor_shadow(S, root, B)
         t_shadow = time.perf_counter() - t0
         t0 = time.perf_counter()
         NF = factor_directed(strip_loops(G), SF, B)
@@ -236,37 +239,53 @@ def _bench_random_digraph(rng: random.Random, n: int) -> DiGraph:
 
 
 def _bench_instance(family: str, target_arcs: int, rng: random.Random):
+    """The family's largest instance with at most `target_arcs` arcs (the
+    smallest instance when none fits)."""
     if family == "grid":
         # two directed paths, loops at the far ends: m = 2a^2 - 2a
-        a = max(2, round((1 + math.sqrt(1 + 2 * target_arcs)) / 2))
+        a = max(2, (math.isqrt(2 * target_arcs + 1) + 1) // 2)
         return cartesian_product([_directed_path(a), _directed_path(a)])
     if family == "cube":
-        q = 2
-        while q * 2**q < target_arcs:
+        # looped K2 times q-1 plain K2: m = q * 2^q
+        q = 1
+        while (q + 1) * 2 ** (q + 1) <= target_arcs:
             q += 1
         k2 = DiGraph(2, {(0, 1), (1, 0)}, set())
         k2_loop = DiGraph(2, {(0, 1), (1, 0)}, {1})
         return cartesian_product([k2_loop] + [k2] * (q - 1))
     if family == "randprod":
+        # about 3.3 n^2 arcs; shrink n until a draw fits
         n = max(2, int(math.sqrt(target_arcs / 3.3)))
-        A = _bench_random_digraph(rng, n)
-        B = _bench_random_digraph(rng, n)
-        return cartesian_product([A, B])
+        while True:
+            A = _bench_random_digraph(rng, n)
+            B = _bench_random_digraph(rng, n)
+            if (len(A.arcs) + len(B.arcs)) * n <= target_arcs or n == 2:
+                return cartesian_product([A, B])
+            n -= 1
     raise ValueError(f"unknown family {family!r}")
 
 
 def cmd_bench(args) -> int:
     if args.min_arcs < 4 or args.max_arcs < args.min_arcs:
         raise GraphFormatError("need 4 <= min-arcs <= max-arcs")
+    if args.reps < 1:
+        raise GraphFormatError(f"--reps must be at least 1, got {args.reps}")
     rng = random.Random(args.seed)
+    # doubling targets, the last one --max-arcs itself
     targets = [args.min_arcs]
-    while targets[-1] < args.max_arcs:
+    while targets[-1] * 2 < args.max_arcs:
         targets.append(targets[-1] * 2)
+    if targets[-1] < args.max_arcs:
+        targets.append(args.max_arcs)
 
     rows = []
+    seen = set()
     print("arcs,seconds,seconds_per_arc")
     for target in targets:
         G, C = _bench_instance(args.family, target, rng)
+        if len(G.arcs) in seen:
+            continue  # an earlier row already timed this size
+        seen.add(len(G.arcs))
         S = shadow(G)
         B = bfs(S, C.root)
         SF = shadow_factorization_of_product(G, C)
@@ -379,6 +398,9 @@ def main(argv=None) -> int:
     except NoUnloopedVertexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALL_LOOPED
+    except FactorizationError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -120,7 +120,7 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
             ColorPartition(0), (), Coordinatization((), ((),), 0), 0
         )
     B = bfs(S, root)
-    SF = factor_shadow(S, root)
+    SF = factor_shadow(S, root, B)
     N = strip_loops(G)
     NF = factor_directed(N, SF, B)
     if not G.loops:

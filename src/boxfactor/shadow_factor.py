@@ -1,23 +1,38 @@
 """Prime factorization of a connected undirected shadow.
 
-Two edges are forced into the same factor when either
-  (a) their endpoint distances are asymmetric: for e = xy and f = uv,
-      d(x,u) + d(y,v) != d(x,v) + d(y,u), or
-  (b) they share an endpoint and lie on no common chordless square.
-The transitive closure of this relation partitions the edges into the color
-classes of the finest product coloring; the factors are the subgraphs induced
-on the color layers through the root. Distances come from all-pairs BFS, so
-the whole computation is O(n * m) plus the squared-edge relation scan, which
-is vectorized.
+The prime factors of a connected graph are read off the classes of
+sigma = (Theta u tau)*, the transitive closure of two edge relations:
+  Theta  e = xy and f = uv have asymmetric endpoint distances,
+         d(x,u) + d(y,v) != d(x,v) + d(y,u);
+  tau    e and f share an endpoint and lie on no common chordless square.
+Computing Theta directly needs all-pairs distances and every pair of edges.
+
+Instead, one pass over the pairs of edges at each vertex builds the closure
+of a local relation delta: tau, plus the pairs of opposite edges of every
+chordless square. Opposite edges of a chordless square are Theta-related,
+so delta* refines sigma. When delta* is a product coloring, which
+`coordinates_from_colors` checks exactly, sigma refines it too (Theta and
+tau never relate edges of different factors of a product), so delta* is
+sigma and the factorization is done. The pass costs O(sum over v of deg(v)^2
+times the degree of a neighbor), so it is linear for bounded degree and
+needs no distance matrix.
+
+Only when the check rejects delta* (a graph that is locally but not globally
+a product, such as a Moebius ladder) does the exact closure run: Theta over
+all edge pairs on an all-pairs distance matrix, seeded with the delta
+classes. That fallback costs O(n^2) memory and O(m^2) time, the latter
+vectorized over rows.
+
+Either way the classes are numbered in BFS order from the root, and
+`coordinates_from_colors` turns them into unit-layer factors and vertex
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DiGraph, DirTag, ShadowGraph, bfs
+from .core import BfsOrder, DiGraph, ShadowGraph, bfs
 from .errors import FactorizationError
 from .product import Coordinatization
 
@@ -43,7 +58,97 @@ class ShadowFactorization:
     coordin: Coordinatization
 
 
-def _distance_matrix(S: ShadowGraph) -> np.ndarray:
+def factor_shadow(
+    S: ShadowGraph, root: int, B: BfsOrder | None = None
+) -> ShadowFactorization:
+    """Factor a connected shadow into its prime layers through `root`.
+
+    `B` is the BFS order of S from `root`; it is computed (which also proves
+    connectivity) when the caller does not already hold it.
+    """
+    n = S.n
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range")
+    if B is None:
+        B = bfs(S, root)
+    elif B.root != root:
+        raise ValueError("BFS root differs from the factorization root")
+    if n == 1:
+        return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
+    edges = sorted(S.tags)
+    labels = _square_closure(S, edges)
+    colors = _number_classes(edges, labels, B.bfsnum)
+    try:
+        factors, coordin = coordinates_from_colors(S, root, colors)
+    except FactorizationError:
+        # delta* is not a product coloring, so it is strictly finer than sigma
+        colors = _number_classes(edges, _theta_closure(S, edges, labels), B.bfsnum)
+        factors, coordin = coordinates_from_colors(S, root, colors)
+    return ShadowFactorization(root, colors, factors, coordin)
+
+
+def _square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[int]:
+    """Class label of every edge under delta*, for edges indexed as in `edges`.
+
+    At each vertex v, two incident edges vu, vw are joined when they span no
+    chordless square (relation tau); otherwise each chordless square
+    v-u-x-w joins its opposite edges, vu with wx and vw with ux. A square is
+    joined only from its smallest corner, which sees it exactly once.
+    """
+    eidx = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))
+
+    def union(a: int, b: int) -> None:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+
+    nbrs = [set(nb) for nb in S.adj]
+    for v, nb in enumerate(S.adj):
+        closed = nbrs[v] | {v}
+        ids = [eidx[(v, u) if v < u else (u, v)] for u in nb]
+        for i, u in enumerate(nb):
+            nu = nbrs[u]
+            for j in range(i + 1, len(nb)):
+                w = nb[j]
+                # u, w adjacent: every square on vu, vw has a chord
+                far = () if w in nu else (nu & nbrs[w]) - closed
+                if not far:
+                    union(ids[i], ids[j])
+                elif v < u:  # adjacency lists are sorted, so u < w
+                    for x in far:
+                        if v < x:
+                            union(ids[i], eidx[(w, x) if w < x else (x, w)])
+                            union(ids[j], eidx[(u, x) if u < x else (x, u)])
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    return [find(a) for a in range(len(edges))]
+
+
+def _number_classes(
+    edges: list[tuple[int, int]], labels: list[int], bn: tuple[int, ...]
+) -> dict[tuple[int, int], int]:
+    """Color edges by class, numbering classes by their smallest
+    (bfsnum, bfsnum) endpoint pair."""
+    best: dict[int, tuple[int, int]] = {}
+    for (u, v), c in zip(edges, labels):
+        p = (bn[u], bn[v]) if bn[u] < bn[v] else (bn[v], bn[u])
+        if c not in best or p < best[c]:
+            best[c] = p
+    number = {c: i for i, c in enumerate(sorted(best, key=best.__getitem__))}
+    return {e: number[c] for e, c in zip(edges, labels)}
+
+
+def _distance_matrix(S: ShadowGraph):
+    import numpy as np
+
     n = S.n
     if n >= _SCIPY_MIN_N:
         from scipy.sparse import csr_matrix
@@ -79,7 +184,7 @@ def _distance_matrix(S: ShadowGraph) -> np.ndarray:
     return D
 
 
-def _find(parent: np.ndarray, a: int) -> int:
+def _find(parent, a: int) -> int:
     root = a
     while parent[root] != root:
         root = parent[root]
@@ -88,7 +193,7 @@ def _find(parent: np.ndarray, a: int) -> int:
     return int(root)
 
 
-def _union(parent: np.ndarray, size: np.ndarray, a: int, b: int) -> int:
+def _union(parent, size, a: int, b: int) -> int:
     ra, rb = _find(parent, a), _find(parent, b)
     if ra == rb:
         return ra
@@ -100,32 +205,33 @@ def _union(parent: np.ndarray, size: np.ndarray, a: int, b: int) -> int:
     return ra
 
 
-def _roots_of(parent: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _roots_of(parent, idx):
     r = parent[idx]
     while True:
         rr = parent[r]
-        if np.array_equal(rr, r):
+        if (rr == r).all():
             break
         r = rr
     parent[idx] = r  # path compression for everything just visited
     return r
 
 
-def factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
-    """Factor a connected shadow into its prime layers through `root`."""
-    n = S.n
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range")
-    B = bfs(S, root)  # also proves connectivity
-    if n == 1:
-        return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
-    edges = sorted(S.tags)
+def _theta_closure(
+    S: ShadowGraph, edges: list[tuple[int, int]], labels: list[int]
+) -> list[int]:
+    """Class labels of (Theta u tau)*, from the delta* classes `labels`.
+
+    delta contains tau and lies inside sigma, so adding Theta to its classes
+    gives sigma. Theta is tested row by row: each edge against all later
+    edges, on the all-pairs distance matrix.
+    """
+    import numpy as np
+
     m = len(edges)
     D = _distance_matrix(S)
-    parent = np.arange(m, dtype=np.int64)
-    size = np.ones(m, dtype=np.int64)
-
-    # relation (a): distance asymmetry, row per edge against all later edges
+    # labels point straight at their class roots: a union-find forest of depth one
+    parent = np.array(labels, dtype=np.int64)
+    size = np.bincount(parent, minlength=m).astype(np.int64)
     U = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
     V = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
     for a in range(m - 1):
@@ -142,53 +248,7 @@ def factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
         ra = _find(parent, a)
         for rb in np.unique(_roots_of(parent, idx)):
             ra = _union(parent, size, ra, int(rb))
-
-    # relation (b): incident edges with no common chordless square
-    eidx = {e: i for i, e in enumerate(edges)}
-    amask = [0] * n
-    for u, v in edges:
-        amask[u] |= 1 << v
-        amask[v] |= 1 << u
-    for v in range(n):
-        nb = S.adj[v]
-        not_v = ~(1 << v)
-        for i in range(len(nb)):
-            u = nb[i]
-            eu = eidx[(v, u) if v < u else (u, v)]
-            for j in range(i + 1, len(nb)):
-                w = nb[j]
-                if amask[u] >> w & 1:
-                    related = True  # u, w adjacent: every square has a chord
-                else:
-                    commons = amask[u] & amask[w] & not_v
-                    related = (commons & ~amask[v]) == 0
-                if related:
-                    _union(parent, size, eu, eidx[(v, w) if v < w else (w, v)])
-
-    groups: dict[int, list[int]] = {}
-    for a in range(m):
-        groups.setdefault(_find(parent, a), []).append(a)
-
-    # deterministic color numbering: sort classes by their smallest
-    # (bfsnum, bfsnum) endpoint pair
-    bn = B.bfsnum
-
-    def class_key(members: list[int]) -> tuple[int, int]:
-        best = None
-        for a in members:
-            u, v = edges[a]
-            p = (bn[u], bn[v]) if bn[u] < bn[v] else (bn[v], bn[u])
-            if best is None or p < best:
-                best = p
-        return best
-
-    ordered = sorted(groups.values(), key=class_key)
-    colors = {}
-    for c, members in enumerate(ordered):
-        for a in members:
-            colors[edges[a]] = c
-    factors, coordin = coordinates_from_colors(S, root, colors)
-    return ShadowFactorization(root, colors, factors, coordin)
+    return [_find(parent, a) for a in range(m)]
 
 
 def coordinates_from_colors(
@@ -201,7 +261,9 @@ def coordinates_from_colors(
     and the component of v in the subgraph of all other colors. Raises
     FactorizationError whenever that vertex is not unique, or the resulting
     labeling is not a bijection onto the grid, or some edge disagrees with
-    the grid; all of these mean `colors` is not a product coloring.
+    the grid, or the grid has edges S lacks; all of these mean `colors` is
+    not a product coloring. Accepting therefore proves that S is the product
+    of the returned layers.
     """
     n = S.n
     if set(colors) != set(S.tags):
@@ -304,6 +366,13 @@ def coordinates_from_colors(
             raise FactorizationError(
                 f"edge ({u}, {v}) does not project to an edge of factor {c}"
             )
+    # the labeling is a bijection onto the grid and maps edges to grid edges,
+    # so S is the product of the layers exactly when the edge counts agree
+    grid_edges = sum(Z.edge_count * (n // Z.n) for Z in factors)
+    if grid_edges != len(colors):
+        raise FactorizationError(
+            f"the layers multiply to {grid_edges} edges, the graph has {len(colors)}"
+        )
     return tuple(factors), coordin
 
 

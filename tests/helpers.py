@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+from collections import deque
+
 from hypothesis import strategies as st
 
-from boxfactor import DiGraph, cartesian_product, iso_check
+from boxfactor import DiGraph, ShadowGraph, cartesian_product, iso_check
 
 
 def consistent_square() -> DiGraph:
@@ -83,6 +85,74 @@ def random_digraph(
     if keep_unlooped and len(loops) == n:
         loops.discard(rng.choice(sorted(loops)))
     return DiGraph(n, arcs, loops)
+
+
+def mobius_ladder(r: int) -> DiGraph:
+    """Both-ways Moebius ladder: a 2r-cycle plus the r chords i -- i+r.
+
+    Locally it is a prism (cycle times K2), globally it is prime.
+    """
+    n = 2 * r
+    arcs = set()
+    for u, v in [(i, (i + 1) % n) for i in range(n)] + [(i, i + r) for i in range(r)]:
+        arcs.add((u, v))
+        arcs.add((v, u))
+    return DiGraph(n, arcs, set())
+
+
+NAIVE_MAX_N = 40
+
+
+def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
+    """Edge classes of (Theta u tau)*, straight from the definitions.
+
+    Theta: d(x,u) + d(y,v) != d(x,v) + d(y,u) for edges xy, uv, with
+    distances from one BFS per vertex. tau: the edges share an endpoint and
+    lie on no common chordless square. Every pair of edges is tested, so this
+    is bounded to NAIVE_MAX_N vertices. S must be connected.
+    """
+    n = S.n
+    if n > NAIVE_MAX_N:
+        raise ValueError(f"naive closure is bounded to {NAIVE_MAX_N} vertices")
+    d = []
+    for s in range(n):
+        row = {s: 0}
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            for y in S.adj[x]:
+                if y not in row:
+                    row[y] = row[x] + 1
+                    q.append(y)
+        d.append(row)
+
+    def on_chordless_square(p, a, b):
+        # edges pa, pb: is there x with p-a-x-b-p a square without chords?
+        if S.has_edge(a, b):
+            return False
+        return any(
+            x != p and S.has_edge(x, b) and not S.has_edge(x, p) for x in S.adj[a]
+        )
+
+    edges = sorted(S.tags)
+    label = list(range(len(edges)))
+    for i, (x, y) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            u, v = edges[j]
+            related = d[x][u] + d[y][v] != d[x][v] + d[y][u]
+            shared = {x, y} & {u, v}
+            if not related and shared:
+                (p,) = shared
+                a = x if y == p else y
+                b = u if v == p else v
+                related = not on_chordless_square(p, a, b)
+            if related and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if c == old else c for c in label]
+    classes: dict[int, set] = {}
+    for e, c in zip(edges, label):
+        classes.setdefault(c, set()).add(e)
+    return {frozenset(c) for c in classes.values()}
 
 
 def multiset_iso(claimed, truth) -> bool:

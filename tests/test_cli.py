@@ -205,6 +205,19 @@ class TestExitCodes:
         g = write_graph(tmp_path / "sq.dg", consistent_square())
         assert main(["factor", "--input", g, "--root", "55"]) == 2
 
+    def test_internal_invariant_failure_exits_6(self, tmp_path, capsys, monkeypatch):
+        from boxfactor import FactorizationError, cli
+
+        def broken(*args, **kwargs):
+            raise FactorizationError("coloring is not a product coloring")
+
+        monkeypatch.setattr(cli, "factor_shadow", broken)
+        g = write_graph(tmp_path / "sq.dg", consistent_square())
+        assert main(["factor", "--input", g]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal invariant failed:")
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     @pytest.mark.parametrize("family", ["grid", "cube", "randprod"])
@@ -220,7 +233,9 @@ class TestBenchCommand:
         rows = [line.split(",") for line in out[1:]]
         assert len(rows) >= 2
         arcs = [int(r[0]) for r in rows]
-        assert arcs == sorted(arcs)
+        # strictly increasing sizes, none above --max-arcs
+        assert all(a < b for a, b in zip(arcs, arcs[1:]))
+        assert arcs[-1] <= 300
         # instance sizing tracks the doubling targets approximately
         assert arcs[-1] >= 150
         assert arcs[-1] >= 2 * arcs[0]
@@ -228,3 +243,16 @@ class TestBenchCommand:
             assert float(r[1]) >= 0.0
             assert float(r[2]) > 0.0
         assert csv.read_text().splitlines() == out
+
+    def test_ladder_ends_at_max_arcs(self, capsys):
+        assert main(["bench", "--family", "grid", "--min-arcs", "40",
+                     "--max-arcs", "312", "--reps", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # grids have 2a^2 - 2a arcs: a = 5, 6, 9, 13
+        assert [int(line.split(",")[0]) for line in out[1:]] == [40, 60, 144, 312]
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_2(self, reps, capsys):
+        assert main(["bench", "--family", "grid", "--min-arcs", "40",
+                     "--max-arcs", "80", "--reps", reps]) == 2
+        assert "--reps must be at least 1" in capsys.readouterr().err

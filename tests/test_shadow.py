@@ -1,20 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from boxfactor import (
     DiGraph,
     FactorizationError,
+    canonical_small_graphs,
     cartesian_product,
     coordinates_from_colors,
     digraph_from_shadow,
     factor_shadow,
+    gen_product_instance,
     min_degree,
     shadow,
     shadow_factorization_of_product,
 )
+from boxfactor import shadow_factor
 from helpers import (
     both_k2,
     connected_digraphs,
+    mobius_ladder,
+    naive_shadow_classes,
+    random_digraph,
     undirected_cycle,
     undirected_path,
 )
@@ -156,10 +164,82 @@ class TestCoordinatesFromColors:
         with pytest.raises(ValueError):
             coordinates_from_colors(S, 0, colors)
 
+    def test_prism_missing_top_edge_rejected(self):
+        # K3 box K2 minus the top edge (4, 5): every vertex lies on a unique
+        # coordinate grid point and every edge steps one coordinate, but the
+        # layers multiply to 9 edges and the graph has 8
+        edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (0, 3), (1, 4), (2, 5)]
+        S = shadow(DiGraph(6, {a for u, v in edges for a in ((u, v), (v, u))}, set()))
+        rungs = {(0, 3), (1, 4), (2, 5)}
+        colors = {e: int(e in rungs) for e in S.tags}
+        with pytest.raises(FactorizationError, match="9 edges"):
+            coordinates_from_colors(S, 0, colors)
+        assert len(factor_shadow(S, 0).factors) == 1
+
     def test_colors_must_cover_edges(self):
         S = shadow(undirected_cycle(4))
         with pytest.raises(ValueError):
             coordinates_from_colors(S, 0, {(0, 1): 0})
+
+
+class TestAgainstNaiveClosure:
+    """factor_shadow's classes equal (Theta u tau)* computed from the
+    definitions, whether the square closure is accepted or the exact
+    fallback runs."""
+
+    @staticmethod
+    def _agree(G, roots):
+        S = shadow(G)
+        want = naive_shadow_classes(S)
+        for r in roots:
+            assert _classes(factor_shadow(S, r).colors) == want, (G, r)
+        return len(want)
+
+    def test_all_small_graphs_every_root(self):
+        for n in range(1, 5):
+            for G in canonical_small_graphs(n):
+                self._agree(G, range(G.n))
+
+    def test_generated_products(self):
+        for i in range(60):
+            nf = 2 + i % 2
+            G, truth = gen_product_instance(nf, (2, 6 if nf == 2 else 3), 0.3, seed=i)
+            assert self._agree(G, [0, G.n - 1]) >= len(truth)
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            G = random_digraph(
+                rng, rng.randint(5, 14), extra_prob=rng.choice([0.05, 0.1, 0.2, 0.4])
+            )
+            self._agree(G, [rng.randrange(G.n)])
+
+    def test_moebius_ladders_take_the_exact_fallback(self, monkeypatch):
+        calls = []
+        exact = shadow_factor._theta_closure
+
+        def spy(*args):
+            calls.append(args[0].n)
+            return exact(*args)
+
+        monkeypatch.setattr(shadow_factor, "_theta_closure", spy)
+        runs = 0
+        for r in range(4, 14):
+            M = mobius_ladder(r)
+            assert self._agree(M, [0, r]) == 1
+            runs += 2
+            for q in (2, 3):
+                if 2 * r * q <= 40:
+                    P, _ = cartesian_product([M, undirected_path(q)])
+                    assert self._agree(P, [0, P.n - 1]) == 2
+                    runs += 2
+        assert len(calls) == runs
+        # prisms are products: the square closure is accepted at once
+        calls.clear()
+        for r in range(3, 14):
+            P, _ = cartesian_product([undirected_cycle(r), both_k2()])
+            assert self._agree(P, [0]) == (2 if r != 4 else 3)
+        assert calls == []
 
 
 class TestProductRecovery:
@@ -233,9 +313,21 @@ class TestShadowFactorizationOfProduct:
 
 
 class TestLargeInstance:
-    def test_long_grid_uses_matrix_path(self):
-        # 18*18 = 324 vertices crosses the sparse-matrix threshold
+    def test_long_grid_needs_no_distance_matrix(self, monkeypatch):
+        # 18*18 = 324 vertices is past the sparse-matrix threshold, but a
+        # product is factored by the square closure alone
+        def no_matrix(S):
+            raise AssertionError("distance matrix built for a product")
+
+        monkeypatch.setattr(shadow_factor, "_distance_matrix", no_matrix)
         p18 = undirected_path(18)
         P, _ = cartesian_product([p18, p18])
         F = factor_shadow(shadow(P), 0)
         assert sorted(f.n for f in F.factors) == [18, 18]
+
+    def test_large_moebius_ladder_uses_sparse_distances(self):
+        # 320 vertices crosses the sparse-matrix threshold of the fallback
+        M = mobius_ladder(160)
+        F = factor_shadow(shadow(M), 0)
+        assert [f.n for f in F.factors] == [320]
+        assert set(F.colors.values()) == {0}
