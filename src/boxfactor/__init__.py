@@ -27,7 +27,6 @@ from .directed_factor import (
     DirectedFactorization,
     count_inconsistencies,
     factor_directed,
-    merge_classes,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -96,7 +95,6 @@ __all__ = [
     "group_coordinates",
     "is_connected",
     "iso_check",
-    "merge_classes",
     "min_degree",
     "parse_coords",
     "parse_graph",

@@ -25,7 +25,6 @@ from pathlib import Path
 from .core import (
     DiGraph,
     bfs,
-    is_connected,
     parse_coords,
     parse_graph,
     shadow,
@@ -39,7 +38,7 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .loop_factor import factor_with_loops, pick_root
+from .loop_factor import factor_with_loops, rooted_bfs
 from .oracle import gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import cartesian_product
 from .shadow_factor import factor_shadow, shadow_factorization_of_product
@@ -74,16 +73,8 @@ def cmd_factor(args) -> int:
     t_parse = time.perf_counter() - t_start
 
     S = shadow(G)
-    if not is_connected(S):
-        raise DisconnectedGraphError("graph is not connected")
-    if args.root is None:
-        root = pick_root(G)
-    else:
-        root = args.root
-        if not 0 <= root < G.n:
-            raise GraphFormatError(f"root {root} out of range for n={G.n}")
-        if root in G.loops:
-            raise NoUnloopedVertexError(f"root {root} carries a loop")
+    B = rooted_bfs(G, S, args.root)
+    root = B.root
 
     t_shadow = t_directed = t_loops = 0.0
     merges = 0
@@ -95,7 +86,6 @@ def cmd_factor(args) -> int:
             ColorPartition(0), (), Coordinatization((), ((),), 0), 0
         )
     else:
-        B = bfs(S, root)
         t0 = time.perf_counter()
         SF = factor_shadow(S, root, B)
         t_shadow = time.perf_counter() - t0

@@ -6,9 +6,10 @@ already-reached or same-level vertex it projects the edge into the unit layer
 of the edge's current class and compares arc directions. A disagreement means
 those coordinates cannot be separated: the classes of all down-edges at the
 current vertex (plus the edge's own class) are merged, and the scan continues
-with the next vertex under the coarser coloring. Each edge is inspected once,
-so the scan is linear in the arc count once the shadow factorization and the
-BFS structure are given.
+with the next vertex under the coarser coloring. Each edge is inspected once;
+projections go through the mixed-radix codes of `Coordinatization`, so the
+scan costs O(n*k) for the current vertex's projections plus the size of each
+edge's class, once the shadow factorization and the BFS structure are given.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class ColorPartition:
         return survivor
 
 
-def merge_classes(P: ColorPartition, class_ids) -> int:
-    """Functional spelling of ColorPartition.merge."""
-    return P.merge(class_ids)
-
-
 @dataclass(frozen=True, eq=False)
 class DirectedFactorization:
     """Result of a directed (or loop) factorization scan.
@@ -161,25 +157,25 @@ def factor_directed(
     P = ColorPartition(k)
     if n == 1:
         return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
-    coords = SF.coordin.coords
-    vo = SF.coordin.vertex_of
-    rc = coords[SF.root]
-    kk = range(k)
+    project = SF.coordin.project
     table = P.table
     arcint = {u * n + v for (u, v) in G.arcs}
     downc, crossc = _colored_lists(G, SF, B)
 
     merges = 0
     for v in B.order:
-        cv = coords[v]
         vn = v * n
+        seen = {}  # class id -> (members, v's projection); a merge ends v
         merged = False
         for lst in (downc[v], crossc[v]):
             for u, c in lst:
                 i = table[c]
-                cu = coords[u]
-                pv = vo[tuple(cv[j] if table[j] == i else rc[j] for j in kk)]
-                pu = vo[tuple(cu[j] if table[j] == i else rc[j] for j in kk)]
+                hit = seen.get(i)
+                if hit is None:
+                    members = P.members(i)
+                    hit = seen[i] = (members, project(v, members))
+                members, pv = hit
+                pu = project(u, members)
                 if pv == v and pu == u:
                     continue  # the edge is its own projection
                 if (vn + u in arcint) == (pv * n + pu in arcint) and (
@@ -215,21 +211,19 @@ def count_inconsistencies(
     k = len(SF.factors)
     if len(assignment) != k:
         raise ValueError("assignment must label every original color")
-    coords = SF.coordin.coords
-    vo = SF.coordin.vertex_of
-    rc = coords[SF.root]
-    kk = range(k)
+    project = SF.coordin.project
+    groups: dict[int, list[int]] = {}
+    for j, label in enumerate(assignment):
+        groups.setdefault(label, []).append(j)
     arcint = {u * n + v for (u, v) in G.arcs}
     downc, crossc = _colored_lists(G, SF, B)
     bad = 0
     for v in B.order:
-        cv = coords[v]
         for lst in (downc[v], crossc[v]):
             for u, c in lst:
-                i = assignment[c]
-                cu = coords[u]
-                pv = vo[tuple(cv[j] if assignment[j] == i else rc[j] for j in kk)]
-                pu = vo[tuple(cu[j] if assignment[j] == i else rc[j] for j in kk)]
+                members = groups[assignment[c]]
+                pv = project(v, members)
+                pu = project(u, members)
                 if (v * n + u in arcint) != (pv * n + pu in arcint) or (
                     u * n + v in arcint
                 ) != (pu * n + pv in arcint):

@@ -14,9 +14,9 @@ the shadow, runs the directed scan, and runs the loop scan when needed.
 
 from __future__ import annotations
 
-from .core import BfsOrder, DiGraph, bfs, is_connected, shadow, strip_loops
+from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow, strip_loops
 from .directed_factor import ColorPartition, DirectedFactorization, factor_directed
-from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
+from .errors import FactorizationError, NoUnloopedVertexError
 from .product import Coordinatization, group_coordinates
 from .shadow_factor import factor_shadow
 
@@ -28,6 +28,27 @@ def pick_root(G: DiGraph) -> int:
     if len(G.loops) == G.n:
         raise NoUnloopedVertexError("every vertex carries a loop")
     return min(v for v in range(G.n) if v not in G.loops)
+
+
+def rooted_bfs(G: DiGraph, S: ShadowGraph, root: int | None = None) -> BfsOrder:
+    """BFS of the shadow S of G from `root`, or from pick_root(G) when None.
+
+    The BFS runs before the root is checked, so a disconnected graph raises
+    DisconnectedGraphError even when the root or every vertex is looped (it
+    then starts at the smallest unlooped vertex, or at 0).
+    """
+    if G.n == 0:
+        raise ValueError("graph has no vertices")
+    valid = root is not None and 0 <= root < G.n
+    start = root if valid else next((v for v in range(G.n) if v not in G.loops), 0)
+    B = bfs(S, start)
+    if root is None:
+        pick_root(G)  # raises when every vertex is looped
+    elif not valid:
+        raise ValueError(f"root {root} out of range for n={G.n}")
+    elif root in G.loops:
+        raise NoUnloopedVertexError(f"root {root} carries a loop")
+    return B
 
 
 def factor_with_loops(
@@ -52,24 +73,19 @@ def factor_with_loops(
     P = ColorPartition(k)
     table = P.table
     coords = coordin.coords
-    vo = coordin.vertex_of
-    rc = coords[root]
+    project = coordin.project
     looped = G.loops
     kk = range(k)
+    live = P.classes()
 
     merges = 0
     for v in B.order:
-        cv = coords[v]
-        anyloop = False
-        for i in P.live_ids():
-            key = tuple(cv[j] if table[j] == i else rc[j] for j in kk)
-            if vo[key] in looped:
-                anyloop = True
-                break
+        anyloop = any(project(v, members) in looped for members in live)
         if (v in looped) == anyloop:
             continue
         # disagreement: an unlooped vertex with a looped projection, or a
         # looped vertex none of whose projections is looped
+        cv = coords[v]
         ids = set()
         for u in B.down[v]:
             cu = coords[u]
@@ -81,9 +97,10 @@ def factor_with_loops(
                 "factorization was not prime"
             )
         P.merge(ids)
+        live = P.classes()
         merges += 1
 
-    coordin2 = group_coordinates(G, coordin, P.classes())
+    coordin2 = group_coordinates(G, coordin, live)
     factors = coordin2.factors
     for v in range(n):
         cv2 = coordin2.coords[v]
@@ -103,24 +120,13 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     unlooped. Factors come out with the root at local id of the root's
     coordinate, ordered canonically by their smallest original shadow color.
     """
-    if G.n == 0:
-        raise ValueError("graph has no vertices")
     S = shadow(G)
-    if not is_connected(S):
-        raise DisconnectedGraphError("graph is not connected")
-    if root is None:
-        root = pick_root(G)
-    else:
-        if not 0 <= root < G.n:
-            raise ValueError(f"root {root} out of range")
-        if root in G.loops:
-            raise NoUnloopedVertexError(f"root {root} carries a loop")
+    B = rooted_bfs(G, S, root)
     if G.n == 1:
         return DirectedFactorization(
             ColorPartition(0), (), Coordinatization((), ((),), 0), 0
         )
-    B = bfs(S, root)
-    SF = factor_shadow(S, root, B)
+    SF = factor_shadow(S, B.root, B)
     N = strip_loops(G)
     NF = factor_directed(N, SF, B)
     if not G.loops:

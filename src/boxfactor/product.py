@@ -59,6 +59,43 @@ class Coordinatization:
             raise FactorizationError("coordinate labeling is not injective")
         return table
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Mixed-radix place values: position 0 varies slowest, as in
+        `cartesian_product`."""
+        st = [1] * self.k
+        for i in range(self.k - 2, -1, -1):
+            st[i] = st[i + 1] * self.factors[i + 1].n
+        return tuple(st)
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """Mixed-radix integer code of every vertex's coordinates."""
+        st = self.strides
+        return tuple(sum(c * s for c, s in zip(cv, st)) for cv in self.coords)
+
+    @cached_property
+    def vertex_at(self) -> list[int]:
+        """Inverse of `codes`, indexed by code; raises if the labeling is not
+        injective."""
+        table = [-1] * len(self.coords)
+        for v, code in enumerate(self.codes):
+            if table[code] >= 0:
+                raise FactorizationError("coordinate labeling is not injective")
+            table[code] = v
+        return table
+
+    def project(self, v: int, positions) -> int:
+        """The projection of v into the layer through `root` spanned by
+        `positions`: v's coordinates there, the root's everywhere else."""
+        cv = self.coords[v]
+        rc = self.coords[self.root]
+        st = self.strides
+        code = self.codes[self.root]
+        for j in positions:
+            code += (cv[j] - rc[j]) * st[j]
+        return self.vertex_at[code]
+
     @property
     def k(self) -> int:
         return len(self.factors)
@@ -135,7 +172,8 @@ def unit_layer(
     """Induced subgraph on the layer through `root` spanned by `positions`.
 
     Returns (layer, embedding): the layer uses local ids 0..len-1 assigned in
-    ascending host id order, and embedding[local] is the host vertex.
+    ascending host id order, and embedding[local] is the host vertex. Scans
+    every vertex and arc; `group_coordinates` builds all layers at once.
     """
     if root is None:
         root = C.root
@@ -204,8 +242,15 @@ def group_coordinates(
     `classes` must partition range(k). Each block becomes one factor: the
     subgraph of G induced on the layer through C.root spanned by the block.
     The new coordinate of a vertex in block i is the local id of its
-    projection into that layer. Grouping every position into one block yields
-    the factorization {G}; singleton blocks reproduce C up to relabeling.
+    projection into that layer, local ids ascending by host id. Grouping
+    every position into one block yields the factorization {G}; singleton
+    blocks reproduce C up to relabeling.
+
+    One sweep over the vertices projects each into every block; the images
+    are the block's layer, whose vertices are tagged with the block (the root
+    is in every layer, any other vertex in at most one). One sweep over the
+    arcs hands each arc to the layer that holds both endpoints. O(n*k + m),
+    plus sorting each layer's vertices.
     """
     k = C.k
     blocks = [tuple(b) for b in classes]
@@ -216,22 +261,61 @@ def group_coordinates(
         seen.update(b)
     if seen != set(range(k)) or sum(len(b) for b in blocks) != k:
         raise ValueError("blocks must partition the coordinate positions")
-    rc = C.coords[C.root]
-    vo = C.vertex_of
-    new_factors = []
-    projs = []
+    n = G.n
+    root = C.root
+    coords = C.coords
+    rc = coords[root]
+    st = C.strides
+    at = C.vertex_at
+
+    def layer(b):
+        """Block b's layer as host -> local id (ascending by host id), and
+        the local id of every vertex's projection into it."""
+        # the projection's code: the root's, with v's digits in block b
+        base = C.codes[root] - sum(rc[j] * st[j] for j in b)
+        digits = [[cv[j] * st[j] for cv in coords] for j in b]
+        proj = [at[base + d] for d in map(sum, zip(*digits))]
+        lid = {h: j for j, h in enumerate(sorted(set(proj)))}
+        return lid, [lid[p] for p in proj]
+
+    lids = []
+    cols = []  # cols[i][v]: local id of v's projection into layer i
     for b in blocks:
-        bset = set(b)
-        layer, hosts = unit_layer(G, C, bset)
-        loc = {h: i for i, h in enumerate(hosts)}
-        proj = []
-        for v in range(G.n):
-            cv = C.coords[v]
-            key = tuple(cv[j] if j in bset else rc[j] for j in range(k))
-            proj.append(loc[vo[key]])
-        new_factors.append(layer)
-        projs.append(proj)
-    new_coords = tuple(
-        tuple(projs[i][v] for i in range(len(blocks))) for v in range(G.n)
+        lid, col = layer(b)
+        lids.append(lid)
+        cols.append(col)
+    new_coords = tuple(zip(*cols)) if cols else ((),) * n
+    del cols  # n ids per block; not kept while the arcs are handed out
+
+    sizes = [len(lid) for lid in lids]
+    root_loc = [lid[root] for lid in lids]
+    host = [-1] * n  # the one layer holding v; unused for the root
+    loc = [0] * n  # v's local id in that layer
+    for i, lid in enumerate(lids):
+        for h, j in lid.items():
+            host[h] = i
+            loc[h] = j
+
+    arcs: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    for a, c in G.arcs:
+        i = host[c] if a == root else host[a]
+        if i < 0:
+            continue
+        if a == root:
+            arcs[i].append((root_loc[i], loc[c]))
+        elif c == root:
+            arcs[i].append((loc[a], root_loc[i]))
+        elif host[c] == i:
+            arcs[i].append((loc[a], loc[c]))
+    loops: list[list[int]] = [[] for _ in blocks]
+    for v in G.loops:
+        if v == root:
+            for i, lp in enumerate(loops):
+                lp.append(root_loc[i])
+        elif host[v] >= 0:
+            loops[host[v]].append(loc[v])
+
+    new_factors = tuple(
+        DiGraph(sizes[i], arcs[i], loops[i]) for i in range(len(blocks))
     )
-    return Coordinatization(tuple(new_factors), new_coords, C.root)
+    return Coordinatization(new_factors, new_coords, root)

@@ -8,7 +8,15 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from boxfactor import DiGraph, ShadowGraph, cartesian_product, iso_check
+from boxfactor import (
+    ColorPartition,
+    Coordinatization,
+    DiGraph,
+    ShadowGraph,
+    cartesian_product,
+    iso_check,
+    unit_layer,
+)
 
 
 def consistent_square() -> DiGraph:
@@ -153,6 +161,36 @@ def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
     for e, c in zip(edges, label):
         classes.setdefault(c, set()).add(e)
     return {frozenset(c) for c in classes.values()}
+
+
+def merge_classes(P: ColorPartition, class_ids) -> int:
+    """Functional spelling of ColorPartition.merge."""
+    return P.merge(class_ids)
+
+
+def naive_group_coordinates(G: DiGraph, C: Coordinatization, classes) -> Coordinatization:
+    """Reference regrouping: one `unit_layer` scan of all arcs per block and
+    projections looked up as coordinate tuples in `vertex_of`."""
+    k = C.k
+    rc = C.coords[C.root]
+    vo = C.vertex_of
+    new_factors = []
+    projs = []
+    for b in classes:
+        bset = set(b)
+        layer, hosts = unit_layer(G, C, bset)
+        loc = {h: i for i, h in enumerate(hosts)}
+        proj = []
+        for v in range(G.n):
+            cv = C.coords[v]
+            key = tuple(cv[j] if j in bset else rc[j] for j in range(k))
+            proj.append(loc[vo[key]])
+        new_factors.append(layer)
+        projs.append(proj)
+    new_coords = tuple(
+        tuple(projs[i][v] for i in range(len(projs))) for v in range(G.n)
+    )
+    return Coordinatization(tuple(new_factors), new_coords, C.root)
 
 
 def multiset_iso(claimed, truth) -> bool:

@@ -192,6 +192,19 @@ class TestExitCodes:
         )
         assert main(["factor", "--input", g]) == 3
 
+    def test_disconnected_all_looped_exits_3(self, tmp_path, capsys):
+        g = write_graph(
+            tmp_path / "dis.dg",
+            DiGraph(4, {(0, 1), (1, 0), (2, 3), (3, 2)}, {0, 1, 2, 3}),
+        )
+        assert main(["factor", "--input", g]) == 3
+
+    def test_disconnected_looped_root_exits_3(self, tmp_path, capsys):
+        g = write_graph(
+            tmp_path / "dis.dg", DiGraph(4, {(0, 1), (1, 0), (2, 3), (3, 2)}, {2})
+        )
+        assert main(["factor", "--input", g, "--root", "2"]) == 3
+
     def test_all_looped_exits_4(self, tmp_path, capsys):
         g = write_graph(tmp_path / "loops.dg", DiGraph(2, {(0, 1), (1, 0)}, {0, 1}))
         assert main(["factor", "--input", g]) == 4

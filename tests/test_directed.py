@@ -9,7 +9,6 @@ from boxfactor import (
     count_inconsistencies,
     factor_directed,
     factor_shadow,
-    merge_classes,
     reconstruct_check,
     shadow,
     shadow_factorization_of_product,
@@ -19,6 +18,7 @@ from helpers import (
     connected_digraphs,
     consistent_square,
     inconsistent_square,
+    merge_classes,
 )
 
 

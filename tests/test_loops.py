@@ -155,6 +155,12 @@ class TestFactorFullContract:
         with pytest.raises(DisconnectedGraphError):
             factor_full(G)
 
+    @pytest.mark.parametrize("loops, root", [({0, 1, 2, 3}, None), ({2}, 2), (set(), 9)])
+    def test_disconnection_reported_before_the_root(self, loops, root):
+        G = DiGraph(4, {(0, 1), (1, 0), (2, 3), (3, 2)}, loops)
+        with pytest.raises(DisconnectedGraphError):
+            factor_full(G, root)
+
     def test_trivial_graph_is_unit(self):
         F = factor_full(DiGraph(1, set(), set()))
         assert F.k == 0

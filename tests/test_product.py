@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from boxfactor import (
     shadow,
     unit_layer,
 )
-from helpers import both_k2, connected_digraphs
+from helpers import both_k2, connected_digraphs, naive_group_coordinates, random_digraph
 
 
 def arc01():
@@ -94,6 +96,37 @@ class TestCoordinatization:
         C = Coordinatization((arc01(),), ((0,), (0,)), 0)
         with pytest.raises(FactorizationError):
             C.vertex_of
+
+    def test_non_injective_rejected_by_codes(self):
+        # the grid size matches, but (0, 0) is used twice and (0, 1) never
+        P, _ = cartesian_product([arc01(), arc01()])
+        C = Coordinatization(
+            (arc01(), arc01()), ((0, 0), (0, 0), (1, 0), (1, 1)), 0
+        )
+        with pytest.raises(FactorizationError, match="not injective"):
+            C.vertex_at
+        with pytest.raises(FactorizationError, match="not injective"):
+            group_coordinates(P, C, [(0,), (1,)])
+
+    def test_codes_are_row_major(self):
+        P, C = cartesian_product([arc01(), both_k2(), DiGraph(3, {(0, 1), (1, 2)})])
+        assert C.strides == (6, 3, 1)
+        assert C.codes == tuple(range(P.n))
+        assert C.vertex_at == list(range(P.n))
+
+    def test_project_matches_coordinate_projection(self):
+        _, C = cartesian_product([arc01(), both_k2(), DiGraph(3, {(0, 1), (1, 2)})])
+        perm = [(5 * v + 3) % 12 for v in range(12)]
+        coords = [None] * 12
+        for v, cv in enumerate(C.coords):
+            coords[perm[v]] = cv
+        D = Coordinatization(C.factors, coords, 7)
+        rc = D.coords[7]
+        for v in range(12):
+            assert D.vertex_at[D.codes[v]] == v
+            for keep in ((), (0,), (2,), (0, 2), (1, 0), (0, 1, 2)):
+                expect = D.vertex_of[project_vertex(D.coords[v], keep, rc)]
+                assert D.project(v, keep) == expect
 
 
 class TestProjectVertex:
@@ -243,6 +276,47 @@ class TestGroupCoordinates:
         # the grouped factor is the product of the grouped positions
         Q, _ = cartesian_product(fs[:2])
         assert C2.factors[0] == Q
+
+    def test_matches_naive_reference(self):
+        # scrambled products with loops, stray arcs and loops off the product,
+        # a random root, and partitions with non-contiguous blocks
+        rng = random.Random(20261018)
+        cases = 0
+        for _ in range(120):
+            fs = [
+                random_digraph(rng, rng.randint(1, 4), 0.2, 0.3, keep_unlooped=False)
+                for _ in range(rng.randint(1, 4))
+            ]
+            P, C = cartesian_product(fs)
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            arcs = {(perm[a], perm[b]) for a, b in P.arcs}
+            loops = {perm[v] for v in P.loops}
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.randrange(P.n), rng.randrange(P.n)
+                if a != b:
+                    arcs.add((a, b))
+                loops.add(a)
+            G = DiGraph(P.n, arcs, loops)
+            coords = [None] * P.n
+            for v, cv in enumerate(C.coords):
+                coords[perm[v]] = cv
+            D = Coordinatization(C.factors, coords, rng.randrange(P.n))
+            k = D.k
+            positions = list(range(k))
+            rng.shuffle(positions)
+            labels = [rng.randrange(k) for _ in range(k)]
+            random_blocks = [
+                [j for j in positions if labels[j] == lab] for lab in sorted(set(labels))
+            ]
+            for blocks in (random_blocks, [positions], [[j] for j in positions]):
+                fast = group_coordinates(G, D, blocks)
+                slow = naive_group_coordinates(G, D, blocks)
+                assert fast.factors == slow.factors
+                assert fast.coords == slow.coords
+                assert fast.root == slow.root
+                cases += 1
+        assert cases == 360
 
     def test_partition_must_cover(self):
         P, C = cartesian_product([arc01(), arc01()])
