@@ -249,7 +249,8 @@ def dist(S: ShadowGraph, u: int, v: int):
 
 
 def _parse_id(token: str, lineno: int, what: str) -> int:
-    if not token.isdigit():
+    # str.isdigit alone also accepts non-ASCII digits such as '²' and '١'
+    if not (token.isascii() and token.isdigit()):
         raise GraphFormatError(f"{what} must be a nonnegative decimal, got {token!r}", lineno)
     return int(token)
 

@@ -6,10 +6,12 @@ already-reached or same-level vertex it projects the edge into the unit layer
 of the edge's current class and compares arc directions. A disagreement means
 those coordinates cannot be separated: the classes of all down-edges at the
 current vertex (plus the edge's own class) are merged, and the scan continues
-with the next vertex under the coarser coloring. Each edge is inspected once;
-projections go through the mixed-radix codes of `Coordinatization`, so the
-scan costs O(n*k) for the current vertex's projections plus the size of each
-edge's class, once the shadow factorization and the BFS structure are given.
+with the next vertex under the coarser coloring. Each edge is inspected once
+or, when it joins two vertices of one level, twice. Every live class keeps a
+column of projection codes (`Coordinatization.projection_codes`), built in
+O(n*k) and rebuilt only for the survivor of a merge, so each inspection is
+O(1): the scan costs O(n*k) per column build plus O(m), once the shadow
+factorization and the BFS structure are given.
 """
 
 from __future__ import annotations
@@ -107,40 +109,96 @@ class DirectedFactorization:
         return len(self.factors)
 
 
-def _check_inputs(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None):
+# the arc bits of an edge seen from its other end: 1 and 2 trade places
+_FLIP = (0, 2, 1, 3)
+
+
+def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None):
+    """Validate a direction scan's inputs in one sweep over the colored edges.
+
+    Returns the BFS structure (computed when omitted) and, keyed
+    min*n + max for every edge of color c, 4*c plus its arcs: 1 for
+    min -> max, 2 for max -> min. The colored edges are the graph's edges
+    exactly when each carries an arc and, together, they carry every arc.
+    """
     if G.loops:
         raise ValueError("graph must be loopless here; strip loops first")
-    if len(SF.coordin.coords) != G.n:
+    n = G.n
+    if len(SF.coordin.coords) != n:
         raise ValueError("shadow factorization does not match the graph size")
     arcs = G.arcs
-    edge_count = 0
-    for u, v in arcs:
-        if u < v or (v, u) not in arcs:
-            edge_count += 1
-    if edge_count != len(SF.colors):
-        raise ValueError("shadow factorization does not match the graph's edges")
-    for u, v in SF.colors:
-        if (u, v) not in arcs and (v, u) not in arcs:
-            raise ValueError(f"colored edge ({u}, {v}) is not an edge of the graph")
+    info = {}
+    carried = 0
+    bare = None
+    for e, c in SF.colors.items():
+        u, v = e
+        f = e in arcs
+        r = (v, u) in arcs
+        if not (f or r) and bare is None:
+            bare = e
+        carried += f + r
+        if u < v:
+            info[u * n + v] = 4 * c + f + 2 * r
+        else:
+            info[v * n + u] = 4 * c + r + 2 * f
+    if bare is not None or carried != len(arcs) or len(info) != len(SF.colors):
+        edges = {(u, v) if u < v else (v, u) for u, v in arcs}
+        if bare is None or len(edges) != len(SF.colors):
+            raise ValueError("shadow factorization does not match the graph's edges")
+        raise ValueError(f"colored edge {bare} is not an edge of the graph")
     if B is None:
         B = bfs(shadow(G), SF.root)
     elif B.root != SF.root:
         raise ValueError("BFS root differs from the factorization root")
-    return B
+    return B, info
 
 
-def _colored_lists(G: DiGraph, SF: ShadowFactorization, B: BfsOrder):
-    colors = SF.colors
-    downc = []
-    crossc = []
-    for v in range(G.n):
-        downc.append(
-            [(u, colors[(u, v) if u < v else (v, u)]) for u in B.down[v]]
-        )
-        crossc.append(
-            [(u, colors[(u, v) if u < v else (v, u)]) for u in B.cross[v]]
-        )
-    return downc, crossc
+def _inconsistent_edges(vertices, B, C, info, colof):
+    """Yield (v, u, c) for each down or cross edge vu of color c whose arc
+    directions differ from those of its projection into the class whose
+    projection codes colof[c] holds. Vertices come in the given order, each
+    with its down edges before its cross edges.
+
+    O(1) per edge: v's projection code is read from the column, and u's is
+    v's shifted by codes[u] - codes[v], which holds because the edge is
+    checked to change exactly coordinate c.
+    """
+    n = len(C.coords)
+    codes = C.codes
+    coords = C.coords
+    st = C.strides
+    at = C.vertex_at
+    down = B.down
+    cross = B.cross
+    for v in vertices:
+        vn = v * n
+        cv = codes[v]
+        xv = coords[v]
+        for u in down[v] + cross[v]:
+            # e: color and arcs of the edge; arcs: its arcs seen from v
+            if v < u:
+                e = info[vn + u]
+                arcs = e & 3
+            else:
+                e = info[u * n + v]
+                arcs = _FLIP[e & 3]
+            c = e >> 2
+            d = codes[u] - cv
+            if d != (coords[u][c] - xv[c]) * st[c] or not d:
+                raise ValueError(
+                    f"edge ({v}, {u}) of color {c} changes other coordinates than {c}"
+                )
+            p = colof[c][v]
+            if p == cv:
+                continue  # the edge is its own projection
+            pv = at[p]
+            pu = at[p + d]
+            if pv < pu:
+                parcs = info.get(pv * n + pu, 0) & 3
+            else:
+                parcs = _FLIP[info.get(pu * n + pv, 0) & 3]
+            if parcs != arcs:
+                yield v, u, c
 
 
 def factor_directed(
@@ -151,46 +209,32 @@ def factor_directed(
     `SF` must be the prime factorization of shadow(G) and `B` a BFS structure
     rooted at SF.root (recomputed when omitted).
     """
-    B = _check_inputs(G, SF, B)
+    B, info = _edge_info(G, SF, B)
     n = G.n
     k = len(SF.factors)
     P = ColorPartition(k)
     if n == 1:
         return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
-    project = SF.coordin.project
+    C = SF.coordin
     table = P.table
-    arcint = {u * n + v for (u, v) in G.arcs}
-    downc, crossc = _colored_lists(G, SF, B)
+    # colof[c]: projection codes into the live class of color c; a merge
+    # rebuilds only the survivor's column
+    colof = [C.projection_codes((c,)) for c in range(k)]
 
     merges = 0
-    for v in B.order:
-        vn = v * n
-        seen = {}  # class id -> (members, v's projection); a merge ends v
-        merged = False
-        for lst in (downc[v], crossc[v]):
-            for u, c in lst:
-                i = table[c]
-                hit = seen.get(i)
-                if hit is None:
-                    members = P.members(i)
-                    hit = seen[i] = (members, project(v, members))
-                members, pv = hit
-                pu = project(u, members)
-                if pv == v and pu == u:
-                    continue  # the edge is its own projection
-                if (vn + u in arcint) == (pv * n + pu in arcint) and (
-                    u * n + v in arcint
-                ) == (pu * n + pv in arcint):
-                    continue
-                ids = {table[cc] for _, cc in downc[v]}
-                ids.add(i)
-                P.merge(ids)
-                merges += 1
-                merged = True
-                break
-            if merged:
-                break
-    coordin = group_coordinates(G, SF.coordin, P.classes())
+    rest = B.order
+    # a merge ends the vertex: the scan resumes after it, under the new classes
+    while hit := next(_inconsistent_edges(rest, B, C, info, colof), None):
+        v, _, c = hit
+        ids = {table[info[v * n + u if v < u else u * n + v] >> 2] for u in B.down[v]}
+        ids.add(table[c])
+        survivor = P.merge(ids)
+        col = C.projection_codes(P.members(survivor))
+        for cc in P.members(survivor):
+            colof[cc] = col
+        merges += 1
+        rest = B.order[B.bfsnum[v] + 1 :]
+    coordin = group_coordinates(G, C, P.classes())
     return DirectedFactorization(P, coordin.factors, coordin, merges)
 
 
@@ -206,26 +250,14 @@ def count_inconsistencies(
     A factorization is a fixpoint of the scan exactly when this is zero for
     its final assignment; used to re-check the single scan's output.
     """
-    B = _check_inputs(G, SF, B)
-    n = G.n
+    B, info = _edge_info(G, SF, B)
     k = len(SF.factors)
     if len(assignment) != k:
         raise ValueError("assignment must label every original color")
-    project = SF.coordin.project
     groups: dict[int, list[int]] = {}
     for j, label in enumerate(assignment):
         groups.setdefault(label, []).append(j)
-    arcint = {u * n + v for (u, v) in G.arcs}
-    downc, crossc = _colored_lists(G, SF, B)
-    bad = 0
-    for v in B.order:
-        for lst in (downc[v], crossc[v]):
-            for u, c in lst:
-                members = groups[assignment[c]]
-                pv = project(v, members)
-                pu = project(u, members)
-                if (v * n + u in arcint) != (pv * n + pu in arcint) or (
-                    u * n + v in arcint
-                ) != (pu * n + pv in arcint):
-                    bad += 1
-    return bad
+    C = SF.coordin
+    cols = {label: C.projection_codes(members) for label, members in groups.items()}
+    colof = [cols[label] for label in assignment]
+    return sum(1 for _ in _inconsistent_edges(B.order, B, C, info, colof))

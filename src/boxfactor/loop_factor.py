@@ -73,15 +73,25 @@ def factor_with_loops(
     P = ColorPartition(k)
     table = P.table
     coords = coordin.coords
-    project = coordin.project
     looped = G.loops
+    # at_loop[code]: is the vertex with that code looped; flags[i][v]: is v's
+    # projection into live class i looped. A merge rebuilds only the
+    # survivor's column.
+    at_loop = bytearray(n)
+    codes = coordin.codes
+    for v in looped:
+        at_loop[codes[v]] = 1
+
+    def flag_column(members):
+        return bytes([at_loop[c] for c in coordin.projection_codes(members)])
+
+    flags = {i: flag_column((i,)) for i in range(k)}
+    anyloop = bytes(map(any, zip(*flags.values())))
     kk = range(k)
-    live = P.classes()
 
     merges = 0
     for v in B.order:
-        anyloop = any(project(v, members) in looped for members in live)
-        if (v in looped) == anyloop:
+        if (v in looped) == anyloop[v]:
             continue
         # disagreement: an unlooped vertex with a looped projection, or a
         # looped vertex none of whose projections is looped
@@ -96,10 +106,14 @@ def factor_with_loops(
                 "loop mismatch with nothing to merge: the loopless "
                 "factorization was not prime"
             )
-        P.merge(ids)
-        live = P.classes()
+        survivor = P.merge(ids)
+        for i in ids:
+            del flags[i]
+        flags[survivor] = flag_column(P.members(survivor))
+        anyloop = bytes(map(any, zip(*flags.values())))
         merges += 1
 
+    live = P.classes()
     coordin2 = group_coordinates(G, coordin, live)
     factors = coordin2.factors
     for v in range(n):

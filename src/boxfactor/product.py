@@ -35,20 +35,28 @@ class Coordinatization:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "coords", tuple(tuple(cv) for cv in self.coords))
+        object.__setattr__(self, "coords", tuple(map(tuple, self.coords)))
         k = len(self.factors)
         sizes = [F.n for F in self.factors]
-        if prod(sizes) != len(self.coords):
+        coords = self.coords
+        if prod(sizes) != len(coords):
             raise FactorizationError(
-                f"grid size {prod(sizes)} does not match vertex count {len(self.coords)}"
+                f"grid size {prod(sizes)} does not match vertex count {len(coords)}"
             )
-        for v, cv in enumerate(self.coords):
-            if len(cv) != k:
-                raise FactorizationError(f"vertex {v} has {len(cv)} coordinates, expected {k}")
-            for i, c in enumerate(cv):
-                if not 0 <= c < sizes[i]:
-                    raise FactorizationError(f"vertex {v} coordinate {i} out of range")
-        if not 0 <= self.root < len(self.coords):
+        # one sweep per position; the loop below only names the first offender
+        if set(map(len, coords)) != {k} or any(
+            min(col) < 0 or max(col) >= size
+            for col, size in zip(([cv[i] for cv in coords] for i in range(k)), sizes)
+        ):
+            for v, cv in enumerate(coords):
+                if len(cv) != k:
+                    raise FactorizationError(
+                        f"vertex {v} has {len(cv)} coordinates, expected {k}"
+                    )
+                for i, c in enumerate(cv):
+                    if not 0 <= c < sizes[i]:
+                        raise FactorizationError(f"vertex {v} coordinate {i} out of range")
+        if not 0 <= self.root < len(coords):
             raise ValueError(f"root {self.root} out of range")
 
     @cached_property
@@ -71,8 +79,7 @@ class Coordinatization:
     @cached_property
     def codes(self) -> tuple[int, ...]:
         """Mixed-radix integer code of every vertex's coordinates."""
-        st = self.strides
-        return tuple(sum(c * s for c, s in zip(cv, st)) for cv in self.coords)
+        return tuple(self.projection_codes(range(self.k)))
 
     @cached_property
     def vertex_at(self) -> list[int]:
@@ -85,16 +92,19 @@ class Coordinatization:
             table[code] = v
         return table
 
-    def project(self, v: int, positions) -> int:
-        """The projection of v into the layer through `root` spanned by
-        `positions`: v's coordinates there, the root's everywhere else."""
-        cv = self.coords[v]
+    def projection_codes(self, positions) -> list[int]:
+        """The code of every vertex's projection into the layer through
+        `root` spanned by `positions`: v's digits there, the root's
+        everywhere else. One sweep over the vertices per position."""
         rc = self.coords[self.root]
         st = self.strides
-        code = self.codes[self.root]
-        for j in positions:
-            code += (cv[j] - rc[j]) * st[j]
-        return self.vertex_at[code]
+        keep = set(positions)
+        base = sum(rc[j] * st[j] for j in range(self.k) if j not in keep)
+        col = [base] * len(self.coords)
+        for j in keep:
+            s = st[j]
+            col = [c + cv[j] * s for c, cv in zip(col, self.coords)]
+        return col
 
     @property
     def k(self) -> int:
@@ -263,18 +273,12 @@ def group_coordinates(
         raise ValueError("blocks must partition the coordinate positions")
     n = G.n
     root = C.root
-    coords = C.coords
-    rc = coords[root]
-    st = C.strides
     at = C.vertex_at
 
     def layer(b):
         """Block b's layer as host -> local id (ascending by host id), and
         the local id of every vertex's projection into it."""
-        # the projection's code: the root's, with v's digits in block b
-        base = C.codes[root] - sum(rc[j] * st[j] for j in b)
-        digits = [[cv[j] * st[j] for cv in coords] for j in b]
-        proj = [at[base + d] for d in map(sum, zip(*digits))]
+        proj = [at[c] for c in C.projection_codes(b)]
         lid = {h: j for j, h in enumerate(sorted(set(proj)))}
         return lid, [lid[p] for p in proj]
 

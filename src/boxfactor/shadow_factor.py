@@ -79,11 +79,11 @@ def factor_shadow(
     labels = _square_closure(S, edges)
     colors = _number_classes(edges, labels, B.bfsnum)
     try:
-        factors, coordin = coordinates_from_colors(S, root, colors)
+        factors, coordin = coordinates_from_colors(S, root, colors, B)
     except FactorizationError:
         # delta* is not a product coloring, so it is strictly finer than sigma
         colors = _number_classes(edges, _theta_closure(S, edges, labels), B.bfsnum)
-        factors, coordin = coordinates_from_colors(S, root, colors)
+        factors, coordin = coordinates_from_colors(S, root, colors, B)
     return ShadowFactorization(root, colors, factors, coordin)
 
 
@@ -252,116 +252,109 @@ def _theta_closure(
 
 
 def coordinates_from_colors(
-    S: ShadowGraph, root: int, colors: dict[tuple[int, int], int]
+    S: ShadowGraph,
+    root: int,
+    colors: dict[tuple[int, int], int],
+    B: BfsOrder | None = None,
 ) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
     """Turn an edge coloring into unit-layer factors and vertex coordinates.
 
-    The unit layer of color i is the component of `root` in the color-i
-    subgraph. coordinate_i(v) is the unique vertex shared by the unit layer
-    and the component of v in the subgraph of all other colors. Raises
-    FactorizationError whenever that vertex is not unique, or the resulting
-    labeling is not a bijection onto the grid, or some edge disagrees with
-    the grid, or the grid has edges S lacks; all of these mean `colors` is
-    not a product coloring. Accepting therefore proves that S is the product
-    of the returned layers.
+    The unit layer of color a is the component of `root` in the color-a
+    subgraph; it must induce no other color and meet the other layers only
+    in the root. Coordinates are filled in the BFS order `B` from the root
+    (computed when omitted): a vertex copies the coordinates of a
+    down-neighbour u, and takes coordinate a, the color of edge vu, from a
+    down-neighbour of another color, or, when it has none, as its own local
+    id in the unit layer of a. O(n*k + m) in all.
+
+    Raises FactorizationError when a vertex with down-edges of one color
+    only is off that color's unit layer, or the labeling is not a bijection
+    onto the grid, or some edge does not step exactly its own coordinate
+    along a factor edge, or the grid has edges S lacks; each of these means
+    `colors` is not a product coloring. Accepting therefore proves that S is
+    the product of the returned layers.
     """
     n = S.n
-    if set(colors) != set(S.tags):
+    if colors.keys() != S.tags.keys():
         raise ValueError("colors must cover exactly the edges of S")
     if n == 1:
         return (), Coordinatization((), ((),), 0)
     k = max(colors.values()) + 1
     if set(colors.values()) != set(range(k)):
         raise ValueError("colors must be 0..k-1 with every value used")
-
-    by_color: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for e, c in colors.items():
-        by_color[c].append(e)
+    if B is None:
+        B = bfs(S, root)
+    elif B.root != root:
+        raise ValueError("BFS root differs from the factorization root")
+    adj = S.adj
 
     factors = []
-    layer_local: list[dict[int, int]] = []
-    coords = [[0] * k for _ in range(n)]
-    for c in range(k):
-        cadj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in by_color[c]:
-            cadj[u].append(v)
-            cadj[v].append(u)
-        # unit layer: component of root using only color-c edges
+    locs: list[dict[int, int]] = []
+    owner = [-1] * n  # the unit layer holding v; -1 for the root and off-layer
+    for a in range(k):
         seen = {root}
         stack = [root]
         while stack:
             x = stack.pop()
-            for w in cadj[x]:
-                if w not in seen:
+            for w in adj[x]:
+                if w not in seen and colors[(x, w) if x < w else (w, x)] == a:
+                    if owner[w] >= 0:
+                        raise FactorizationError(
+                            f"the unit layers of colors {owner[w]} and {a} share "
+                            f"vertex {w}"
+                        )
+                    owner[w] = a
                     seen.add(w)
                     stack.append(w)
-        hosts = sorted(seen)
-        loc = {h: i for i, h in enumerate(hosts)}
+        loc = {h: i for i, h in enumerate(sorted(seen))}
         ztags = {}
-        for u, v in by_color[c]:
-            if u in loc and v in loc:
-                a, b = loc[u], loc[v]
-                ztags[(a, b) if a < b else (b, a)] = S.tag(u, v)
-        # the layer must induce only its own color
-        for u in hosts:
-            for w in S.adj[u]:
-                if w in loc and u < w and colors[(u, w)] != c:
-                    raise FactorizationError(
-                        f"unit layer of color {c} induces an edge of color "
-                        f"{colors[(u, w)]}"
-                    )
-        Z = ShadowGraph(len(hosts), ztags)
-        factors.append(Z)
-        layer_local.append(loc)
+        for x in loc:
+            for w in adj[x]:
+                if x < w and w in loc:
+                    c = colors[(x, w)]
+                    if c != a:
+                        raise FactorizationError(
+                            f"unit layer of color {a} induces an edge of color {c}"
+                        )
+                    ztags[(loc[x], loc[w])] = S.tags[(x, w)]
+        factors.append(ShadowGraph(len(loc), ztags))
+        locs.append(loc)
 
-        # components of the subgraph on every other color
-        oadj: list[list[int]] = [[] for _ in range(n)]
-        for cc in range(k):
-            if cc == c:
-                continue
-            for u, v in by_color[cc]:
-                oadj[u].append(v)
-                oadj[v].append(u)
-        comp = [-1] * n
-        for s in range(n):
-            if comp[s] >= 0:
-                continue
-            comp[s] = s
-            stack = [s]
-            members = [s]
-            while stack:
-                x = stack.pop()
-                for w in oadj[x]:
-                    if comp[w] < 0:
-                        comp[w] = s
-                        stack.append(w)
-                        members.append(w)
-            inter = [x for x in members if x in loc]
-            if len(inter) != 1:
+    coords: list[tuple[int, ...]] = [()] * n
+    coords[root] = tuple(loc[root] for loc in locs)
+    for v in B.order[1:]:
+        down = B.down[v]
+        u = down[0]
+        a = colors[(u, v) if u < v else (v, u)]
+        for w in down[1:]:
+            if colors[(w, v) if w < v else (v, w)] != a:
+                x = coords[w][a]
+                break
+        else:
+            if owner[v] != a:
                 raise FactorizationError(
-                    f"a component off color {c} meets the unit layer in "
-                    f"{len(inter)} vertices; coloring is not a product coloring"
+                    f"vertex {v} has down-edges of color {a} only but is off "
+                    f"its unit layer"
                 )
-            ci = loc[inter[0]]
-            for x in members:
-                coords[x][c] = ci
+            x = locs[a][v]
+        cu = coords[u]
+        coords[v] = cu[:a] + (x,) + cu[a + 1 :]
 
-    coordin = Coordinatization(
-        tuple(_undirected(Z) for Z in factors),
-        tuple(tuple(cv) for cv in coords),
-        root,
-    )
-    coordin.vertex_of  # force the injectivity check
+    coordin = Coordinatization(tuple(_undirected(Z) for Z in factors), coords, root)
+    coordin.vertex_at  # force the injectivity check
 
-    # every edge must step exactly one grid coordinate inside its own factor
+    # every edge must step exactly its own coordinate along a factor edge;
+    # on codes, the step changes no other coordinate exactly when it shifts
+    # the code by the step times the coordinate's stride
+    codes = coordin.codes
+    st = coordin.strides
     for (u, v), c in colors.items():
-        cu, cv = coordin.coords[u], coordin.coords[v]
-        diffs = [i for i in range(k) if cu[i] != cv[i]]
-        if diffs != [c]:
+        a, b = coords[u][c], coords[v][c]
+        if codes[v] - codes[u] != (b - a) * st[c] or a == b:
+            diffs = [i for i in range(k) if coords[u][i] != coords[v][i]]
             raise FactorizationError(
                 f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
             )
-        a, b = cu[c], cv[c]
         if not factors[c].has_edge(a, b):
             raise FactorizationError(
                 f"edge ({u}, {v}) does not project to an edge of factor {c}"

@@ -12,9 +12,14 @@ from boxfactor import (
     ColorPartition,
     Coordinatization,
     DiGraph,
+    DirectedFactorization,
+    FactorizationError,
     ShadowGraph,
+    bfs,
     cartesian_product,
+    group_coordinates,
     iso_check,
+    shadow,
     unit_layer,
 )
 
@@ -163,6 +168,135 @@ def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
     return {frozenset(c) for c in classes.values()}
 
 
+def naive_coordinates_from_colors(
+    S: ShadowGraph, root: int, colors: dict[tuple[int, int], int]
+) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
+    """Reference coordinatization, O(k*(n+m)): one component search per
+    color over the edges of all other colors.
+
+    The unit layer of color i is the component of `root` in the color-i
+    subgraph. coordinate_i(v) is the unique vertex shared by the unit layer
+    and the component of v in the subgraph of all other colors. Raises
+    FactorizationError whenever that vertex is not unique, or the resulting
+    labeling is not a bijection onto the grid, or some edge disagrees with
+    the grid, or the grid has edges S lacks; all of these mean `colors` is
+    not a product coloring. Accepting therefore proves that S is the product
+    of the returned layers.
+    """
+    n = S.n
+    if set(colors) != set(S.tags):
+        raise ValueError("colors must cover exactly the edges of S")
+    if n == 1:
+        return (), Coordinatization((), ((),), 0)
+    k = max(colors.values()) + 1
+    if set(colors.values()) != set(range(k)):
+        raise ValueError("colors must be 0..k-1 with every value used")
+
+    by_color: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for e, c in colors.items():
+        by_color[c].append(e)
+
+    factors = []
+    layer_local: list[dict[int, int]] = []
+    coords = [[0] * k for _ in range(n)]
+    for c in range(k):
+        cadj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in by_color[c]:
+            cadj[u].append(v)
+            cadj[v].append(u)
+        # unit layer: component of root using only color-c edges
+        seen = {root}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for w in cadj[x]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        hosts = sorted(seen)
+        loc = {h: i for i, h in enumerate(hosts)}
+        ztags = {}
+        for u, v in by_color[c]:
+            if u in loc and v in loc:
+                a, b = loc[u], loc[v]
+                ztags[(a, b) if a < b else (b, a)] = S.tag(u, v)
+        # the layer must induce only its own color
+        for u in hosts:
+            for w in S.adj[u]:
+                if w in loc and u < w and colors[(u, w)] != c:
+                    raise FactorizationError(
+                        f"unit layer of color {c} induces an edge of color "
+                        f"{colors[(u, w)]}"
+                    )
+        Z = ShadowGraph(len(hosts), ztags)
+        factors.append(Z)
+        layer_local.append(loc)
+
+        # components of the subgraph on every other color
+        oadj: list[list[int]] = [[] for _ in range(n)]
+        for cc in range(k):
+            if cc == c:
+                continue
+            for u, v in by_color[cc]:
+                oadj[u].append(v)
+                oadj[v].append(u)
+        comp = [-1] * n
+        for s in range(n):
+            if comp[s] >= 0:
+                continue
+            comp[s] = s
+            stack = [s]
+            members = [s]
+            while stack:
+                x = stack.pop()
+                for w in oadj[x]:
+                    if comp[w] < 0:
+                        comp[w] = s
+                        stack.append(w)
+                        members.append(w)
+            inter = [x for x in members if x in loc]
+            if len(inter) != 1:
+                raise FactorizationError(
+                    f"a component off color {c} meets the unit layer in "
+                    f"{len(inter)} vertices; coloring is not a product coloring"
+                )
+            ci = loc[inter[0]]
+            for x in members:
+                coords[x][c] = ci
+
+    coordin = Coordinatization(
+        tuple(
+            DiGraph(Z.n, {a for u, v in Z.tags for a in ((u, v), (v, u))})
+            for Z in factors
+        ),
+        tuple(tuple(cv) for cv in coords),
+        root,
+    )
+    coordin.vertex_of  # force the injectivity check
+
+    # every edge must step exactly one grid coordinate inside its own factor
+    for (u, v), c in colors.items():
+        cu, cv = coordin.coords[u], coordin.coords[v]
+        diffs = [i for i in range(k) if cu[i] != cv[i]]
+        if diffs != [c]:
+            raise FactorizationError(
+                f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
+            )
+        a, b = cu[c], cv[c]
+        if not factors[c].has_edge(a, b):
+            raise FactorizationError(
+                f"edge ({u}, {v}) does not project to an edge of factor {c}"
+            )
+    # the labeling is a bijection onto the grid and maps edges to grid edges,
+    # so S is the product of the layers exactly when the edge counts agree
+    grid_edges = sum(Z.edge_count * (n // Z.n) for Z in factors)
+    if grid_edges != len(colors):
+        raise FactorizationError(
+            f"the layers multiply to {grid_edges} edges, the graph has {len(colors)}"
+        )
+    return tuple(factors), coordin
+
+
 def merge_classes(P: ColorPartition, class_ids) -> int:
     """Functional spelling of ColorPartition.merge."""
     return P.merge(class_ids)
@@ -191,6 +325,90 @@ def naive_group_coordinates(G: DiGraph, C: Coordinatization, classes) -> Coordin
         tuple(projs[i][v] for i in range(len(projs))) for v in range(G.n)
     )
     return Coordinatization(tuple(new_factors), new_coords, C.root)
+
+
+def project(C: Coordinatization, v: int, positions) -> int:
+    """The projection of v into the layer through C.root spanned by
+    `positions`: v's coordinates there, the root's everywhere else."""
+    cv = C.coords[v]
+    rc = C.coords[C.root]
+    st = C.strides
+    code = C.codes[C.root]
+    for j in positions:
+        code += (cv[j] - rc[j]) * st[j]
+    return C.vertex_at[code]
+
+
+def naive_factor_directed(G: DiGraph, SF, B=None) -> DirectedFactorization:
+    """Reference direction scan: both ends of every down or cross edge are
+    projected into the edge's class from their own coordinates, one
+    `project` call each, with per-vertex (neighbour, colour) lists."""
+    if B is None:
+        B = bfs(shadow(G), SF.root)
+    n = G.n
+    k = len(SF.factors)
+    P = ColorPartition(k)
+    if n == 1:
+        return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
+    C = SF.coordin
+    table = P.table
+    arcs = G.arcs
+
+    def colored(v, nbrs):
+        return [(u, SF.colors[(u, v) if u < v else (v, u)]) for u in nbrs]
+
+    merges = 0
+    for v in B.order:
+        seen = {}  # class id -> (members, v's projection); a merge ends v
+        for u, c in colored(v, B.down[v]) + colored(v, B.cross[v]):
+            i = table[c]
+            if i not in seen:
+                seen[i] = (P.members(i), project(C, v, P.members(i)))
+            members, pv = seen[i]
+            pu = project(C, u, members)
+            if pv == v and pu == u:
+                continue
+            if ((v, u) in arcs) == ((pv, pu) in arcs) and ((u, v) in arcs) == (
+                (pu, pv) in arcs
+            ):
+                continue
+            ids = {table[cc] for _, cc in colored(v, B.down[v])}
+            ids.add(i)
+            P.merge(ids)
+            merges += 1
+            break
+    coordin = group_coordinates(G, C, P.classes())
+    return DirectedFactorization(P, coordin.factors, coordin, merges)
+
+
+def naive_factor_with_loops(G: DiGraph, NF, B=None) -> DirectedFactorization:
+    """Reference loop scan: at every vertex, one `project` call per live
+    class, over the live classes' member lists."""
+    C = NF.coordin
+    k = len(NF.factors)
+    if k == 0:
+        return NF
+    if B is None:
+        B = bfs(shadow(G), C.root)
+    P = ColorPartition(k)
+    live = P.classes()
+    merges = 0
+    for v in B.order:
+        anyloop = any(project(C, v, members) in G.loops for members in live)
+        if (v in G.loops) == anyloop:
+            continue
+        cv = C.coords[v]
+        ids = set()
+        for u in B.down[v]:
+            cu = C.coords[u]
+            ids.add(P.table[next(j for j in range(k) if cv[j] != cu[j])])
+        if len(ids) < 2:
+            raise FactorizationError("loop mismatch with nothing to merge")
+        P.merge(ids)
+        live = P.classes()
+        merges += 1
+    coordin = group_coordinates(G, C, live)
+    return DirectedFactorization(P, coordin.factors, coordin, merges)
 
 
 def multiset_iso(claimed, truth) -> bool:

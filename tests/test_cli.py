@@ -104,6 +104,23 @@ class TestRoundTrip:
         capsys.readouterr()
         assert out.read_text() == text
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 1 1 0\n",  # wrong width
+            "c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 1 2\n",  # out of range
+            "c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 0 1\n",  # (0, 1) assigned twice
+        ],
+        ids=["wrong-width", "out-of-range", "assigned-twice"],
+    )
+    def test_product_coords_off_grid_or_twice_exit_2(self, rows, tmp_path, capsys):
+        a = write_graph(tmp_path / "a.dg", DiGraph(2, {(0, 1)}, set()))
+        t = tmp_path / "t.coords"
+        t.write_text(rows)
+        out = tmp_path / "p.dg"
+        assert main(["product", a, a, "--coords", str(t), "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_product_without_coords_is_row_major(self, tmp_path, capsys):
         a = write_graph(tmp_path / "a.dg", DiGraph(2, {(0, 1)}, set()))
         assert main(["product", a, a]) == 0

@@ -103,6 +103,21 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph("n 2\na 0 -1")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n 2\na 0 \u00b2\n", 2),  # superscript two: isdigit, but int() fails
+            ("n 2\na 0 \u0661\n", 2),  # Arabic-Indic one: int() would read 1
+            ("n \u0663\n", 1),  # Arabic-Indic three: int() would read 3
+            ("n 2\nl \uff11\n", 2),  # fullwidth one
+        ],
+        ids=["superscript", "arabic-indic-arc", "arabic-indic-n", "fullwidth-loop"],
+    )
+    def test_only_ascii_digits(self, text, line):
+        with pytest.raises(GraphFormatError, match="nonnegative decimal") as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+
     def test_comments_and_blank_lines(self):
         G = parse_graph("# header\n\nn 2\n# mid\na 0 1\n")
         assert G == DiGraph(2, {(0, 1)}, set())
@@ -127,6 +142,16 @@ class TestCoordsTable:
     def test_duplicate_vertex(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
             parse_coords("c 0 0\nc 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["c 0 \u00b2\n", "c 0 \u0661\n", "c \u0661 0\n"],
+        ids=["superscript", "arabic-indic-coordinate", "arabic-indic-vertex"],
+    )
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(GraphFormatError, match="nonnegative decimal") as exc:
+            parse_coords("# table\n" + text)
+        assert exc.value.line == 2
 
 
 class TestSerialization:

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,16 +12,23 @@ from boxfactor import (
     count_inconsistencies,
     factor_directed,
     factor_shadow,
+    factor_with_loops,
+    gen_product_instance,
     reconstruct_check,
     shadow,
     shadow_factorization_of_product,
+    strip_loops,
 )
 from boxfactor.core import bfs
 from helpers import (
+    both_k2,
     connected_digraphs,
     consistent_square,
     inconsistent_square,
     merge_classes,
+    naive_factor_directed,
+    naive_factor_with_loops,
+    relabel,
 )
 
 
@@ -253,8 +263,75 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="root"):
             factor_directed(G, shadow_fact(G, 0), B)
 
+    def test_colored_edges_keyed_either_way(self):
+        # keying one edge (max, min) must not turn its arcs around
+        G = consistent_square()
+        SF = shadow_fact(G)
+        colors = dict(SF.colors)
+        colors[(1, 0)] = colors.pop((0, 1))
+        F = factor_directed(G, dataclasses.replace(SF, colors=colors))
+        R = factor_directed(G, SF)
+        assert F.merges == R.merges == 0
+        assert F.factors == R.factors and F.coordin.coords == R.coordin.coords
+
     def test_assignment_length_checked(self):
         G = consistent_square()
         SF = shadow_fact(G)
         with pytest.raises(ValueError):
             count_inconsistencies(G, SF, [0])
+
+
+class TestAgainstNaiveScans:
+    """The O(1)-per-edge direction scan and the column-based loop scan agree
+    with the reference scans, which project both ends of every edge from
+    their coordinates: same classes, merge counts, factors and coordinates."""
+
+    DCYCLE4 = DiGraph(4, {(0, 1), (1, 3), (3, 2), (2, 0)}, set())
+    LOOPED_SQUARE = DiGraph(
+        4, {a for u, v in ((0, 1), (1, 3), (3, 2), (2, 0)) for a in ((u, v), (v, u))}, {3}
+    )
+    LOOPED_K2 = DiGraph(2, {(0, 1), (1, 0)}, {1})
+
+    @staticmethod
+    def same(F, R):
+        assert F.partition.classes() == R.partition.classes()
+        assert F.merges == R.merges
+        assert F.factors == R.factors
+        assert F.coordin.coords == R.coordin.coords
+
+    def test_seeded_products(self):
+        rng = random.Random(4)
+        merged = {"directed": 0, "loops": 0}
+        for t in range(150):
+            pool = [self.DCYCLE4, self.LOOPED_SQUARE, self.LOOPED_K2, both_k2()]
+            pool += [gen_product_instance(1, (2, 4), 0.4, 1000 * t + j)[1][0] for j in range(2)]
+            factors = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+            P, _ = cartesian_product(factors)
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            G = relabel(P, perm)
+            unlooped = [v for v in range(G.n) if v not in G.loops]
+            for root in rng.sample(unlooped, min(2, len(unlooped))):
+                B = bfs(shadow(G), root)
+                SF = factor_shadow(shadow(G), root, B)
+                N = strip_loops(G)
+                NF = factor_directed(N, SF, B)
+                self.same(NF, naive_factor_directed(N, SF, B))
+                merged["directed"] += NF.merges
+                if G.loops:
+                    F = factor_with_loops(G, NF, B)
+                    self.same(F, naive_factor_with_loops(G, NF, B))
+                    merged["loops"] += F.merges
+        # both scans were made to merge, not only to agree on fixpoints
+        assert merged["directed"] > 50 and merged["loops"] > 50
+
+    def test_edge_changing_another_coordinate_raises(self):
+        # swap the two colors: every edge then changes the other color's
+        # coordinate, which the scan must not project through
+        G = consistent_square()
+        SF = shadow_fact(G)
+        SF = dataclasses.replace(SF, colors={e: 1 - c for e, c in SF.colors.items()})
+        with pytest.raises(ValueError, match="changes other coordinates"):
+            factor_directed(G, SF)
+        with pytest.raises(ValueError, match="changes other coordinates"):
+            count_inconsistencies(G, SF, [0, 1])

@@ -17,7 +17,13 @@ from boxfactor import (
     shadow,
     unit_layer,
 )
-from helpers import both_k2, connected_digraphs, naive_group_coordinates, random_digraph
+from helpers import (
+    both_k2,
+    connected_digraphs,
+    naive_group_coordinates,
+    project,
+    random_digraph,
+)
 
 
 def arc01():
@@ -126,7 +132,8 @@ class TestCoordinatization:
             assert D.vertex_at[D.codes[v]] == v
             for keep in ((), (0,), (2,), (0, 2), (1, 0), (0, 1, 2)):
                 expect = D.vertex_of[project_vertex(D.coords[v], keep, rc)]
-                assert D.project(v, keep) == expect
+                assert project(D, v, keep) == expect
+                assert D.vertex_at[D.projection_codes(keep)[v]] == expect
 
 
 class TestProjectVertex:

@@ -17,10 +17,12 @@ from boxfactor import (
     shadow_factorization_of_product,
 )
 from boxfactor import shadow_factor
+from boxfactor.core import bfs
 from helpers import (
     both_k2,
     connected_digraphs,
     mobius_ladder,
+    naive_coordinates_from_colors,
     naive_shadow_classes,
     random_digraph,
     undirected_cycle,
@@ -176,6 +178,15 @@ class TestCoordinatesFromColors:
             coordinates_from_colors(S, 0, colors)
         assert len(factor_shadow(S, 0).factors) == 1
 
+    def test_unit_layers_meet_only_at_the_root(self):
+        # C4 0-1-2-3-0 colored by halves: both unit layers from 0 reach 2
+        S = shadow(undirected_cycle(4))
+        colors = {(0, 1): 0, (1, 2): 0, (2, 3): 1, (0, 3): 1}
+        with pytest.raises(FactorizationError, match="share vertex 2"):
+            coordinates_from_colors(S, 0, colors)
+        with pytest.raises(FactorizationError):
+            naive_coordinates_from_colors(S, 0, colors)
+
     def test_colors_must_cover_edges(self):
         S = shadow(undirected_cycle(4))
         with pytest.raises(ValueError):
@@ -240,6 +251,78 @@ class TestAgainstNaiveClosure:
             P, _ = cartesian_product([undirected_cycle(r), both_k2()])
             assert self._agree(P, [0]) == (2 if r != 4 else 3)
         assert calls == []
+
+
+class TestAgainstNaiveCoordinates:
+    """The BFS-order coordinatization gives the same factors and coordinates
+    as the per-color component search, or both raise FactorizationError, on
+    the square-closure coloring, the final coloring and perturbations of it."""
+
+    @staticmethod
+    def _outcome(fn, S, r, colors):
+        try:
+            factors, C = fn(S, r, colors)
+        except FactorizationError:
+            return None
+        return factors, C.factors, C.coords, C.root
+
+    def _agree(self, G, roots, rng, tally):
+        S = shadow(G)
+        if S.n == 1:
+            return
+        edges = sorted(S.tags)
+        for r in roots:
+            bn = bfs(S, r).bfsnum
+            delta = shadow_factor._number_classes(
+                edges, shadow_factor._square_closure(S, edges), bn
+            )
+            final = factor_shadow(S, r).colors
+            colorings = [delta, final]
+            labels = [final[e] for e in edges]
+            k = max(labels) + 1
+            e = rng.randrange(len(edges))
+            colorings.append(_renumbered(edges, labels[:e] + [k] + labels[e + 1 :]))
+            if k > 1:
+                other = rng.choice([c for c in range(k) if c != labels[e]])
+                colorings.append(_renumbered(edges, labels[:e] + [other] + labels[e + 1 :]))
+                merged = [min(c, 1) if c < 2 else c for c in labels]
+                colorings.append(_renumbered(edges, merged))
+            for colors in colorings:
+                want = self._outcome(naive_coordinates_from_colors, S, r, colors)
+                got = self._outcome(coordinates_from_colors, S, r, colors)
+                assert got == want, (G, r, colors)
+                tally[want is None] += 1
+
+    def test_against_naive_coordinates(self):
+        rng = random.Random(20261019)
+        tally = [0, 0]
+        for n in range(1, 5):
+            for G in canonical_small_graphs(n):
+                self._agree(G, range(G.n), rng, tally)
+        for i in range(80):
+            nf = 2 + i % 2
+            G, _ = gen_product_instance(nf, (2, 6 if nf == 2 else 3), 0.3, seed=i)
+            self._agree(G, [0, rng.randrange(G.n)], rng, tally)
+        for _ in range(300):
+            G = random_digraph(
+                rng, rng.randint(5, 14), extra_prob=rng.choice([0.05, 0.1, 0.2, 0.4])
+            )
+            self._agree(G, [rng.randrange(G.n)], rng, tally)
+        for r in range(3, 12):
+            M = mobius_ladder(r)
+            P, _ = cartesian_product([M, undirected_path(2)])
+            for H in (M, P, cartesian_product([undirected_cycle(r), both_k2()])[0]):
+                self._agree(H, [0, H.n - 1], rng, tally)
+        accepted, rejected = tally
+        assert accepted > 1000 and rejected > 1000
+
+
+def _renumbered(edges, labels):
+    """The coloring edges[i] -> labels[i], renumbered to 0..k-1."""
+    number = {}
+    for c in labels:
+        number.setdefault(c, len(number))
+    return {e: number[c] for e, c in zip(edges, labels)}
 
 
 class TestProductRecovery:
