@@ -12,6 +12,7 @@ from .core import (
     DirTag,
     ShadowGraph,
     bfs,
+    coords_to_text,
     digraph_from_shadow,
     dist,
     is_connected,
@@ -50,6 +51,7 @@ from .product import (
     cartesian_product,
     consistent_direction,
     group_coordinates,
+    product_graph,
     product_square,
     project_vertex,
     unit_layer,
@@ -84,6 +86,7 @@ __all__ = [
     "cartesian_product",
     "consistent_direction",
     "coordinates_from_colors",
+    "coords_to_text",
     "count_inconsistencies",
     "digraph_from_shadow",
     "dist",
@@ -99,6 +102,7 @@ __all__ = [
     "parse_coords",
     "parse_graph",
     "pick_root",
+    "product_graph",
     "product_square",
     "project_vertex",
     "reconstruct_check",

@@ -25,6 +25,7 @@ from pathlib import Path
 from .core import (
     DiGraph,
     bfs,
+    coords_to_text,
     parse_coords,
     parse_graph,
     shadow,
@@ -38,9 +39,9 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .loop_factor import factor_with_loops, rooted_bfs
+from .loop_factor import check_arc_count, factor_with_loops, rooted_bfs
 from .oracle import gen_product_instance, reconstruct_check, reconstruct_check_parts
-from .product import cartesian_product
+from .product import Coordinatization, cartesian_product, product_graph
 from .shadow_factor import factor_shadow, shadow_factorization_of_product
 
 EXIT_OK = 0
@@ -53,6 +54,16 @@ EXIT_INTERNAL = 6
 
 def _load_graph(path: str) -> DiGraph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
+
+
+def _load_rows(path: str, n: int) -> list[tuple[int, ...]]:
+    """The rows of a coordinate table file, in vertex order; the table must
+    cover vertices 0..n-1 exactly."""
+    table = parse_coords(Path(path).read_text(encoding="utf-8"))
+    # the keys are distinct nonnegative ids, so these two checks pin them down
+    if len(table) != n or max(table, default=-1) != n - 1:
+        raise GraphFormatError(f"coordinate table must cover vertices 0..{n - 1}")
+    return [table[v] for v in range(n)]
 
 
 def _final_edge_colors(G: DiGraph, coords) -> dict[tuple[int, int], int]:
@@ -72,6 +83,7 @@ def cmd_factor(args) -> int:
     G = _load_graph(args.input)
     t_parse = time.perf_counter() - t_start
 
+    check_arc_count(G)
     S = shadow(G)
     B = rooted_bfs(G, S, args.root)
     root = B.root
@@ -80,7 +92,6 @@ def cmd_factor(args) -> int:
     merges = 0
     if G.n == 1:
         from .directed_factor import ColorPartition, DirectedFactorization
-        from .product import Coordinatization
 
         F = DirectedFactorization(
             ColorPartition(0), (), Coordinatization((), ((),), 0), 0
@@ -115,11 +126,7 @@ def cmd_factor(args) -> int:
         print(f"factor_file: {path}")
     if args.emit_coords:
         path = f"{args.input}.coords"
-        lines = [
-            "c " + " ".join(str(x) for x in (v, *cv))
-            for v, cv in enumerate(F.coordin.coords)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_text(coords_to_text(F.coordin.coords), encoding="utf-8")
         print(f"coords_file: {path}")
     if args.emit_colors:
         path = f"{args.input}.colors"
@@ -145,28 +152,14 @@ def cmd_factor(args) -> int:
 
 def cmd_product(args) -> int:
     factors = [_load_graph(p) for p in args.inputs]
-    P, C = cartesian_product(factors)
-    out = P
     if args.coords:
-        table = parse_coords(Path(args.coords).read_text(encoding="utf-8"))
-        if sorted(table) != list(range(P.n)):
-            raise GraphFormatError(
-                f"coordinate table must cover vertices 0..{P.n - 1}"
-            )
-        vo = C.vertex_of
-        relabel = {}
-        for h, cv in table.items():
-            g = vo.get(tuple(cv))
-            if g is None:
-                raise GraphFormatError(f"coordinates {cv} are not on the grid")
-            if g in relabel:
-                raise GraphFormatError(f"coordinates {cv} assigned twice")
-            relabel[g] = h
-        out = DiGraph(
-            P.n,
-            {(relabel[u], relabel[v]) for (u, v) in P.arcs},
-            {relabel[v] for v in P.loops},
-        )
+        rows = _load_rows(args.coords, math.prod(F.n for F in factors))
+        try:
+            out = product_graph(Coordinatization(factors, rows, 0))
+        except FactorizationError as exc:  # wrong width, off the grid, assigned twice
+            raise GraphFormatError(f"coordinate table: {exc}") from exc
+    else:
+        out, _ = cartesian_product(factors)
     text = to_text(out)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -194,10 +187,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     G = _load_graph(args.graph)
     factors = [_load_graph(p) for p in args.factors]
-    table = parse_coords(Path(args.coords).read_text(encoding="utf-8"))
-    if sorted(table) != list(range(G.n)):
-        raise GraphFormatError(f"coordinate table must cover vertices 0..{G.n - 1}")
-    ok = reconstruct_check_parts(G, factors, [table[v] for v in range(G.n)])
+    ok = reconstruct_check_parts(G, factors, _load_rows(args.coords, G.n))
     print(f"verified: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -50,6 +50,16 @@ class DiGraph:
             if not (0 <= v < self.n):
                 raise ValueError(f"loop at {v} out of range for n={self.n}")
 
+    @classmethod
+    def _unchecked(cls, n: int, arcs, loops) -> DiGraph:
+        """A DiGraph over arcs and loops that the caller has already checked
+        (a parser, or a product of valid factors): skips the per-arc checks."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "arcs", frozenset(arcs))
+        object.__setattr__(G, "loops", frozenset(loops))
+        return G
+
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
@@ -259,39 +269,36 @@ def parse_graph(text: str) -> DiGraph:
     """Parse graph text; raises GraphFormatError with a line number on bad input.
 
     Coordinate rows ('c ...') are tolerated and skipped; use parse_coords to
-    read them.
+    read them. One split per line; ids that are not plain ASCII decimals go
+    through `_parse_id`, which raises.
     """
     n = None
     arcs: set[tuple[int, int]] = set()
     loops: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         kind = parts[0]
-        if kind == "n":
-            if n is not None:
-                raise GraphFormatError("duplicate n line", lineno)
-            if len(parts) != 2:
-                raise GraphFormatError("n line takes exactly one value", lineno)
-            n = _parse_id(parts[1], lineno, "vertex count")
-            if n < 1:
-                raise GraphFormatError("vertex count must be positive", lineno)
-        elif kind == "a":
+        if kind == "a":
             if n is None:
                 raise GraphFormatError("arc line before n line", lineno)
             if len(parts) != 3:
                 raise GraphFormatError("arc line takes exactly two ids", lineno)
-            u = _parse_id(parts[1], lineno, "arc endpoint")
-            v = _parse_id(parts[2], lineno, "arc endpoint")
+            _, s, t = parts
+            if s.isdigit() and t.isdigit() and s.isascii() and t.isascii():
+                u, v = int(s), int(t)
+            else:
+                u = _parse_id(s, lineno, "arc endpoint")
+                v = _parse_id(t, lineno, "arc endpoint")
             if u == v:
                 raise GraphFormatError(f"arc ({u}, {v}) is a loop; use an l line", lineno)
             if u >= n or v >= n:
                 raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}", lineno)
-            if (u, v) in arcs:
-                raise GraphFormatError(f"duplicate arc ({u}, {v})", lineno)
+            size = len(arcs)
             arcs.add((u, v))
+            if len(arcs) == size:
+                raise GraphFormatError(f"duplicate arc ({u}, {v})", lineno)
         elif kind == "l":
             if n is None:
                 raise GraphFormatError("loop line before n line", lineno)
@@ -303,30 +310,42 @@ def parse_graph(text: str) -> DiGraph:
             if v in loops:
                 raise GraphFormatError(f"duplicate loop at {v}", lineno)
             loops.add(v)
-        elif kind == "c":
-            continue
-        else:
+        elif kind == "n":
+            if n is not None:
+                raise GraphFormatError("duplicate n line", lineno)
+            if len(parts) != 2:
+                raise GraphFormatError("n line takes exactly one value", lineno)
+            n = _parse_id(parts[1], lineno, "vertex count")
+            if n < 1:
+                raise GraphFormatError("vertex count must be positive", lineno)
+        elif kind != "c":
             raise GraphFormatError(f"unknown directive {kind!r}", lineno)
     if n is None:
         raise GraphFormatError("missing n line")
-    return DiGraph(n, arcs, loops)
+    return DiGraph._unchecked(n, arcs, loops)
 
 
 def parse_coords(text: str) -> dict[int, tuple[int, ...]]:
-    """Read the 'c <vertex> <c_1> ... <c_k>' rows of a coordinate table."""
+    """Read the 'c <vertex> <c_1> ... <c_k>' rows of a coordinate table.
+
+    One split per line; a row whose ids are not all plain ASCII decimals
+    goes through `_parse_id`, which raises.
+    """
     table: dict[int, tuple[int, ...]] = {}
     width = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "c":
+        parts = raw.split()
+        if not parts or parts[0] != "c":
             continue
         if len(parts) < 2:
             raise GraphFormatError("coordinate line needs a vertex id", lineno)
-        v = _parse_id(parts[1], lineno, "vertex id")
-        cv = tuple(_parse_id(t, lineno, "coordinate") for t in parts[2:])
+        ids = "".join(parts[1:])  # all digits exactly when every id is
+        if ids.isdigit() and ids.isascii():
+            v = int(parts[1])
+            cv = tuple(map(int, parts[2:]))
+        else:
+            v = _parse_id(parts[1], lineno, "vertex id")
+            cv = tuple(_parse_id(t, lineno, "coordinate") for t in parts[2:])
         if v in table:
             raise GraphFormatError(f"duplicate coordinates for vertex {v}", lineno)
         if width is None:
@@ -339,18 +358,29 @@ def parse_coords(text: str) -> dict[int, tuple[int, ...]]:
     return table
 
 
+def coords_to_text(coords) -> str:
+    """Coordinate rows 'c <v> <c_1> ... <c_k>', one per vertex of the
+    sequence `coords` (indexed by vertex), in vertex order."""
+    return "".join(
+        "c " + " ".join(map(str, (v, *cv))) + "\n" for v, cv in enumerate(coords)
+    )
+
+
 def to_text(G: DiGraph, coords=None) -> str:
     """Canonical serialization: n line, sorted arcs, sorted loops.
 
     When `coords` (a sequence indexed by vertex) is given, coordinate rows are
-    appended in vertex order.
+    appended in vertex order. Arcs are grouped by tail and each group's heads
+    sorted, which orders them as sorting the arc pairs would: O(n + m) memory.
     """
+    heads: list[list[int]] = [[] for _ in range(G.n)]
+    for u, v in G.arcs:
+        heads[u].append(v)
     lines = [f"n {G.n}"]
-    for u, v in sorted(G.arcs):
-        lines.append(f"a {u} {v}")
-    for v in sorted(G.loops):
-        lines.append(f"l {v}")
-    if coords is not None:
-        for v, cv in enumerate(coords):
-            lines.append("c " + " ".join(str(x) for x in (v, *cv)))
-    return "\n".join(lines) + "\n"
+    for u, hs in enumerate(heads):
+        if hs:
+            hs.sort()
+            lines += [f"a {u} {v}" for v in hs]
+    lines += [f"l {v}" for v in sorted(G.loops)]
+    text = "\n".join(lines) + "\n"
+    return text if coords is None else text + coords_to_text(coords)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow, strip_loops
 from .directed_factor import ColorPartition, DirectedFactorization, factor_directed
-from .errors import FactorizationError, NoUnloopedVertexError
+from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
 from .product import Coordinatization, group_coordinates
 from .shadow_factor import factor_shadow
 
@@ -28,6 +28,19 @@ def pick_root(G: DiGraph) -> int:
     if len(G.loops) == G.n:
         raise NoUnloopedVertexError("every vertex carries a loop")
     return min(v for v in range(G.n) if v not in G.loops)
+
+
+def check_arc_count(G: DiGraph) -> None:
+    """Raise DisconnectedGraphError when G has too few arcs to be connected.
+
+    A connected shadow on n vertices has at least n - 1 edges, and each edge
+    comes from at least one arc. Nothing of size n is allocated, so a huge
+    vertex count with a handful of arcs fails at once.
+    """
+    if G.n > len(G.arcs) + 1:
+        raise DisconnectedGraphError(
+            f"graph is disconnected: {len(G.arcs)} arcs cannot connect {G.n} vertices"
+        )
 
 
 def rooted_bfs(G: DiGraph, S: ShadowGraph, root: int | None = None) -> BfsOrder:
@@ -134,6 +147,7 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     unlooped. Factors come out with the root at local id of the root's
     coordinate, ordered canonically by their smallest original shadow color.
     """
+    check_arc_count(G)
     S = shadow(G)
     B = rooted_bfs(G, S, root)
     if G.n == 1:

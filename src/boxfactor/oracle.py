@@ -12,15 +12,22 @@ import itertools
 import random
 
 from .core import DiGraph, is_connected, shadow
-from .errors import DisconnectedGraphError, NoUnloopedVertexError, OracleBoundError
-from .product import cartesian_product
+from .errors import (
+    DisconnectedGraphError,
+    FactorizationError,
+    NoUnloopedVertexError,
+    OracleBoundError,
+)
+from .product import Coordinatization, cartesian_product, product_graph
 
 
 def reconstruct_check_parts(G: DiGraph, factors, coords) -> bool:
     """Does the product of `factors`, laid out by `coords`, equal G exactly?
 
-    `coords[v]` gives vertex v's coordinate tuple. Labels must match after
-    translating through the coordinates; no isomorphism search happens here.
+    `coords[v]` gives vertex v's coordinate tuple. The product is built in
+    G's own labels and compared arc for arc and loop for loop; no
+    isomorphism search happens here. Coordinates that are not a bijection
+    onto the factors' grid make the answer False.
     """
     factors = tuple(factors)
     coords = tuple(tuple(c) for c in coords)
@@ -28,24 +35,11 @@ def reconstruct_check_parts(G: DiGraph, factors, coords) -> bool:
         return G.n == 1 and not G.loops and coords == ((),)
     if len(coords) != G.n:
         return False
-    P, C = cartesian_product(factors)
-    if P.n != G.n:
-        return False
     try:
-        to_grid = C.vertex_of
-    except Exception:
+        P = product_graph(Coordinatization(factors, coords, 0))
+    except FactorizationError:
         return False
-    seen = set()
-    relabel = []
-    for v in range(G.n):
-        w = to_grid.get(coords[v])
-        if w is None or w in seen:
-            return False
-        seen.add(w)
-        relabel.append(w)
-    arcs = {(relabel[u], relabel[v]) for (u, v) in G.arcs}
-    loops = {relabel[v] for v in G.loops}
-    return arcs == P.arcs and loops == P.loops
+    return P.arcs == G.arcs and P.loops == G.loops
 
 
 def reconstruct_check(G: DiGraph, F) -> bool:

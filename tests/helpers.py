@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from collections import deque
@@ -14,6 +15,7 @@ from boxfactor import (
     DiGraph,
     DirectedFactorization,
     FactorizationError,
+    GraphFormatError,
     ShadowGraph,
     bfs,
     cartesian_product,
@@ -409,6 +411,184 @@ def naive_factor_with_loops(G: DiGraph, NF, B=None) -> DirectedFactorization:
         merges += 1
     coordin = group_coordinates(G, C, live)
     return DirectedFactorization(P, coordin.factors, coordin, merges)
+
+
+# --- references for the product builder and the text codec ------------------
+#
+# The row-major product, the relabeling check and the line-by-line codec as
+# they were before the product was built in the caller's labels; the
+# differential tests compare the library against these.
+
+
+def naive_cartesian_product(factors):
+    """Row-major product by a loop over every vertex's coordinate tuple;
+    returns (graph, coords)."""
+    factors = tuple(factors)
+    sizes = [F.n for F in factors]
+    coords = tuple(itertools.product(*(range(s) for s in sizes)))
+    strides = [1] * len(factors)
+    for i in range(len(factors) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    outs = []
+    for F in factors:
+        out: list[list[int]] = [[] for _ in range(F.n)]
+        for a, b in F.arcs:
+            out[a].append(b)
+        outs.append(out)
+    arcs = set()
+    for v, cv in enumerate(coords):
+        for i, out in enumerate(outs):
+            ci = cv[i]
+            for b in out[ci]:
+                arcs.add((v, v + (b - ci) * strides[i]))
+    loops = {
+        v
+        for v, cv in enumerate(coords)
+        if any(cv[i] in factors[i].loops for i in range(len(factors)))
+    }
+    return DiGraph(len(coords), arcs, loops), coords
+
+
+def naive_reconstruct_check_parts(G: DiGraph, factors, coords) -> bool:
+    """Build the row-major product, relabel G into it through the inverse
+    of the row-major coordinates, and compare."""
+    factors = tuple(factors)
+    coords = tuple(tuple(c) for c in coords)
+    if not factors:
+        return G.n == 1 and not G.loops and coords == ((),)
+    if len(coords) != G.n:
+        return False
+    P, grid = naive_cartesian_product(factors)
+    if P.n != G.n:
+        return False
+    to_grid = {cv: v for v, cv in enumerate(grid)}
+    seen = set()
+    relabel_to = []
+    for v in range(G.n):
+        w = to_grid.get(coords[v])
+        if w is None or w in seen:
+            return False
+        seen.add(w)
+        relabel_to.append(w)
+    arcs = {(relabel_to[u], relabel_to[v]) for (u, v) in G.arcs}
+    loops = {relabel_to[v] for v in G.loops}
+    return arcs == P.arcs and loops == P.loops
+
+
+def random_labeled_product(rng: random.Random, max_factors: int = 4):
+    """1-4 random factors with loops (1-4 vertices each) and their product
+    under a random labeling: returns (factors, coords, graph), where
+    coords[v] is vertex v's coordinate tuple."""
+    factors = [
+        random_digraph(rng, rng.randint(1, 4), extra_prob=0.3, loop_prob=0.3)
+        for _ in range(rng.randint(1, max_factors))
+    ]
+    P, grid = naive_cartesian_product(factors)
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    coords = [None] * P.n
+    for v, cv in enumerate(grid):
+        coords[perm[v]] = cv
+    return factors, coords, relabel(P, perm)
+
+
+def _naive_id(token: str, lineno: int, what: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise GraphFormatError(f"{what} must be a nonnegative decimal, got {token!r}", lineno)
+    return int(token)
+
+
+def naive_parse_graph(text: str) -> DiGraph:
+    """Line-by-line parser: strip, then split, each id through `_naive_id`."""
+    n = None
+    arcs: set[tuple[int, int]] = set()
+    loops: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        kind = parts[0]
+        if kind == "n":
+            if n is not None:
+                raise GraphFormatError("duplicate n line", lineno)
+            if len(parts) != 2:
+                raise GraphFormatError("n line takes exactly one value", lineno)
+            n = _naive_id(parts[1], lineno, "vertex count")
+            if n < 1:
+                raise GraphFormatError("vertex count must be positive", lineno)
+        elif kind == "a":
+            if n is None:
+                raise GraphFormatError("arc line before n line", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError("arc line takes exactly two ids", lineno)
+            u = _naive_id(parts[1], lineno, "arc endpoint")
+            v = _naive_id(parts[2], lineno, "arc endpoint")
+            if u == v:
+                raise GraphFormatError(f"arc ({u}, {v}) is a loop; use an l line", lineno)
+            if u >= n or v >= n:
+                raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}", lineno)
+            if (u, v) in arcs:
+                raise GraphFormatError(f"duplicate arc ({u}, {v})", lineno)
+            arcs.add((u, v))
+        elif kind == "l":
+            if n is None:
+                raise GraphFormatError("loop line before n line", lineno)
+            if len(parts) != 2:
+                raise GraphFormatError("loop line takes exactly one id", lineno)
+            v = _naive_id(parts[1], lineno, "loop vertex")
+            if v >= n:
+                raise GraphFormatError(f"loop at {v} out of range for n={n}", lineno)
+            if v in loops:
+                raise GraphFormatError(f"duplicate loop at {v}", lineno)
+            loops.add(v)
+        elif kind == "c":
+            continue
+        else:
+            raise GraphFormatError(f"unknown directive {kind!r}", lineno)
+    if n is None:
+        raise GraphFormatError("missing n line")
+    return DiGraph(n, arcs, loops)
+
+
+def naive_parse_coords(text: str) -> dict[int, tuple[int, ...]]:
+    """Line-by-line reader of 'c' rows, each id through `_naive_id`."""
+    table: dict[int, tuple[int, ...]] = {}
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "c":
+            continue
+        if len(parts) < 2:
+            raise GraphFormatError("coordinate line needs a vertex id", lineno)
+        v = _naive_id(parts[1], lineno, "vertex id")
+        cv = tuple(_naive_id(t, lineno, "coordinate") for t in parts[2:])
+        if v in table:
+            raise GraphFormatError(f"duplicate coordinates for vertex {v}", lineno)
+        if width is None:
+            width = len(cv)
+        elif len(cv) != width:
+            raise GraphFormatError(
+                f"coordinate width {len(cv)} differs from earlier width {width}", lineno
+            )
+        table[v] = cv
+    return table
+
+
+def naive_to_text(G: DiGraph, coords=None) -> str:
+    """Canonical text by sorting all arc pairs."""
+    lines = [f"n {G.n}"]
+    for u, v in sorted(G.arcs):
+        lines.append(f"a {u} {v}")
+    for v in sorted(G.loops):
+        lines.append(f"l {v}")
+    if coords is not None:
+        for v, cv in enumerate(coords):
+            lines.append("c " + " ".join(str(x) for x in (v, *cv)))
+    return "\n".join(lines) + "\n"
 
 
 def multiset_iso(claimed, truth) -> bool:

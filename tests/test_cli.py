@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from boxfactor import DiGraph, to_text
@@ -166,6 +168,19 @@ class TestVerifyCommand:
         assert main(["verify", g, fa, fb, "--coords", str(coords)]) == 2
 
 
+    def test_coords_for_other_vertices_rejected(self, tmp_path, capsys):
+        # four rows, but for vertices 0, 1, 2 and 7 of a 4-vertex graph
+        P, C, A, B = loop_product()
+        g = write_graph(tmp_path / "prod.dg", P)
+        fa = write_graph(tmp_path / "fa.dg", A)
+        fb = write_graph(tmp_path / "fb.dg", B)
+        coords = tmp_path / "prod.coords"
+        coords.write_text("c 0 0 0\nc 1 0 1\nc 2 1 0\nc 7 1 1\n")
+        assert main(["verify", g, fa, fb, "--coords", str(coords)]) == 2
+        assert main(["product", fa, fb, "--coords", str(coords)]) == 2
+        assert "must cover vertices 0..3" in capsys.readouterr().err
+
+
 class TestGenerateCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         out1 = tmp_path / "one.dg"
@@ -221,6 +236,21 @@ class TestExitCodes:
             tmp_path / "dis.dg", DiGraph(4, {(0, 1), (1, 0), (2, 3), (3, 2)}, {2})
         )
         assert main(["factor", "--input", g, "--root", "2"]) == 3
+
+    def test_sparse_huge_graph_exits_3_without_allocating(self, tmp_path, capsys):
+        # 10^6 vertices, one arc: disconnected, and known to be before the
+        # shadow or the BFS allocates anything of size n
+        g = tmp_path / "huge.dg"
+        g.write_text("n 1000000\na 0 1\n")
+        tracemalloc.start()
+        try:
+            rc = main(["factor", "--input", str(g)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        assert "disconnected" in capsys.readouterr().err
+        assert peak < 1 << 20, peak
 
     def test_all_looped_exits_4(self, tmp_path, capsys):
         g = write_graph(tmp_path / "loops.dg", DiGraph(2, {(0, 1), (1, 0)}, {0, 1}))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxfactor import (
     DiGraph,
@@ -8,6 +11,7 @@ from boxfactor import (
     GraphFormatError,
     ShadowGraph,
     bfs,
+    coords_to_text,
     digraph_from_shadow,
     dist,
     is_connected,
@@ -18,7 +22,14 @@ from boxfactor import (
     strip_loops,
     to_text,
 )
-from helpers import connected_digraphs, undirected_cycle
+from helpers import (
+    connected_digraphs,
+    naive_parse_coords,
+    naive_parse_graph,
+    naive_to_text,
+    random_digraph,
+    undirected_cycle,
+)
 
 
 class TestDiGraph:
@@ -169,6 +180,96 @@ class TestSerialization:
     @given(connected_digraphs())
     def test_round_trip(self, G):
         assert parse_graph(to_text(G)) == G
+
+
+def random_table(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    width = rng.randint(0, 3)
+    return [tuple(rng.randrange(12) for _ in range(width)) for _ in range(n)]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """A canonical text with 1-3 seeded edits: comments, blank lines, tabs,
+    stray 'c' rows, non-ASCII digits, repeated lines, out-of-range ids,
+    self arcs and malformed directives; sometimes CRLF line ends."""
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines) + 1)
+        j = min(i, len(lines) - 1)
+        edit = rng.randrange(10)
+        if edit == 0:
+            lines.insert(i, rng.choice(["# note", "#", "  # a 0 1", "#a 0 0", "\t#c 0"]))
+        elif edit == 1:
+            lines.insert(i, rng.choice(["", "   ", "\t", " \t "]))
+        elif edit == 2:
+            sep = rng.choice(["\t", "  ", " \t "])
+            lines[j] = rng.choice(["", " ", "\t"]) + lines[j].replace(" ", sep) + rng.choice(["", " "])
+        elif edit == 3:
+            row = [rng.randrange(n + 2) for _ in range(rng.randint(1, 4))]
+            lines.insert(i, "c " + " ".join(map(str, row)))
+        elif edit == 4:
+            digits = [p for p, ch in enumerate(lines[j]) if ch.isdigit()]
+            if digits:
+                p = rng.choice(digits)
+                lines[j] = lines[j][:p] + rng.choice("\u0663\u00b2\uff11\u096d") + lines[j][p + 1 :]
+        elif edit == 5:
+            lines.insert(i, lines[j])
+        elif edit == 6:
+            u = rng.randrange(n)
+            lines.insert(i, rng.choice([f"a {u} {n}", f"a {n + 3} {u}", f"l {n}", f"a {u} {u}"]))
+        elif edit == 7:
+            lines.insert(i, rng.choice(
+                ["a 1", "a 0 1 2", "l", "l 0 1", "n", "n 3 4", "n 0", "c", "x 1 2", "A 0 1", "a +1 0", "a 0 -1"]
+            ))
+        elif edit == 8:
+            lines.insert(i, f"n {rng.randint(1, n + 2)}")
+        else:
+            del lines[j]
+    return ("\r\n" if rng.random() < 0.2 else "\n").join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except GraphFormatError as exc:
+        return "error", str(exc), exc.line
+
+
+class TestAgainstNaiveCodec:
+    def test_to_text_bytes(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            G = random_digraph(rng, n, extra_prob=rng.random() * 0.3, loop_prob=0.3, keep_unlooped=False)
+            table = random_table(rng, n)
+            assert to_text(G) == naive_to_text(G)
+            assert to_text(G, table) == naive_to_text(G, table)
+
+    def test_parse_mutated_texts(self):
+        rng = random.Random(78)
+        kinds = {"ok": 0, "error": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            G = random_digraph(rng, n, extra_prob=0.2, loop_prob=0.3, keep_unlooped=False)
+            text = mutate(rng, naive_to_text(G, random_table(rng, n)))
+            for parse, naive in ((parse_graph, naive_parse_graph), (parse_coords, naive_parse_coords)):
+                got = outcome(parse, text)
+                assert got == outcome(naive, text), text
+                kinds[got[0]] += 1
+        assert kinds["ok"] > 500 and kinds["error"] > 500, kinds
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda w: st.lists(
+                st.tuples(*[st.integers(0, 10**12)] * w), min_size=1, max_size=20
+            )
+        )
+    )
+    def test_coords_round_trip(self, rows):
+        text = coords_to_text(rows)
+        assert parse_coords(text) == dict(enumerate(rows))
+        assert parse_coords(to_text(DiGraph(len(rows)), rows)) == dict(enumerate(rows))
 
 
 class TestShadow:

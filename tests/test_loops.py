@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,22 @@ class TestFactorFullContract:
         G = DiGraph(4, {(0, 1), (1, 0), (2, 3), (3, 2)}, loops)
         with pytest.raises(DisconnectedGraphError):
             factor_full(G, root)
+
+    def test_sparse_huge_graph_fails_before_allocating(self):
+        G = DiGraph(10**6, {(0, 1)}, set())
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError):
+                factor_full(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_tree_has_just_enough_arcs(self):
+        # n - 1 arcs can still connect n vertices: no early rejection
+        G = DiGraph(3, {(0, 1), (2, 1)}, set())
+        assert factor_full(G).k == 1
 
     def test_trivial_graph_is_unit(self):
         F = factor_full(DiGraph(1, set(), set()))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from helpers import (
     inconsistent_square,
     loop_product,
     looped_far_corner,
+    naive_reconstruct_check_parts,
+    random_labeled_product,
     relabel,
     undirected_cycle,
 )
@@ -74,6 +77,48 @@ class TestReconstructCheck:
     def test_coordinate_width_mismatch_fails(self):
         G = both_k2()
         assert not reconstruct_check_parts(G, [G], [(0, 0), (1, 1)])
+
+
+def perturbations(rng: random.Random, factors, coords, G: DiGraph):
+    """(graph, factors, coords) claims near a valid one: the claim itself,
+    then swapped, repeated, too wide, too narrow and off-grid coordinate
+    rows, a dropped arc and a toggled loop."""
+    yield G, factors, coords
+    n = G.n
+    i, j = rng.randrange(n), rng.randrange(n)
+    swapped = list(coords)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield G, factors, swapped
+    repeated = list(coords)
+    repeated[i] = coords[j]
+    yield G, factors, repeated
+    wide = list(coords)
+    wide[i] = coords[i] + (0,)
+    yield G, factors, wide
+    narrow = list(coords)
+    narrow[i] = coords[i][:-1]
+    yield G, factors, narrow
+    p = rng.randrange(len(factors))
+    for off in (factors[p].n, -1):
+        off_grid = list(coords)
+        off_grid[i] = coords[i][:p] + (off,) + coords[i][p + 1 :]
+        yield G, factors, off_grid
+    if G.arcs:
+        dropped = rng.choice(sorted(G.arcs))
+        yield DiGraph(n, G.arcs - {dropped}, G.loops), factors, coords
+    yield DiGraph(n, G.arcs, G.loops ^ {rng.randrange(n)}), factors, coords
+
+
+class TestReconstructAgainstNaive:
+    def test_verdicts_match(self):
+        rng = random.Random(5150)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            for claim in perturbations(rng, *random_labeled_product(rng)):
+                got = reconstruct_check_parts(*claim)
+                assert got == naive_reconstruct_check_parts(*claim), claim
+                verdicts[got] += 1
+        assert verdicts[True] >= 300 and verdicts[False] > 1500, verdicts
 
 
 class TestBruteForcePrime:

@@ -12,6 +12,7 @@ from boxfactor import (
     consistent_direction,
     dist,
     group_coordinates,
+    product_graph,
     product_square,
     project_vertex,
     shadow,
@@ -20,9 +21,11 @@ from boxfactor import (
 from helpers import (
     both_k2,
     connected_digraphs,
+    naive_cartesian_product,
     naive_group_coordinates,
     project,
     random_digraph,
+    random_labeled_product,
 )
 
 
@@ -87,6 +90,35 @@ class TestCartesianProduct:
                     cu[diffs[0]], cv[diffs[0]]
                 )
                 assert P.has_arc(u, v) == expected
+
+
+class TestProductGraph:
+    def test_matches_naive_reference(self):
+        rng = random.Random(20260518)
+        for _ in range(300):
+            factors, coords, G = random_labeled_product(rng)
+            P, grid = naive_cartesian_product(factors)
+            P2, C2 = cartesian_product(factors)
+            assert (P2.n, P2.arcs, P2.loops) == (P.n, P.arcs, P.loops)
+            assert C2.coords == grid
+            H = product_graph(Coordinatization(factors, coords, rng.randrange(G.n)))
+            assert (H.n, H.arcs, H.loops) == (G.n, G.arcs, G.loops)
+
+    def test_labels_follow_the_coordinates(self):
+        # (0->1) x (0->1) with vertex v at the coordinates of 3 - v
+        C = Coordinatization([arc01(), arc01()], [(1, 1), (1, 0), (0, 1), (0, 0)], 0)
+        H = product_graph(C)
+        assert H.arcs == frozenset({(3, 1), (3, 2), (2, 0), (1, 0)})
+        assert not H.loops
+
+    def test_not_injective_raises(self):
+        C = Coordinatization([arc01(), arc01()], [(0, 0), (0, 1), (1, 0), (0, 1)], 0)
+        with pytest.raises(FactorizationError, match="not injective"):
+            product_graph(C)
+
+    def test_no_factors_is_the_unit(self):
+        H = product_graph(Coordinatization((), ((),), 0))
+        assert (H.n, H.arcs, H.loops) == (1, frozenset(), frozenset())
 
 
 class TestCoordinatization:
