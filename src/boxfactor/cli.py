@@ -8,7 +8,8 @@ synthesized from known factors so only the scans are timed).
 
 Exit codes: 0 ok, 2 unreadable or malformed input (or bad arguments),
 3 disconnected graph, 4 no unlooped vertex, 5 verification failure,
-6 internal invariant failed (a FactorizationError: a bug, not a bad input).
+6 internal invariant failed (a FactorizationError: a bug, not a bad input),
+7 out of memory.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_DISCONNECTED = 3
 EXIT_ALL_LOOPED = 4
 EXIT_VERIFY = 5
 EXIT_INTERNAL = 6
+EXIT_MEMORY = 7
 
 
 def _load_graph(path: str) -> DiGraph:
@@ -384,6 +386,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

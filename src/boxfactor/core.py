@@ -153,7 +153,7 @@ def shadow(G: DiGraph) -> ShadowGraph:
 
 def strip_loops(G: DiGraph) -> DiGraph:
     """G with every loop removed; arcs are untouched."""
-    return DiGraph(G.n, G.arcs, frozenset())
+    return DiGraph._unchecked(G.n, G.arcs, ())
 
 
 def digraph_from_shadow(S: ShadowGraph, loops=()) -> DiGraph:

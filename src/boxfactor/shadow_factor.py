@@ -18,10 +18,15 @@ times the degree of a neighbor), so it is linear for bounded degree and
 needs no distance matrix.
 
 Only when the check rejects delta* (a graph that is locally but not globally
-a product, such as a Moebius ladder) does the exact closure run: Theta over
-all edge pairs on an all-pairs distance matrix, seeded with the delta
-classes. That fallback costs O(n^2) memory and O(m^2) time, the latter
-vectorized over rows.
+a product, such as a Moebius ladder) is Theta added, one edge at a time:
+BFS-tree edges first, then the rest. An edge xy is Theta-related to uv
+exactly when d(u,x) - d(v,x) != d(u,y) - d(v,y), so two BFS distance rows,
+from u and from v, give all of them in one sweep over the edges. After each
+edge that merges classes the coloring is checked again. Every partition
+between delta* and sigma that is a product coloring is sigma, so the first
+one accepted is sigma; once every edge is used the classes are sigma itself.
+This takes O(n + m) memory, at most k0 - 1 re-checks for the k0 classes of
+delta*, and O(m*(n + m)) time in the worst case.
 
 Either way the classes are numbered in BFS order from the root, and
 `coordinates_from_colors` turns them into unit-layer factors and vertex
@@ -30,14 +35,12 @@ coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import BfsOrder, DiGraph, ShadowGraph, bfs
+from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
 from .errors import FactorizationError
 from .product import Coordinatization
-
-# Below this vertex count plain BFS beats the scipy sparse machinery.
-_SCIPY_MIN_N = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +80,16 @@ def factor_shadow(
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
     edges = sorted(S.tags)
     labels = _square_closure(S, edges)
-    colors = _number_classes(edges, labels, B.bfsnum)
-    try:
-        factors, coordin = coordinates_from_colors(S, root, colors, B)
-    except FactorizationError:
-        # delta* is not a product coloring, so it is strictly finer than sigma
-        colors = _number_classes(edges, _theta_closure(S, edges, labels), B.bfsnum)
-        factors, coordin = coordinates_from_colors(S, root, colors, B)
-    return ShadowFactorization(root, colors, factors, coordin)
+    steps = _theta_order(B, edges)
+    while True:
+        colors = _number_classes(edges, labels, B.bfsnum)
+        try:
+            factors, coordin = coordinates_from_colors(S, root, colors, B)
+            return ShadowFactorization(root, colors, factors, coordin)
+        except FactorizationError:
+            # strictly finer than sigma: add Theta until two classes merge
+            if not any(_join_theta(S, edges, labels, e) for e in steps):
+                raise
 
 
 def _square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[int]:
@@ -93,7 +98,8 @@ def _square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[int]:
     At each vertex v, two incident edges vu, vw are joined when they span no
     chordless square (relation tau); otherwise each chordless square
     v-u-x-w joins its opposite edges, vu with wx and vw with ux. A square is
-    joined only from its smallest corner, which sees it exactly once.
+    joined only from its smallest corner, which sees it exactly once. The
+    label of an edge is the index of its class's root edge.
     """
     eidx = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
@@ -146,109 +152,46 @@ def _number_classes(
     return {e: number[c] for e, c in zip(edges, labels)}
 
 
-def _distance_matrix(S: ShadowGraph):
-    import numpy as np
-
-    n = S.n
-    if n >= _SCIPY_MIN_N:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import shortest_path
-
-        rows = []
-        cols = []
-        for u, v in S.tags:
-            rows.append(u)
-            cols.append(v)
-            rows.append(v)
-            cols.append(u)
-        A = csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-        D = shortest_path(A, method="D", unweighted=True, directed=True)
-        return D.astype(np.int32)
-    D = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        row = D[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in S.adj[v]:
-                    if row[w] < 0:
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return D
+def _theta_order(
+    B: BfsOrder, edges: list[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """The edges whose Theta relations are added, in order: the BFS-tree
+    edges in BFS order, then the others in `edges` order."""
+    tree = [(u, v) if u < v else (v, u) for v in B.order[1:] for u in B.down[v][:1]]
+    yield from tree
+    in_tree = set(tree)
+    yield from (e for e in edges if e not in in_tree)
 
 
-def _find(parent, a: int) -> int:
-    root = a
-    while parent[root] != root:
-        root = parent[root]
-    while parent[a] != root:
-        parent[a], a = root, parent[a]
-    return int(root)
+def _join_theta(
+    S: ShadowGraph, edges: list[tuple[int, int]], labels: list[int], e: tuple[int, int]
+) -> bool:
+    """Join the classes of all edges Theta-related to e in `labels`, in
+    place; report whether any two classes merged.
 
-
-def _union(parent, size, a: int, b: int) -> int:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return ra
-    # larger class keeps its label; ties go to the smaller index
-    if (size[rb], -rb) > (size[ra], -ra):
-        ra, rb = rb, ra
-    parent[rb] = ra
-    size[ra] += size[rb]
-    return ra
-
-
-def _roots_of(parent, idx):
-    r = parent[idx]
-    while True:
-        rr = parent[r]
-        if (rr == r).all():
-            break
-        r = rr
-    parent[idx] = r  # path compression for everything just visited
-    return r
-
-
-def _theta_closure(
-    S: ShadowGraph, edges: list[tuple[int, int]], labels: list[int]
-) -> list[int]:
-    """Class labels of (Theta u tau)*, from the delta* classes `labels`.
-
-    delta contains tau and lies inside sigma, so adding Theta to its classes
-    gives sigma. Theta is tested row by row: each edge against all later
-    edges, on the all-pairs distance matrix.
+    For e = uv, xy is Theta-related exactly when d(u,x) - d(v,x) differs
+    from d(u,y) - d(v,y); e itself is. O(n + m) time and memory.
     """
-    import numpy as np
+    g = [a - b for a, b in zip(_distances(S, e[0]), _distances(S, e[1]))]
+    joined = {labels[i] for i, (x, y) in enumerate(edges) if g[x] != g[y]}
+    if len(joined) == 1:
+        return False
+    c = min(joined)
+    labels[:] = [c if a in joined else a for a in labels]
+    return True
 
-    m = len(edges)
-    D = _distance_matrix(S)
-    # labels point straight at their class roots: a union-find forest of depth one
-    parent = np.array(labels, dtype=np.int64)
-    size = np.bincount(parent, minlength=m).astype(np.int64)
-    U = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-    V = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
-    for a in range(m - 1):
-        x, y = edges[a]
-        dx = D[x]
-        dy = D[y]
-        Ur = U[a + 1 :]
-        Vr = V[a + 1 :]
-        rel = (dx[Ur] + dy[Vr]) != (dx[Vr] + dy[Ur])
-        idx = np.flatnonzero(rel)
-        if idx.size == 0:
-            continue
-        idx += a + 1
-        ra = _find(parent, a)
-        for rb in np.unique(_roots_of(parent, idx)):
-            ra = _union(parent, size, ra, int(rb))
-    return [_find(parent, a) for a in range(m)]
+
+def _distances(S: ShadowGraph, s: int) -> list[int]:
+    """BFS distance from s to every vertex of the connected shadow S."""
+    d = [-1] * S.n
+    d[s] = 0
+    queue = [s]
+    for x in queue:
+        for y in S.adj[x]:
+            if d[y] < 0:
+                d[y] = d[x] + 1
+                queue.append(y)
+    return d
 
 
 def coordinates_from_colors(
@@ -371,11 +314,8 @@ def coordinates_from_colors(
 
 def _undirected(Z: ShadowGraph) -> DiGraph:
     """Both-ways DiGraph carrying the undirected structure of Z."""
-    arcs = set()
-    for u, v in Z.tags:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return DiGraph(Z.n, arcs, frozenset())
+    arcs = {a for u, v in Z.tags for a in ((u, v), (v, u))}
+    return DiGraph._unchecked(Z.n, arcs, ())
 
 
 def shadow_factorization_of_product(
@@ -388,22 +328,20 @@ def shadow_factorization_of_product(
     tests) provides the precomputed shadow factorization without rerunning
     the relation scan on the full graph.
     """
-    from .core import shadow as _shadow
-
     k = C.k
     subs = []
     offsets = []
     total = 0
     for i in range(k):
         Fi = C.factors[i]
-        Si = _shadow(Fi)
+        Si = shadow(Fi)
         SFi = factor_shadow(Si, C.coords[C.root][i])
         subs.append(SFi)
         offsets.append(total)
         total += len(SFi.factors)
 
     colors: dict[tuple[int, int], int] = {}
-    S = _shadow(G)
+    S = shadow(G)
     for u, v in S.tags:
         cu, cv = C.coords[u], C.coords[v]
         diffs = [i for i in range(k) if cu[i] != cv[i]]

@@ -278,6 +278,21 @@ class TestExitCodes:
         assert err.startswith("error: internal invariant failed:")
         assert "Traceback" not in err
 
+    def test_out_of_memory_exits_7(self, tmp_path, capsys, monkeypatch):
+        from boxfactor import cli
+
+        def exhausted(factors):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cartesian_product", exhausted)
+        g = write_graph(tmp_path / "k2.dg", DiGraph(2, {(0, 1)}, set()))
+        out = tmp_path / "out.dg"
+        assert main(["product", g, g, "-o", str(out)]) == 7
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestBenchCommand:
     @pytest.mark.parametrize("family", ["grid", "cube", "randprod"])

@@ -28,6 +28,7 @@ from helpers import (
     loop_product,
     looped_far_corner,
     naive_reconstruct_check_parts,
+    random_digraph,
     random_labeled_product,
     relabel,
     undirected_cycle,
@@ -308,3 +309,72 @@ class TestCanonicalSmallGraphs:
             assert len(hit) == 1
             found.add(hit[0])
         assert found == {i for i, r in enumerate(reps) if not r.loops}
+
+
+class TestSeededOracleSweep:
+    """factor_full against the brute-force oracles on seeded random inputs
+    past c1's four vertices: every result rebuilds its input, every factor
+    is prime, and every input called prime is prime."""
+
+    # a whole-graph primality check exhausts 2^(edges - 1) colorings
+    MAX_EDGES = 12
+
+    @staticmethod
+    def _check(G):
+        F = factor_full(G)
+        assert reconstruct_check(G, F), G
+        for Z in F.factors:
+            assert brute_force_prime(Z), (G, Z)
+        if F.k == 1:
+            assert brute_force_prime(G), G
+        return F.k
+
+    @staticmethod
+    def _perturbed(rng, G):
+        """G with one arc added, removed or reversed, or one loop toggled;
+        None when the result is disconnected or has every vertex looped."""
+        arcs, loops = set(G.arcs), set(G.loops)
+        kind = rng.randrange(4)
+        if kind == 0:
+            u, v = rng.sample(range(G.n), 2)
+            arcs.add((u, v))
+        elif kind == 1:
+            arcs.discard(rng.choice(sorted(arcs)))
+        elif kind == 2:
+            u, v = rng.choice(sorted(arcs))
+            arcs.discard((u, v))
+            arcs.add((v, u))
+        else:
+            loops ^= {rng.randrange(G.n)}
+        H = DiGraph(G.n, arcs, loops)
+        if not is_connected(shadow(H)) or len(loops) == G.n:
+            return None
+        return H
+
+    def test_random_and_perturbed_products(self):
+        rng = random.Random(20261018)
+        ks = []
+        while len(ks) < 250:
+            G = random_digraph(
+                rng,
+                rng.randint(4, 8),
+                extra_prob=rng.choice([0.05, 0.1, 0.2]),
+                loop_prob=rng.choice([0.0, 0.2, 0.5]),
+            )
+            if shadow(G).edge_count <= self.MAX_EDGES:
+                ks.append(self._check(G))
+        composite = perturbed = 0
+        while len(ks) < 500:
+            factors, _, G = random_labeled_product(rng)
+            if not 4 <= G.n <= 16:
+                continue
+            # every factor with an edge holds at least one prime
+            nontrivial = sum(F.n > 1 for F in factors)
+            assert self._check(G) >= nontrivial
+            composite += nontrivial > 1
+            H = self._perturbed(rng, G)
+            if H is not None and shadow(H).edge_count <= self.MAX_EDGES:
+                ks.append(self._check(H))
+                perturbed += 1
+        assert perturbed == 250 and composite > 100
+        assert ks.count(1) > 100 and len(ks) - ks.count(1) > 5

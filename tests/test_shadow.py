@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +37,20 @@ from helpers import (
 
 def edge_key(u, v):
     return (u, v) if u < v else (v, u)
+
+
+@pytest.fixture
+def theta_steps(monkeypatch):
+    """The edges whose Theta relations factor_shadow adds, in order."""
+    calls = []
+    join = shadow_factor._join_theta
+
+    def spy(*args):
+        calls.append(args[3])
+        return join(*args)
+
+    monkeypatch.setattr(shadow_factor, "_join_theta", spy)
+    return calls
 
 
 def _classes(colors):
@@ -225,32 +244,34 @@ class TestAgainstNaiveClosure:
             )
             self._agree(G, [rng.randrange(G.n)])
 
-    def test_moebius_ladders_take_the_exact_fallback(self, monkeypatch):
-        calls = []
-        exact = shadow_factor._theta_closure
-
-        def spy(*args):
-            calls.append(args[0].n)
-            return exact(*args)
-
-        monkeypatch.setattr(shadow_factor, "_theta_closure", spy)
-        runs = 0
+    def test_moebius_ladders_take_theta_steps(self, theta_steps):
+        calls = theta_steps
         for r in range(4, 14):
             M = mobius_ladder(r)
-            assert self._agree(M, [0, r]) == 1
-            runs += 2
+            inputs = [(M, 1)]
             for q in (2, 3):
                 if 2 * r * q <= 40:
-                    P, _ = cartesian_product([M, undirected_path(q)])
-                    assert self._agree(P, [0, P.n - 1]) == 2
-                    runs += 2
-        assert len(calls) == runs
+                    inputs.append((cartesian_product([M, undirected_path(q)])[0], 2))
+            for G, k in inputs:
+                for root in (0, G.n - 1):
+                    calls.clear()
+                    assert self._agree(G, [root]) == k
+                    # the square closure alone is rejected, so Theta is added
+                    assert calls, (G, root)
         # prisms are products: the square closure is accepted at once
         calls.clear()
         for r in range(3, 14):
             P, _ = cartesian_product([undirected_cycle(r), both_k2()])
             assert self._agree(P, [0]) == (2 if r != 4 else 3)
         assert calls == []
+
+    def test_theta_is_added_tree_edges_first(self, theta_steps):
+        S = shadow(mobius_ladder(5))
+        B = bfs(S, 3)
+        factor_shadow(S, 3, B)
+        # the first BFS-tree edge in BFS order joins every class at once
+        v = B.order[1]
+        assert theta_steps == [edge_key(B.down[v][0], v)]
 
 
 class TestAgainstNaiveCoordinates:
@@ -396,21 +417,65 @@ class TestShadowFactorizationOfProduct:
 
 
 class TestLargeInstance:
-    def test_long_grid_needs_no_distance_matrix(self, monkeypatch):
-        # 18*18 = 324 vertices is past the sparse-matrix threshold, but a
-        # product is factored by the square closure alone
-        def no_matrix(S):
-            raise AssertionError("distance matrix built for a product")
+    def test_long_grid_takes_no_theta_step(self, monkeypatch):
+        # a product is factored by the square closure alone
+        def no_theta(*args):
+            raise AssertionError("Theta added for a product")
 
-        monkeypatch.setattr(shadow_factor, "_distance_matrix", no_matrix)
+        monkeypatch.setattr(shadow_factor, "_join_theta", no_theta)
         p18 = undirected_path(18)
         P, _ = cartesian_product([p18, p18])
         F = factor_shadow(shadow(P), 0)
         assert sorted(f.n for f in F.factors) == [18, 18]
 
-    def test_large_moebius_ladder_uses_sparse_distances(self):
-        # 320 vertices crosses the sparse-matrix threshold of the fallback
-        M = mobius_ladder(160)
-        F = factor_shadow(shadow(M), 0)
+    def test_large_moebius_ladder_in_bounded_memory(self):
+        # 320 vertices and 480 edges: Theta from BFS rows needs O(n + m)
+        # memory, about 400 bytes per vertex and edge here; an all-pairs
+        # distance matrix holds 102,400 entries and peaks above 1.3 MB
+        S = shadow(mobius_ladder(160))
+        tracemalloc.start()
+        try:
+            F = factor_shadow(S, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert [f.n for f in F.factors] == [320]
         assert set(F.colors.values()) == {0}
+        assert peak < 1000 * (S.n + S.edge_count), peak
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_moebius_times_path_past_the_naive_bound(self, q):
+        # 400 * q vertices: two classes, one per coordinate of the product
+        P, C = cartesian_product([mobius_ladder(200), undirected_path(q)])
+        S = shadow(P)
+        by_coordinate = [set(), set()]
+        for u, v in S.tags:
+            cu, cv = C.coords[u], C.coords[v]
+            by_coordinate[cu[1] != cv[1]].add((u, v))
+        want = {frozenset(s) for s in by_coordinate}
+        for root in (0, P.n - 1):
+            F = factor_shadow(S, root)
+            assert _classes(F.colors) == want
+            assert sorted(f.n for f in F.factors) == [q, 400]
+
+
+class TestDependencies:
+    def test_factoring_imports_neither_numpy_nor_scipy(self):
+        # a Moebius ladder takes the Theta steps, the one path that ever
+        # needed a distance matrix
+        code = (
+            "import sys\n"
+            "from boxfactor import DiGraph, factor_full\n"
+            "r, n = 50, 100\n"
+            "edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + r) for i in range(r)]\n"
+            "arcs = {a for u, v in edges for a in ((u, v), (v, u))}\n"
+            "assert factor_full(DiGraph(n, arcs, set())).k == 1\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
