@@ -4,7 +4,9 @@ Subcommands: `factor` (prime factorization of a graph file), `product`
 (multiply graph files), `generate` (seeded random product instances),
 `verify` (check a claimed factorization against a graph), and `bench`
 (empirical scaling of the two scan algorithms, with the shadow factorization
-synthesized from known factors so only the scans are timed).
+synthesized from known factors so only the scans are timed). `factor` runs
+`factor_full` once and prints its report from the result: the root from
+the coordinates, the merge count and the per-pass times from `stages`.
 
 Exit codes: 0 ok, 2 unreadable or malformed input (or bad arguments),
 3 disconnected graph, 4 no unlooped vertex, 5 verification failure,
@@ -40,10 +42,10 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .loop_factor import check_arc_count, factor_with_loops, rooted_bfs
+from .loop_factor import factor_full, factor_with_loops
 from .oracle import gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, product_graph
-from .shadow_factor import factor_shadow, shadow_factorization_of_product
+from .shadow_factor import shadow_factorization_of_product
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,7 +73,7 @@ def _load_rows(path: str, n: int) -> list[tuple[int, ...]]:
 def _final_edge_colors(G: DiGraph, coords) -> dict[tuple[int, int], int]:
     # the color of a shadow edge is the one coordinate position it changes
     out = {}
-    for u, v in sorted(shadow(G).tags):
+    for u, v in sorted({(u, v) if u < v else (v, u) for u, v in G.arcs}):
         cu, cv = coords[u], coords[v]
         diffs = [i for i in range(len(cu)) if cu[i] != cv[i]]
         if len(diffs) != 1:
@@ -85,39 +87,15 @@ def cmd_factor(args) -> int:
     G = _load_graph(args.input)
     t_parse = time.perf_counter() - t_start
 
-    check_arc_count(G)
-    S = shadow(G)
-    B = rooted_bfs(G, S, args.root)
-    root = B.root
-
-    t_shadow = t_directed = t_loops = 0.0
-    merges = 0
-    if G.n == 1:
-        from .directed_factor import ColorPartition, DirectedFactorization
-
-        F = DirectedFactorization(
-            ColorPartition(0), (), Coordinatization((), ((),), 0), 0
-        )
-    else:
-        t0 = time.perf_counter()
-        SF = factor_shadow(S, root, B)
-        t_shadow = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        NF = factor_directed(strip_loops(G), SF, B)
-        t_directed = time.perf_counter() - t0
-        merges = NF.merges
-        F = NF
-        if G.loops:
-            t0 = time.perf_counter()
-            F = factor_with_loops(G, NF, B)
-            t_loops = time.perf_counter() - t0
-            merges += F.merges
+    F = factor_full(G, args.root)
+    times = {name: seconds for name, seconds, _ in F.stages}
+    merges = sum(m for _, _, m in F.stages)
 
     print(f"input: {args.input}")
     print(f"vertices: {G.n}")
     print(f"arcs: {len(G.arcs)}")
     print(f"loops: {len(G.loops)}")
-    print(f"root: {root}")
+    print(f"root: {F.coordin.root}")
     print(f"factors: {len(F.factors)}")
     print("sizes: " + " ".join(str(Fi.n) for Fi in F.factors))
     print(f"merges: {merges}")
@@ -145,9 +123,8 @@ def cmd_factor(args) -> int:
 
     t_total = time.perf_counter() - t_start
     print(f"time_parse: {t_parse:.6f}")
-    print(f"time_shadow: {t_shadow:.6f}")
-    print(f"time_directed: {t_directed:.6f}")
-    print(f"time_loops: {t_loops:.6f}")
+    for name in ("shadow", "directed", "loops"):
+        print(f"time_{name}: {times.get(name, 0.0):.6f}")
     print(f"time_total: {t_total:.6f}")
     return EXIT_OK if ok else EXIT_VERIFY
 

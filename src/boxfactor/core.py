@@ -10,7 +10,6 @@ connectivity and degree always refer to the shadow.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -167,6 +166,23 @@ def digraph_from_shadow(S: ShadowGraph, loops=()) -> DiGraph:
     return DiGraph(S.n, arcs, frozenset(loops))
 
 
+def _sweep(S: ShadowGraph, s: int) -> tuple[list[int], list[int]]:
+    """The vertices reached from s in BFS order, and the level of every
+    vertex (-1 when unreached). Neighbors are visited in ascending id order;
+    the order list is its own queue."""
+    level = [-1] * S.n
+    level[s] = 0
+    order = [s]
+    adj = S.adj
+    for v in order:
+        lw = level[v] + 1
+        for w in adj[v]:
+            if level[w] < 0:
+                level[w] = lw
+                order.append(w)
+    return order, level
+
+
 def bfs(S: ShadowGraph, root: int) -> BfsOrder:
     """Breadth-first search from `root`; raises if S is disconnected.
 
@@ -177,18 +193,7 @@ def bfs(S: ShadowGraph, root: int) -> BfsOrder:
     n = S.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
-    level = [-1] * n
-    level[root] = 0
-    order = [root]
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        lv = level[v]
-        for w in S.adj[v]:
-            if level[w] < 0:
-                level[w] = lv + 1
-                order.append(w)
-                q.append(w)
+    order, level = _sweep(S, root)
     if len(order) != n:
         raise DisconnectedGraphError(
             f"graph is disconnected: reached {len(order)} of {n} vertices"
@@ -208,20 +213,7 @@ def bfs(S: ShadowGraph, root: int) -> BfsOrder:
 
 
 def is_connected(S: ShadowGraph) -> bool:
-    if S.n <= 1:
-        return True
-    seen = [False] * S.n
-    seen[0] = True
-    q = deque([0])
-    count = 1
-    while q:
-        v = q.popleft()
-        for w in S.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                q.append(w)
-    return count == S.n
+    return S.n <= 1 or len(_sweep(S, 0)[0]) == S.n
 
 
 def min_degree(S: ShadowGraph) -> int:
@@ -235,19 +227,8 @@ def dist(S: ShadowGraph, u: int, v: int):
     for x in (u, v):
         if not 0 <= x < S.n:
             raise ValueError(f"vertex {x} out of range")
-    if u == v:
-        return 0
-    level = {u: 0}
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        for w in S.adj[x]:
-            if w not in level:
-                if w == v:
-                    return level[x] + 1
-                level[w] = level[x] + 1
-                q.append(w)
-    return None
+    d = _sweep(S, u)[1][v]
+    return None if d < 0 else d
 
 
 # --- text format ------------------------------------------------------------

@@ -97,12 +97,18 @@ class DirectedFactorization:
     the prime factors read off the unit layers (local ids ascending by host
     id), `coordin` locates every vertex of the input graph over those
     factors, and `merges` counts the merge events of the scan.
+
+    `stages` is filled in only by `factor_full`: one `(name, seconds,
+    merges)` row for each pass it ran, in the order `"shadow"` (always 0
+    merges), `"directed"`, `"loops"`, timed with `perf_counter`. It is `()`
+    for the one-vertex unit and for a pass called directly.
     """
 
     partition: ColorPartition
     factors: tuple[DiGraph, ...]
     coordin: Coordinatization
     merges: int
+    stages: tuple[tuple[str, float, int], ...] = ()
 
     @property
     def k(self) -> int:

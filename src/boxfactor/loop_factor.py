@@ -9,10 +9,15 @@ its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
 `factor_full` is the package's front door: it validates the input, factors
-the shadow, runs the directed scan, and runs the loop scan when needed.
+the shadow, runs the directed scan, and runs the loop scan when needed. It
+times each pass it runs and returns the times and merge counts as the
+result's `stages`, which the `factor` command reports.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from time import perf_counter
 
 from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow, strip_loops
 from .directed_factor import ColorPartition, DirectedFactorization, factor_directed
@@ -146,6 +151,7 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     one unlooped vertex. `root` optionally fixes the base vertex; it must be
     unlooped. Factors come out with the root at local id of the root's
     coordinate, ordered canonically by their smallest original shadow color.
+    The result's `stages` holds the wall time and merge count of each pass.
     """
     check_arc_count(G)
     S = shadow(G)
@@ -154,9 +160,13 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
         return DirectedFactorization(
             ColorPartition(0), (), Coordinatization((), ((),), 0), 0
         )
+    t0 = perf_counter()
     SF = factor_shadow(S, B.root, B)
-    N = strip_loops(G)
-    NF = factor_directed(N, SF, B)
-    if not G.loops:
-        return NF
-    return factor_with_loops(G, NF, B)
+    t1 = perf_counter()
+    F = factor_directed(strip_loops(G), SF, B)
+    t2 = perf_counter()
+    stages = [("shadow", t1 - t0, 0), ("directed", t2 - t1, F.merges)]
+    if G.loops:
+        F = factor_with_loops(G, F, B)
+        stages.append(("loops", perf_counter() - t2, F.merges))
+    return replace(F, stages=tuple(stages))

@@ -261,6 +261,8 @@ def gen_product_instance(
         raise ValueError("prime factors need at least 2 vertices")
     if hi < lo:
         raise ValueError("empty size range")
+    if not 0 <= loop_probability <= 1:  # also rejects nan
+        raise ValueError(f"loop probability must be in [0, 1], got {loop_probability}")
     rng = random.Random(seed)
     factors = [
         _random_prime_factor(rng, lo, hi, loop_probability)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
+from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs, shadow
 from .errors import FactorizationError
 from .product import Coordinatization
 
@@ -172,26 +172,13 @@ def _join_theta(
     For e = uv, xy is Theta-related exactly when d(u,x) - d(v,x) differs
     from d(u,y) - d(v,y); e itself is. O(n + m) time and memory.
     """
-    g = [a - b for a, b in zip(_distances(S, e[0]), _distances(S, e[1]))]
+    g = [a - b for a, b in zip(_sweep(S, e[0])[1], _sweep(S, e[1])[1])]
     joined = {labels[i] for i, (x, y) in enumerate(edges) if g[x] != g[y]}
     if len(joined) == 1:
         return False
     c = min(joined)
     labels[:] = [c if a in joined else a for a in labels]
     return True
-
-
-def _distances(S: ShadowGraph, s: int) -> list[int]:
-    """BFS distance from s to every vertex of the connected shadow S."""
-    d = [-1] * S.n
-    d[s] = 0
-    queue = [s]
-    for x in queue:
-        for y in S.adj[x]:
-            if d[y] < 0:
-                d[y] = d[x] + 1
-                queue.append(y)
-    return d
 
 
 def coordinates_from_colors(

@@ -10,10 +10,12 @@ from collections import deque
 from hypothesis import strategies as st
 
 from boxfactor import (
+    BfsOrder,
     ColorPartition,
     Coordinatization,
     DiGraph,
     DirectedFactorization,
+    DisconnectedGraphError,
     FactorizationError,
     GraphFormatError,
     ShadowGraph,
@@ -411,6 +413,83 @@ def naive_factor_with_loops(G: DiGraph, NF, B=None) -> DirectedFactorization:
         merges += 1
     coordin = group_coordinates(G, C, live)
     return DirectedFactorization(P, coordin.factors, coordin, merges)
+
+
+# --- references for breadth-first search ------------------------------------
+#
+# `bfs`, `is_connected` and `dist` as they were with a deque loop each, before
+# they shared one sweep; the differential tests compare the library against
+# these.
+
+
+def naive_bfs(S: ShadowGraph, root: int) -> BfsOrder:
+    n = S.n
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range")
+    level = [-1] * n
+    level[root] = 0
+    order = [root]
+    q = deque([root])
+    while q:
+        v = q.popleft()
+        lv = level[v]
+        for w in S.adj[v]:
+            if level[w] < 0:
+                level[w] = lv + 1
+                order.append(w)
+                q.append(w)
+    if len(order) != n:
+        raise DisconnectedGraphError(
+            f"graph is disconnected: reached {len(order)} of {n} vertices"
+        )
+    bfsnum = [0] * n
+    for i, v in enumerate(order):
+        bfsnum[v] = i
+    down = []
+    cross = []
+    for v in range(n):
+        lv = level[v]
+        down.append(tuple(w for w in S.adj[v] if level[w] == lv - 1))
+        cross.append(tuple(w for w in S.adj[v] if level[w] == lv))
+    return BfsOrder(
+        root, tuple(order), tuple(bfsnum), tuple(level), tuple(down), tuple(cross)
+    )
+
+
+def naive_is_connected(S: ShadowGraph) -> bool:
+    if S.n <= 1:
+        return True
+    seen = [False] * S.n
+    seen[0] = True
+    q = deque([0])
+    count = 1
+    while q:
+        v = q.popleft()
+        for w in S.adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                q.append(w)
+    return count == S.n
+
+
+def naive_dist(S: ShadowGraph, u: int, v: int):
+    for x in (u, v):
+        if not 0 <= x < S.n:
+            raise ValueError(f"vertex {x} out of range")
+    if u == v:
+        return 0
+    level = {u: 0}
+    q = deque([u])
+    while q:
+        x = q.popleft()
+        for w in S.adj[x]:
+            if w not in level:
+                if w == v:
+                    return level[x] + 1
+                level[w] = level[x] + 1
+                q.append(w)
+    return None
 
 
 # --- references for the product builder and the text codec ------------------

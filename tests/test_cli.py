@@ -1,10 +1,24 @@
+import random
 import tracemalloc
 
 import pytest
 
-from boxfactor import DiGraph, to_text
+from boxfactor import (
+    DiGraph,
+    canonical_small_graphs,
+    cartesian_product,
+    coords_to_text,
+    factor_full,
+    gen_product_instance,
+    to_text,
+)
 from boxfactor.cli import main
-from helpers import consistent_square, loop_product, looped_far_corner
+from helpers import (
+    consistent_square,
+    inconsistent_square,
+    loop_product,
+    looped_far_corner,
+)
 
 
 def write_graph(path, G):
@@ -77,6 +91,50 @@ class TestFactorCommand:
         assert edges[(0, 1)] == edges[(2, 3)]
         assert edges[(0, 2)] == edges[(1, 3)]
         assert edges[(0, 1)] != edges[(0, 2)]
+
+
+class TestFactorMatchesLibrary:
+    """`factor` writes and reports exactly what `factor_full` returns."""
+
+    @staticmethod
+    def _check(tmp_path, capsys, G, root):
+        F = factor_full(G, root)
+        g = write_graph(tmp_path / "g.dg", G)
+        assert main(["factor", "--input", g, "--root", str(root), "--emit-coords"]) == 0
+        got = out_lines(capsys)
+        assert got["root"] == str(F.coordin.root) == str(root)
+        assert got["factors"] == str(F.k)
+        assert got["sizes"] == " ".join(str(Fi.n) for Fi in F.factors)
+        assert got["merges"] == str(sum(m for _, _, m in F.stages))
+        for i, Fi in enumerate(F.factors):
+            assert (tmp_path / f"g.dg.factor{i}").read_text() == to_text(Fi)
+        assert not (tmp_path / f"g.dg.factor{F.k}").exists()
+        assert (tmp_path / "g.dg.coords").read_text() == coords_to_text(F.coordin.coords)
+        for i in range(F.k):
+            (tmp_path / f"g.dg.factor{i}").unlink()
+
+    def test_small_graphs_and_generated_products(self, tmp_path, capsys):
+        rng = random.Random(3)
+        graphs = [G for n in (1, 2, 3) for G in canonical_small_graphs(n)]
+        graphs += [
+            gen_product_instance(rng.randint(1, 3), (2, 4), 0.3, seed)[0]
+            for seed in range(50)
+        ]
+        for G in graphs:
+            root = rng.choice([v for v in range(G.n) if v not in G.loops])
+            self._check(tmp_path, capsys, G, root)
+
+    def test_merges_count_both_passes(self, tmp_path, capsys):
+        # k0 = 4 -> 3 -> 2: one direction merge, then one loop merge
+        P, _ = cartesian_product([inconsistent_square(), looped_far_corner()])
+        F = factor_full(P)
+        assert F.merges == 1
+        assert [(name, m) for name, _, m in F.stages] == [
+            ("shadow", 0), ("directed", 1), ("loops", 1)
+        ]
+        g = write_graph(tmp_path / "p.dg", P)
+        assert main(["factor", "--input", g]) == 0
+        assert out_lines(capsys)["merges"] == "2"
 
 
 class TestRoundTrip:
@@ -208,6 +266,13 @@ class TestGenerateCommand:
         assert got["verified"] == "true"
         assert got["factors"] == "3"
 
+    @pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
+    def test_loop_probability_out_of_range_exits_2(self, p, tmp_path, capsys):
+        out = tmp_path / "g.dg"
+        assert main(["generate", "--loops", p, "-o", str(out)]) == 2
+        assert "loop probability must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -266,12 +331,12 @@ class TestExitCodes:
         assert main(["factor", "--input", g, "--root", "55"]) == 2
 
     def test_internal_invariant_failure_exits_6(self, tmp_path, capsys, monkeypatch):
-        from boxfactor import FactorizationError, cli
+        from boxfactor import FactorizationError, loop_factor
 
         def broken(*args, **kwargs):
             raise FactorizationError("coloring is not a product coloring")
 
-        monkeypatch.setattr(cli, "factor_shadow", broken)
+        monkeypatch.setattr(loop_factor, "factor_shadow", broken)
         g = write_graph(tmp_path / "sq.dg", consistent_square())
         assert main(["factor", "--input", g]) == 6
         err = capsys.readouterr().err

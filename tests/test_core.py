@@ -24,6 +24,9 @@ from boxfactor import (
 )
 from helpers import (
     connected_digraphs,
+    naive_bfs,
+    naive_dist,
+    naive_is_connected,
     naive_parse_coords,
     naive_parse_graph,
     naive_to_text,
@@ -357,6 +360,36 @@ class TestBfs:
                 assert B.level[u] == B.level[v] - 1
             for u in B.cross[v]:
                 assert B.level[u] == B.level[v]
+
+
+class TestAgainstNaiveBfs:
+    def test_bfs_is_connected_and_dist_match(self):
+        # seeded random shadows, about half of them disconnected
+        rng = random.Random(7)
+        disconnected = 0
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            p = rng.choice((0.1, 0.25, 0.5))
+            tags = {
+                (u, v): DirTag.BOTH
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < p
+            }
+            S = ShadowGraph(n, tags)
+            assert is_connected(S) == naive_is_connected(S)
+            disconnected += not naive_is_connected(S)
+            for root in range(n):
+                try:
+                    want = naive_bfs(S, root)
+                except DisconnectedGraphError as exc:
+                    with pytest.raises(DisconnectedGraphError, match=str(exc)):
+                        bfs(S, root)
+                else:
+                    assert bfs(S, root) == want
+                for v in range(n):
+                    assert dist(S, root, v) == naive_dist(S, root, v)
+        assert 50 < disconnected < 250
 
 
 class TestMetrics:

@@ -185,6 +185,7 @@ class TestFactorFullContract:
         assert F.factors == ()
         assert F.coordin.coords == ((),)
         assert F.merges == 0
+        assert F.stages == ()
 
     def test_looped_point_rejected(self):
         with pytest.raises(NoUnloopedVertexError):
@@ -209,6 +210,17 @@ class TestFactorFullContract:
         SF = factor_shadow(shadow(G), 0)
         N = factor_directed(G, SF)
         assert frozen(F) == frozen(N)
+        assert [name for name, _, _ in F.stages] == ["shadow", "directed"]
+        assert N.stages == ()
+
+    def test_stages_time_every_pass_that_ran(self):
+        P, _, _, _ = loop_product()
+        F = factor_full(P)
+        assert [(name, m) for name, _, m in F.stages] == [
+            ("shadow", 0), ("directed", 0), ("loops", 0)
+        ]
+        assert all(seconds >= 0.0 for _, seconds, _ in F.stages)
+        assert factor_with_loops(P, factor_full(strip_loops(P))).stages == ()
 
 
 class TestLoopProperties:
