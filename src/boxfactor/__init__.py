@@ -9,11 +9,9 @@ and for callers that already hold intermediate results.
 from .core import (
     BfsOrder,
     DiGraph,
-    DirTag,
     ShadowGraph,
     bfs,
     coords_to_text,
-    digraph_from_shadow,
     dist,
     is_connected,
     min_degree,
@@ -49,7 +47,6 @@ from .product import (
     Coordinatization,
     CoordVector,
     cartesian_product,
-    consistent_direction,
     group_coordinates,
     product_graph,
     product_square,
@@ -71,7 +68,6 @@ __all__ = [
     "CoordVector",
     "Coordinatization",
     "DiGraph",
-    "DirTag",
     "DirectedFactorization",
     "DisconnectedGraphError",
     "FactorizationError",
@@ -84,11 +80,9 @@ __all__ = [
     "brute_force_prime",
     "canonical_small_graphs",
     "cartesian_product",
-    "consistent_direction",
     "coordinates_from_colors",
     "coords_to_text",
     "count_inconsistencies",
-    "digraph_from_shadow",
     "dist",
     "factor_directed",
     "factor_full",

@@ -11,20 +11,8 @@ connectivity and degree always refer to the shadow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DisconnectedGraphError, GraphFormatError
-
-
-class DirTag(Enum):
-    """Arc directions behind a shadow edge, relative to (min, max) order.
-
-    FWD means only min->max exists, BWD only max->min, BOTH means both arcs.
-    """
-
-    FWD = "fwd"
-    BWD = "bwd"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -70,20 +58,20 @@ class DiGraph:
 
 
 class ShadowGraph:
-    """Undirected simple view of a DiGraph.
+    """Undirected simple view of a DiGraph: its edges, without directions.
 
-    `tags` maps each edge, keyed (min, max), to the DirTag recording which arc
-    directions produced it. Adjacency lists are sorted, so every traversal of
+    `edges` holds each edge once as a (min, max) pair; the arc directions
+    stay in the DiGraph. Adjacency lists are sorted, so every traversal of
     this structure is deterministic.
     """
 
-    __slots__ = ("n", "tags", "adj")
+    __slots__ = ("n", "edges", "adj")
 
-    def __init__(self, n: int, tags: dict[tuple[int, int], DirTag]):
+    def __init__(self, n: int, edges):
         self.n = n
-        self.tags = dict(tags)
+        self.edges: frozenset[tuple[int, int]] = frozenset(edges)
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.tags:
+        for u, v in self.edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) must satisfy 0 <= u < v < n")
             nbrs[u].append(v)
@@ -91,30 +79,24 @@ class ShadowGraph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(b)) for b in nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.tags if u < v else (v, u) in self.tags
-
-    def tag(self, u: int, v: int) -> DirTag:
-        return self.tags[(u, v) if u < v else (v, u)]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.tags)
+        return len(self.edges)
 
     def __eq__(self, other):
         return (
             isinstance(other, ShadowGraph)
             and self.n == other.n
-            and self.tags == other.tags
+            and self.edges == other.edges
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.tags.items())))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"ShadowGraph(n={self.n}, edges={len(self.tags)})"
+        return f"ShadowGraph(n={self.n}, edges={len(self.edges)})"
 
 
 @dataclass(frozen=True)
@@ -137,33 +119,12 @@ class BfsOrder:
 
 def shadow(G: DiGraph) -> ShadowGraph:
     """Forget directions and loops: the undirected support of G."""
-    tags: dict[tuple[int, int], DirTag] = {}
-    arcs = G.arcs
-    for u, v in arcs:
-        if u > v:
-            continue
-        tags[(u, v)] = DirTag.BOTH if (v, u) in arcs else DirTag.FWD
-    for u, v in arcs:
-        if u < v or (v, u) in arcs:
-            continue
-        tags[(v, u)] = DirTag.BWD
-    return ShadowGraph(G.n, tags)
+    return ShadowGraph(G.n, {(u, v) if u < v else (v, u) for u, v in G.arcs})
 
 
 def strip_loops(G: DiGraph) -> DiGraph:
     """G with every loop removed; arcs are untouched."""
     return DiGraph._unchecked(G.n, G.arcs, ())
-
-
-def digraph_from_shadow(S: ShadowGraph, loops=()) -> DiGraph:
-    """Rebuild the DiGraph encoded by a shadow's direction tags plus a loop set."""
-    arcs = set()
-    for (u, v), tag in S.tags.items():
-        if tag is not DirTag.BWD:
-            arcs.add((u, v))
-        if tag is not DirTag.FWD:
-            arcs.add((v, u))
-    return DiGraph(S.n, arcs, frozenset(loops))
 
 
 def _sweep(S: ShadowGraph, s: int) -> tuple[list[int], list[int]]:

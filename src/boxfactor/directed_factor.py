@@ -124,8 +124,10 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None):
 
     Returns the BFS structure (computed when omitted) and, keyed
     min*n + max for every edge of color c, 4*c plus its arcs: 1 for
-    min -> max, 2 for max -> min. The colored edges are the graph's edges
-    exactly when each carries an arc and, together, they carry every arc.
+    min -> max, 2 for max -> min. This is the one place that reads the arc
+    directions behind a shadow edge; the shadow itself holds only edges.
+    The colored edges are the graph's edges exactly when each carries an arc
+    and, together, they carry every arc.
     """
     if G.loops:
         raise ValueError("graph must be loopless here; strip loops first")

@@ -20,6 +20,8 @@ from .errors import (
 )
 from .product import Coordinatization, cartesian_product, product_graph
 
+_FACTOR_EDGES = 16  # most shadow edges of a generated factor, so 17 vertices
+
 
 def reconstruct_check_parts(G: DiGraph, factors, coords) -> bool:
     """Does the product of `factors`, laid out by `coords`, equal G exactly?
@@ -134,7 +136,7 @@ def brute_force_prime(G: DiGraph, max_edges: int = 16) -> bool:
         return False  # the one-vertex graph is the unit, not a prime
     if G.n < 4:
         return True  # a product of nontrivial factors has at least 4 vertices
-    edges = sorted(S.tags)
+    edges = sorted(S.edges)
     r = min(v for v in range(G.n) if v not in G.loops)
     for mask in range(1 << (m - 1)):
         if _split_witness(G, edges, mask, r):
@@ -235,9 +237,9 @@ def _random_prime_factor(
         if len(loops) == n:
             loops.discard(rng.choice(sorted(loops)))
         G = DiGraph(n, arcs, loops)
-        if shadow(G).edge_count > 16:
+        if shadow(G).edge_count > _FACTOR_EDGES:
             continue
-        if brute_force_prime(G):
+        if brute_force_prime(G, _FACTOR_EDGES):
             return G
 
 
@@ -250,9 +252,10 @@ def gen_product_instance(
     """Seeded random test instance: a scrambled product with known factors.
 
     Draws `num_factors` random prime digraphs (each with an unlooped vertex,
-    primality certified by the brute-force oracle), multiplies them out, and
-    relabels the product's vertices by a random permutation. Returns the
-    scrambled product and the list of ground-truth factors.
+    primality certified by the brute-force oracle, so at most 17 vertices),
+    multiplies them out, and relabels the product's vertices by a random
+    permutation. Returns the scrambled product and the list of ground-truth
+    factors.
     """
     if num_factors < 1:
         raise ValueError("need at least one factor")
@@ -261,6 +264,10 @@ def gen_product_instance(
         raise ValueError("prime factors need at least 2 vertices")
     if hi < lo:
         raise ValueError("empty size range")
+    if hi > _FACTOR_EDGES + 1:  # a connected factor has at least n - 1 edges
+        raise ValueError(
+            f"factor size {hi} exceeds {_FACTOR_EDGES + 1}, the oracle's bound"
+        )
     if not 0 <= loop_probability <= 1:  # also rejects nan
         raise ValueError(f"loop probability must be in [0, 1], got {loop_probability}")
     rng = random.Random(seed)

@@ -168,17 +168,6 @@ def project_vertex(v: CoordVector, keep, root: CoordVector) -> CoordVector:
     return tuple(v[i] if i in ks else root[i] for i in range(len(v)))
 
 
-def consistent_direction(G: DiGraph, v: int, u: int, v2: int, u2: int) -> bool:
-    """True when the vertex pairs (v, u) and (v2, u2) carry the same arc
-    directions. Both pairs must be shadow edges of G."""
-    for a, b in ((v, u), (v2, u2)):
-        if (a, b) not in G.arcs and (b, a) not in G.arcs:
-            raise ValueError(f"({a}, {b}) is not a shadow edge")
-    return ((v, u) in G.arcs) == ((v2, u2) in G.arcs) and (
-        (u, v) in G.arcs
-    ) == ((u2, v2) in G.arcs)
-
-
 def unit_layer(
     G: DiGraph, C: Coordinatization, positions, root: int | None = None
 ) -> tuple[DiGraph, tuple[int, ...]]:

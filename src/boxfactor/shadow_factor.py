@@ -78,7 +78,7 @@ def factor_shadow(
         raise ValueError("BFS root differs from the factorization root")
     if n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
-    edges = sorted(S.tags)
+    edges = sorted(S.edges)
     labels = _square_closure(S, edges)
     steps = _theta_order(B, edges)
     while True:
@@ -205,7 +205,7 @@ def coordinates_from_colors(
     the product of the returned layers.
     """
     n = S.n
-    if colors.keys() != S.tags.keys():
+    if colors.keys() != S.edges:
         raise ValueError("colors must cover exactly the edges of S")
     if n == 1:
         return (), Coordinatization((), ((),), 0)
@@ -237,7 +237,7 @@ def coordinates_from_colors(
                     seen.add(w)
                     stack.append(w)
         loc = {h: i for i, h in enumerate(sorted(seen))}
-        ztags = {}
+        zedges = []
         for x in loc:
             for w in adj[x]:
                 if x < w and w in loc:
@@ -246,8 +246,8 @@ def coordinates_from_colors(
                         raise FactorizationError(
                             f"unit layer of color {a} induces an edge of color {c}"
                         )
-                    ztags[(loc[x], loc[w])] = S.tags[(x, w)]
-        factors.append(ShadowGraph(len(loc), ztags))
+                    zedges.append((loc[x], loc[w]))
+        factors.append(ShadowGraph(len(loc), zedges))
         locs.append(loc)
 
     coords: list[tuple[int, ...]] = [()] * n
@@ -301,7 +301,7 @@ def coordinates_from_colors(
 
 def _undirected(Z: ShadowGraph) -> DiGraph:
     """Both-ways DiGraph carrying the undirected structure of Z."""
-    arcs = {a for u, v in Z.tags for a in ((u, v), (v, u))}
+    arcs = {a for u, v in Z.edges for a in ((u, v), (v, u))}
     return DiGraph._unchecked(Z.n, arcs, ())
 
 
@@ -329,7 +329,7 @@ def shadow_factorization_of_product(
 
     colors: dict[tuple[int, int], int] = {}
     S = shadow(G)
-    for u, v in S.tags:
+    for u, v in S.edges:
         cu, cv = C.coords[u], C.coords[v]
         diffs = [i for i in range(k) if cu[i] != cv[i]]
         if len(diffs) != 1:

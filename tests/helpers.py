@@ -75,6 +75,11 @@ def both_k2() -> DiGraph:
     return DiGraph(2, {(0, 1), (1, 0)}, set())
 
 
+def both_ways(S: ShadowGraph) -> DiGraph:
+    """The loopless DiGraph with both arcs along every edge of S."""
+    return DiGraph(S.n, {a for u, v in S.edges for a in ((u, v), (v, u))})
+
+
 def random_digraph(
     rng: random.Random,
     n: int,
@@ -151,7 +156,7 @@ def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
             x != p and S.has_edge(x, b) and not S.has_edge(x, p) for x in S.adj[a]
         )
 
-    edges = sorted(S.tags)
+    edges = sorted(S.edges)
     label = list(range(len(edges)))
     for i, (x, y) in enumerate(edges):
         for j in range(i + 1, len(edges)):
@@ -188,7 +193,7 @@ def naive_coordinates_from_colors(
     of the returned layers.
     """
     n = S.n
-    if set(colors) != set(S.tags):
+    if set(colors) != S.edges:
         raise ValueError("colors must cover exactly the edges of S")
     if n == 1:
         return (), Coordinatization((), ((),), 0)
@@ -219,11 +224,11 @@ def naive_coordinates_from_colors(
                     stack.append(w)
         hosts = sorted(seen)
         loc = {h: i for i, h in enumerate(hosts)}
-        ztags = {}
+        zedges = set()
         for u, v in by_color[c]:
             if u in loc and v in loc:
                 a, b = loc[u], loc[v]
-                ztags[(a, b) if a < b else (b, a)] = S.tag(u, v)
+                zedges.add((a, b) if a < b else (b, a))
         # the layer must induce only its own color
         for u in hosts:
             for w in S.adj[u]:
@@ -232,7 +237,7 @@ def naive_coordinates_from_colors(
                         f"unit layer of color {c} induces an edge of color "
                         f"{colors[(u, w)]}"
                     )
-        Z = ShadowGraph(len(hosts), ztags)
+        Z = ShadowGraph(len(hosts), zedges)
         factors.append(Z)
         layer_local.append(loc)
 
@@ -269,10 +274,7 @@ def naive_coordinates_from_colors(
                 coords[x][c] = ci
 
     coordin = Coordinatization(
-        tuple(
-            DiGraph(Z.n, {a for u, v in Z.tags for a in ((u, v), (v, u))})
-            for Z in factors
-        ),
+        tuple(both_ways(Z) for Z in factors),
         tuple(tuple(cv) for cv in coords),
         root,
     )

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +275,21 @@ class TestGenerateCommand:
         out = tmp_path / "g.dg"
         assert main(["generate", "--loops", p, "-o", str(out)]) == 2
         assert "loop probability must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_factor_size_past_the_oracle_bound_exits_2(self, tmp_path):
+        # a separate process with a timeout, so that a generator that never
+        # finds a factor fails the test instead of hanging the suite
+        out = tmp_path / "g.dg"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "boxfactor.cli", "generate",
+             "--min", "18", "--max", "18", "-o", str(out)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2, run.stderr
+        assert "exceeds 17" in run.stderr
         assert not out.exists()
 
 

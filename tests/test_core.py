@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxfactor
 from boxfactor import (
     DiGraph,
-    DirTag,
     DisconnectedGraphError,
     GraphFormatError,
     ShadowGraph,
     bfs,
     coords_to_text,
-    digraph_from_shadow,
     dist,
     is_connected,
     min_degree,
@@ -276,21 +275,30 @@ class TestAgainstNaiveCodec:
 
 
 class TestShadow:
+    @staticmethod
+    def _assert_single_edge(arcs):
+        S = shadow(DiGraph(2, arcs, set()))
+        assert S.edges == {(0, 1)}
+        assert S.edge_count == 1
+        assert S.has_edge(0, 1) and S.has_edge(1, 0)
+
     def test_fwd(self):
-        S = shadow(DiGraph(2, {(0, 1)}, set()))
-        assert S.tag(0, 1) is DirTag.FWD
+        self._assert_single_edge({(0, 1)})
 
     def test_bwd(self):
-        S = shadow(DiGraph(2, {(1, 0)}, set()))
-        assert S.tag(0, 1) is DirTag.BWD
+        self._assert_single_edge({(1, 0)})
 
     def test_both(self):
-        S = shadow(DiGraph(2, {(0, 1), (1, 0)}, set()))
-        assert S.tag(0, 1) is DirTag.BOTH
+        self._assert_single_edge({(0, 1), (1, 0)})
 
     def test_loops_discarded(self):
         S = shadow(DiGraph(2, {(0, 1)}, {1}))
-        assert set(S.tags) == {(0, 1)}
+        assert S.edges == {(0, 1)}
+
+    def test_edges_must_be_ordered_and_in_range(self):
+        for bad in ((1, 0), (0, 0), (0, 2)):
+            with pytest.raises(ValueError):
+                ShadowGraph(2, [bad])
 
     @settings(deadline=None)
     @given(connected_digraphs())
@@ -299,8 +307,13 @@ class TestShadow:
 
     @settings(deadline=None)
     @given(connected_digraphs())
-    def test_dirtag_round_trip(self, G):
-        assert digraph_from_shadow(shadow(G), G.loops) == G
+    def test_edges_are_min_max_pairs_of_arcs(self, G):
+        S = shadow(G)
+        assert S.edges == {(min(a), max(a)) for a in G.arcs}
+        assert S.adj == tuple(
+            tuple(sorted({w for a in G.arcs if v in a for w in a} - {v}))
+            for v in range(G.n)
+        )
 
 
 class TestStripLoops:
@@ -370,13 +383,10 @@ class TestAgainstNaiveBfs:
         for _ in range(300):
             n = rng.randint(1, 10)
             p = rng.choice((0.1, 0.25, 0.5))
-            tags = {
-                (u, v): DirTag.BOTH
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < p
-            }
-            S = ShadowGraph(n, tags)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            S = ShadowGraph(n, edges)
             assert is_connected(S) == naive_is_connected(S)
             disconnected += not naive_is_connected(S)
             for root in range(n):
@@ -400,7 +410,7 @@ class TestMetrics:
         assert dist(S, 0, 1) == 1
 
     def test_two_isolated(self):
-        S = ShadowGraph(2, {})
+        S = ShadowGraph(2, ())
         assert not is_connected(S)
         assert dist(S, 0, 1) is None
 
@@ -413,4 +423,15 @@ class TestMetrics:
             dist(S, 0, 5)
 
     def test_single_vertex_connected(self):
-        assert is_connected(ShadowGraph(1, {}))
+        assert is_connected(ShadowGraph(1, ()))
+
+
+class TestExports:
+    def test_all_names_resolve(self):
+        assert len(set(boxfactor.__all__)) == len(boxfactor.__all__)
+        assert [n for n in boxfactor.__all__ if not hasattr(boxfactor, n)] == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from boxfactor import *", namespace)
+        assert set(boxfactor.__all__) <= namespace.keys()

@@ -262,6 +262,13 @@ class TestGenProductInstance:
         with pytest.raises(ValueError):
             gen_product_instance(2, (5, 4))
 
+    @pytest.mark.parametrize("size_range", [(18, 18), (2, 40)])
+    def test_factors_past_the_oracle_bound_rejected(self, size_range):
+        # a connected factor on 18 vertices has 17 shadow edges, one more
+        # than `brute_force_prime` certifies, so the draw would never end
+        with pytest.raises(ValueError, match="exceeds 17"):
+            gen_product_instance(1, size_range)
+
 
 class TestCanonicalSmallGraphs:
     def test_frozen_counts(self):

@@ -9,7 +9,6 @@ from boxfactor import (
     DiGraph,
     FactorizationError,
     cartesian_product,
-    consistent_direction,
     dist,
     group_coordinates,
     product_graph,
@@ -20,6 +19,7 @@ from boxfactor import (
 )
 from helpers import (
     both_k2,
+    both_ways,
     connected_digraphs,
     naive_cartesian_product,
     naive_group_coordinates,
@@ -53,9 +53,7 @@ class TestCartesianProduct:
         P, _ = cartesian_product([both_k2()] * 3)
         S = shadow(P)
         assert S.edge_count == 12
-        from boxfactor import DirTag
-
-        assert all(t is DirTag.BOTH for t in S.tags.values())
+        assert len(P.arcs) == 2 * S.edge_count
 
     def test_loop_rule(self):
         A = DiGraph(2, {(0, 1)}, {1})
@@ -188,25 +186,6 @@ class TestProjectVertex:
             project_vertex((0,), {3}, (0,))
 
 
-class TestConsistentDirection:
-    def test_edge_vs_itself(self):
-        G = DiGraph(2, {(0, 1)}, set())
-        assert consistent_direction(G, 0, 1, 0, 1)
-
-    def test_fwd_vs_bwd(self):
-        G = DiGraph(4, {(0, 1), (3, 2)}, set())
-        assert not consistent_direction(G, 0, 1, 2, 3)
-
-    def test_both_vs_both(self):
-        G = DiGraph(4, {(0, 1), (1, 0), (2, 3), (3, 2)}, set())
-        assert consistent_direction(G, 0, 1, 2, 3)
-
-    def test_non_edge_rejected(self):
-        G = DiGraph(3, {(0, 1)}, set())
-        with pytest.raises(ValueError):
-            consistent_direction(G, 0, 1, 1, 2)
-
-
 class TestUnitLayer:
     def test_all_positions_is_whole_graph(self):
         A = DiGraph(3, {(0, 1), (1, 2)}, {2})
@@ -240,7 +219,7 @@ class TestProductSquare:
         P, C = cartesian_product([both_k2(), both_k2()])
         S = shadow(P)
         colors = {}
-        for u, v in S.tags:
+        for u, v in S.edges:
             cu, cv = C.coords[u], C.coords[v]
             colors[(u, v)] = 0 if cu[0] != cv[0] else 1
         v = C.vertex_of[(0, 0)]
@@ -252,7 +231,7 @@ class TestProductSquare:
         P, C = cartesian_product([both_k2()] * 3)
         S = shadow(P)
         colors = {}
-        for u, v in S.tags:
+        for u, v in S.edges:
             cu, cv = C.coords[u], C.coords[v]
             colors[(u, v)] = next(i for i in range(3) if cu[i] != cv[i])
         v = C.vertex_of[(0, 0, 0)]
@@ -283,7 +262,7 @@ class TestProductSquare:
     def test_same_color_rejected(self):
         P, C = cartesian_product([both_k2(), both_k2()])
         S = shadow(P)
-        colors = {e: 0 for e in S.tags}
+        colors = {e: 0 for e in S.edges}
         with pytest.raises(ValueError):
             product_square(S, colors, 0, 1, 2)
 
@@ -405,12 +384,8 @@ class TestAlgebraicLaws:
     @given(connected_digraphs(min_n=2, max_n=4), connected_digraphs(min_n=2, max_n=4))
     def test_shadow_of_product_is_product_of_shadows(self, A, B):
         P, _ = cartesian_product([A, B])
-        from boxfactor import digraph_from_shadow
-
-        SA = digraph_from_shadow(shadow(A))
-        SB = digraph_from_shadow(shadow(B))
-        Q, _ = cartesian_product([SA, SB])
-        assert set(shadow(P).tags) == set(shadow(Q).tags)
+        Q, _ = cartesian_product([both_ways(shadow(A)), both_ways(shadow(B))])
+        assert shadow(P).edges == shadow(Q).edges
 
     def test_product_with_disconnected_factor_is_disconnected(self):
         from boxfactor import is_connected

@@ -14,7 +14,6 @@ from boxfactor import (
     canonical_small_graphs,
     cartesian_product,
     coordinates_from_colors,
-    digraph_from_shadow,
     factor_shadow,
     gen_product_instance,
     min_degree,
@@ -25,6 +24,7 @@ from boxfactor import shadow_factor
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
+    both_ways,
     connected_digraphs,
     mobius_ladder,
     naive_coordinates_from_colors,
@@ -159,13 +159,13 @@ class TestCoordinatesFromColors:
         # all edges of C4 distinctly colored: color classes are single
         # edges, the unit-layer intersection cannot be a single vertex
         S = shadow(undirected_cycle(4))
-        colors = {e: i for i, e in enumerate(sorted(S.tags))}
+        colors = {e: i for i, e in enumerate(sorted(S.edges))}
         with pytest.raises(FactorizationError):
             coordinates_from_colors(S, 0, colors)
 
     def test_merged_coloring_single_factor(self):
         S = shadow(undirected_cycle(4))
-        colors = {e: 0 for e in S.tags}
+        colors = {e: 0 for e in S.edges}
         factors, C = coordinates_from_colors(S, 0, colors)
         assert C.k == 1
         assert factors[0].n == 4
@@ -192,7 +192,7 @@ class TestCoordinatesFromColors:
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (0, 3), (1, 4), (2, 5)]
         S = shadow(DiGraph(6, {a for u, v in edges for a in ((u, v), (v, u))}, set()))
         rungs = {(0, 3), (1, 4), (2, 5)}
-        colors = {e: int(e in rungs) for e in S.tags}
+        colors = {e: int(e in rungs) for e in S.edges}
         with pytest.raises(FactorizationError, match="9 edges"):
             coordinates_from_colors(S, 0, colors)
         assert len(factor_shadow(S, 0).factors) == 1
@@ -291,7 +291,7 @@ class TestAgainstNaiveCoordinates:
         S = shadow(G)
         if S.n == 1:
             return
-        edges = sorted(S.tags)
+        edges = sorted(S.edges)
         for r in roots:
             bn = bfs(S, r).bfsnum
             delta = shadow_factor._number_classes(
@@ -366,28 +366,22 @@ class TestProductRecovery:
     def test_factors_rebuild_the_shadow(self, G):
         S = shadow(G)
         F = factor_shadow(S, 0)
-        parts = [digraph_from_shadow(f) for f in F.factors]
+        parts = [both_ways(f) for f in F.factors]
         P, C = cartesian_product(parts)
         # map through coordinates and compare edge sets
         m = {v: C.vertex_of[F.coordin.coords[v]] for v in range(S.n)}
-        lhs = {edge_key(m[u], m[v]) for (u, v) in S.tags}
-        rhs = set(shadow(P).tags)
+        lhs = {edge_key(m[u], m[v]) for (u, v) in S.edges}
+        rhs = shadow(P).edges
         assert lhs == rhs
 
 
 class TestShadowFactorizationOfProduct:
-    def test_directed_tags_kept(self):
+    def test_layers_are_k2_shadows(self):
         A = DiGraph(2, {(0, 1)}, set())
         P, C = cartesian_product([A, A])
         SF = shadow_factorization_of_product(P, C)
-        assert len(SF.factors) == 2
-        from boxfactor import DirTag
-
-        assert all(
-            t is DirTag.FWD or t is DirTag.BWD
-            for f in SF.factors
-            for t in f.tags.values()
-        )
+        assert SF.factors == (shadow(A), shadow(A))
+        assert all(f.edges == {(0, 1)} for f in SF.factors)
 
     def test_colors_follow_coordinates(self):
         A = DiGraph(3, {(0, 1), (1, 2)}, set())
@@ -449,7 +443,7 @@ class TestLargeInstance:
         P, C = cartesian_product([mobius_ladder(200), undirected_path(q)])
         S = shadow(P)
         by_coordinate = [set(), set()]
-        for u, v in S.tags:
+        for u, v in S.edges:
             cu, cv = C.coords[u], C.coords[v]
             by_coordinate[cu[1] != cv[1]].add((u, v))
         want = {frozenset(s) for s in by_coordinate}
