@@ -49,7 +49,6 @@ from .product import (
     cartesian_product,
     group_coordinates,
     product_graph,
-    product_square,
     project_vertex,
     unit_layer,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "parse_graph",
     "pick_root",
     "product_graph",
-    "product_square",
     "project_vertex",
     "reconstruct_check",
     "reconstruct_check_parts",

@@ -17,6 +17,7 @@ Exit codes: 0 ok, 2 unreadable or malformed input (or bad arguments),
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import random
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify", action="store_true", help="rebuild the product and compare"
     )
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("product", help="multiply graph files")
     p.add_argument("inputs", nargs="+", help="factor graph files, in order")
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="coordinate table fixing the output vertex labels",
     )
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("generate", help="seeded random product instance")
     p.add_argument("--factors", type=int, default=2, help="number of prime factors")
@@ -317,13 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loops", type=float, default=0.0, help="loop probability")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("-o", "--output", required=True, help="output graph file")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="check a claimed factorization")
     p.add_argument("graph", help="the graph file")
     p.add_argument("factors", nargs="+", help="claimed factor files, in order")
     p.add_argument("--coords", required=True, help="coordinate table file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling benchmark of the two scans")
     p.add_argument(
@@ -337,14 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5, help="timed repetitions per size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-csv", default=None, help="also write the CSV here")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse set-up takes about 1 ms, most of a `factor` run on a tiny graph
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

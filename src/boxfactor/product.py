@@ -14,7 +14,7 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .core import DiGraph, ShadowGraph
+from .core import DiGraph
 from .errors import FactorizationError
 
 CoordVector = tuple[int, ...]
@@ -195,45 +195,6 @@ def unit_layer(
     ]
     loops = [loc[v] for v in G.loops if v in loc]
     return DiGraph(len(hosts), arcs, loops), tuple(hosts)
-
-
-def product_square(
-    S: ShadowGraph, colors, v: int, u: int, w: int
-) -> int:
-    """The fourth corner of the square on the differently colored edges vu, vw.
-
-    Under a product coloring there is exactly one chordless square through
-    v, u, w; its corner x opposite v satisfies color(ux) = color(vw) and
-    color(wx) = color(vu). Raises FactorizationError when no or several
-    candidates exist, which signals that `colors` is not a product coloring.
-    """
-
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    for a, b in ((v, u), (v, w)):
-        if not S.has_edge(a, b):
-            raise ValueError(f"({a}, {b}) is not an edge")
-    cvu = colors[key(v, u)]
-    cvw = colors[key(v, w)]
-    if cvu == cvw:
-        raise ValueError("the two edges at v must have different colors")
-    if S.has_edge(u, w):
-        raise FactorizationError(
-            f"no chordless square on ({v},{u}) and ({v},{w}): u and w are adjacent"
-        )
-    cands = []
-    for x in S.adj[u]:
-        if x == v or not S.has_edge(x, w) or S.has_edge(v, x):
-            continue
-        if colors[key(u, x)] == cvw and colors[key(w, x)] == cvu:
-            cands.append(x)
-    if len(cands) != 1:
-        raise FactorizationError(
-            f"{len(cands)} square completions for ({v},{u}),({v},{w}); "
-            "coloring is not a product coloring"
-        )
-    return cands[0]
 
 
 def group_coordinates(

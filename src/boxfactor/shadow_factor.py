@@ -7,35 +7,51 @@ sigma = (Theta u tau)*, the transitive closure of two edge relations:
   tau    e and f share an endpoint and lie on no common chordless square.
 Computing Theta directly needs all-pairs distances and every pair of edges.
 
-Instead, one pass over the pairs of edges at each vertex builds the closure
-of a local relation delta: tau, plus the pairs of opposite edges of every
-chordless square. Opposite edges of a chordless square are Theta-related,
-so delta* refines sigma. When delta* is a product coloring, which
-`coordinates_from_colors` checks exactly, sigma refines it too (Theta and
-tau never relate edges of different factors of a product), so delta* is
-sigma and the factorization is done. The pass costs O(sum over v of deg(v)^2
-times the degree of a neighbor), so it is linear for bounded degree and
-needs no distance matrix.
+Instead, `factor_shadow` climbs a ladder of ever coarser edge partitions
+and checks each rung exactly with `coordinates_from_colors`. Every pair a
+rung joins is a tau pair or a pair of opposite edges of a chordless square,
+which are Theta-related, so every rung refines sigma. When a rung is a
+product coloring, sigma refines it too (Theta and tau never relate edges of
+different factors of a product), so it is sigma: the first rung accepted is
+the factorization, whichever rung that is. The rungs, each checked only
+when it merged classes:
 
-Only when the check rejects delta* (a graph that is locally but not globally
-a product, such as a Moebius ladder) is Theta added, one edge at a time:
-BFS-tree edges first, then the rest. An edge xy is Theta-related to uv
-exactly when d(u,x) - d(v,x) != d(u,y) - d(v,y), so two BFS distance rows,
-from u and from v, give all of them in one sweep over the edges. After each
-edge that merges classes the coloring is checked again. Every partition
-between delta* and sigma that is a product coloring is sigma, so the first
-one accepted is sigma; once every edge is used the classes are sigma itself.
-This takes O(n + m) memory, at most k0 - 1 re-checks for the k0 classes of
-delta*, and O(m*(n + m)) time in the worst case.
+1. Round 1. At each vertex v with BFS-tree edge vu (u the first
+   down-neighbour), the pairs vu, vw for every other neighbour w (down,
+   cross and up) are tested: a pair on no chordless square is tau and
+   joined, otherwise the opposite edges of each chordless square v-u-x-w
+   are joined. A square is joined once, at its smallest corner whose tree
+   edge lies on it. Where no down-edge spans a chordless square with vu,
+   at the root and wherever v has one down-neighbour, v lies on a unit
+   layer of a product, all its down-edges in one factor; such a vertex
+   tests all pairs. Round 1 tests O(m) pairs plus all pairs at the
+   unit-layer vertices (sum of the factor sizes in a product), each by an
+   O(deg) intersection of neighbour sets. Two edges at a vertex that lie
+   in different factors of a product span exactly one chordless square, so
+   on products the tree edge at v usually suffices to place every other
+   edge at v, and round 1 is accepted; nothing rests on that, and a few
+   rooted products do fall through to rung 2.
+2. delta*. Every pair of edges at every vertex, added to the same classes,
+   closes delta: tau plus the opposite edges of every chordless square.
+   This costs O(sum over v of deg(v)^2 times the degree of a neighbour).
+3. Theta, one edge at a time, for graphs that are locally but not globally
+   a product, such as a Moebius ladder: BFS-tree edges first, then the
+   rest. An edge xy is Theta-related to uv exactly when
+   d(u,x) - d(v,x) != d(u,y) - d(v,y), so two BFS distance rows, from u and
+   from v, give all of them in one sweep over the edges. Once every edge is
+   used the classes are sigma itself. This takes O(n + m) memory, at most
+   k0 - 1 re-checks for the k0 classes of delta*, and O(m*(n + m)) time in
+   the worst case.
 
-Either way the classes are numbered in BFS order from the root, and
-`coordinates_from_colors` turns them into unit-layer factors and vertex
-coordinates.
+A rejected rung only moves up the ladder, so no input costs more than the
+delta* closure and Theta plus one round 1 and one failed check. The classes
+are numbered in BFS order from the root, and `coordinates_from_colors`
+turns them into unit-layer factors and vertex coordinates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs, shadow
@@ -79,30 +95,76 @@ def factor_shadow(
     if n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
     edges = sorted(S.edges)
-    labels = _square_closure(S, edges)
-    steps = _theta_order(B, edges)
-    while True:
+    for labels in _ladder(S, B, edges):
         colors = _number_classes(edges, labels, B.bfsnum)
         try:
             factors, coordin = coordinates_from_colors(S, root, colors, B)
-            return ShadowFactorization(root, colors, factors, coordin)
-        except FactorizationError:
-            # strictly finer than sigma: add Theta until two classes merge
-            if not any(_join_theta(S, edges, labels, e) for e in steps):
-                raise
+        except FactorizationError as exc:
+            rejected = exc  # strictly finer than sigma: take the next rung
+            continue
+        return ShadowFactorization(root, colors, factors, coordin)
+    raise rejected
 
 
-def _square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[int]:
-    """Class label of every edge under delta*, for edges indexed as in `edges`.
-
-    At each vertex v, two incident edges vu, vw are joined when they span no
-    chordless square (relation tau); otherwise each chordless square
-    v-u-x-w joins its opposite edges, vu with wx and vw with ux. A square is
-    joined only from its smallest corner, which sees it exactly once. The
-    label of an edge is the index of its class's root edge.
+def _ladder(
+    S: ShadowGraph, B: BfsOrder, edges: list[tuple[int, int]]
+) -> Iterator[list[int]]:
+    """Ever coarser class labelings of `edges`, each refining sigma: round
+    1, then delta*, then delta* plus the Theta relations of one edge after
+    another. A rung is yielded only when it merged classes; the label of an
+    edge is the index of its class's root edge. Each list yielded must be
+    read before the next rung is asked for.
     """
-    eidx = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
+
+    def classes() -> list[int]:
+        out = []
+        for a in range(len(parent)):
+            while parent[a] != a:
+                a = parent[a]
+            out.append(a)
+        return out
+
+    _close_pairs(S, edges, parent, B.down)
+    labels = classes()
+    yield labels
+    _close_pairs(S, edges, parent, None)
+    closed = classes()
+    if closed != labels:
+        labels = closed
+        yield labels
+    for e in _theta_order(B, edges):
+        if _join_theta(S, edges, labels, e):
+            yield labels
+
+
+def _close_pairs(
+    S: ShadowGraph,
+    edges: list[tuple[int, int]],
+    parent: list[int],
+    down: tuple[tuple[int, ...], ...] | None,
+) -> None:
+    """Join pairs of edges at each vertex in the union-find `parent` over
+    `edges`: every pair when `down` is None (closing delta), else round 1
+    with `down` the BFS down-neighbours of every vertex.
+
+    Round 1: at each vertex v, join the pairs of edges that hold v's BFS-tree
+    edge vu, a pair on no chordless square (tau) directly and otherwise the
+    opposite edges of each chordless square v-u-x-w. A square is joined only
+    at its smallest corner whose tree edge lies on it. The root, and every
+    vertex where no down-edge vw spans a chordless square with vu (a
+    unit-layer vertex of a product, whose down-edges all lie in one factor),
+    takes all pairs instead.
+    """
+    adj = S.adj
+    # the ids of the edges at v, aligned with adj[v]: both run in ascending
+    # order of the other end, since the edges are sorted
+    inc: list[list[int]] = [[] for _ in adj]
+    for i, (a, b) in enumerate(edges):
+        inc[a].append(i)
+        inc[b].append(i)
+    eidx = {e: i for i, e in enumerate(edges)}
+    nbrs = [set(nb) for nb in adj]
 
     def union(a: int, b: int) -> None:
         while parent[a] != a:
@@ -112,30 +174,75 @@ def _square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[int]:
         if a != b:
             parent[b] = a
 
-    nbrs = [set(nb) for nb in S.adj]
-    for v, nb in enumerate(S.adj):
-        closed = nbrs[v] | {v}
-        ids = [eidx[(v, u) if v < u else (u, v)] for u in nb]
-        for i, u in enumerate(nb):
-            nu = nbrs[u]
-            for j in range(i + 1, len(nb)):
-                w = nb[j]
-                # u, w adjacent: every square on vu, vw has a chord
-                far = () if w in nu else (nu & nbrs[w]) - closed
-                if not far:
-                    union(ids[i], ids[j])
-                elif v < u:  # adjacency lists are sorted, so u < w
-                    for x in far:
-                        if v < x:
-                            union(ids[i], eidx[(w, x) if w < x else (x, w)])
-                            union(ids[j], eidx[(u, x) if u < x else (x, u)])
+    if down is None:
+        for v, nb in enumerate(adj):
+            _pairs(v, nb, inc[v], nbrs, eidx, union, False)
+        return
+    tree = [d[0] if d else -1 for d in down]
+    for v, nb in enumerate(adj):
+        u = tree[v]
+        if u < 0:
+            _pairs(v, nb, inc[v], nbrs, eidx, union, True)
+            continue
+        nu = nbrs[u]
+        off = nu - nbrs[v]  # the far corners of squares on vu, and v itself
+        off.discard(v)
+        for w in down[v][1:]:
+            if w not in nu and not off.isdisjoint(nbrs[w]):
+                break
+        else:
+            _pairs(v, nb, inc[v], nbrs, eidx, union, True)
+            continue
+        tu = tree[u]
+        iu = inc[v][nb.index(u)]
+        for w, iw in zip(nb, inc[v]):
+            if w == u:
+                continue
+            far = () if w in nu else off & nbrs[w]
+            if not far:
+                union(iu, iw)
+                continue
+            tw = tree[w]
+            for x in far:
+                # a smaller corner whose tree edge lies on the square joins
+                # it: u by ux (u's tree edge is one level below, never uv),
+                # w by wv or wx, x by xu or xw
+                if (u < v and tu == x) or (w < v and (tw == v or tw == x)):
+                    continue
+                tx = tree[x]
+                if x < v and (tx == u or tx == w):
+                    continue
+                union(iu, eidx[(w, x) if w < x else (x, w)])
+                union(iw, eidx[(u, x) if u < x else (x, u)])
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            a = parent[a]
-        return a
 
-    return [find(a) for a in range(len(edges))]
+def _pairs(
+    v: int,
+    nb: tuple[int, ...],
+    ids: list[int],
+    nbrs: list[set[int]],
+    eidx: dict[tuple[int, int], int],
+    union: Callable[[int, int], None],
+    every: bool,
+) -> None:
+    """Join every pair of edges at v on no chordless square (tau), and the
+    opposite edges of the chordless squares v-u-x-w they span: every such
+    square, or with `every` false only those whose smallest corner is v,
+    which sees each square of the graph exactly once."""
+    closed = nbrs[v] | {v}
+    for i, u in enumerate(nb):
+        nu = nbrs[u]
+        for j in range(i + 1, len(nb)):
+            w = nb[j]
+            # u, w adjacent: every square on vu, vw has a chord
+            far = () if w in nu else (nu & nbrs[w]) - closed
+            if not far:
+                union(ids[i], ids[j])
+            elif every or v < u:  # adjacency lists are sorted, so u < w
+                for x in far:
+                    if every or v < x:
+                        union(ids[i], eidx[(w, x) if w < x else (x, w)])
+                        union(ids[j], eidx[(u, x) if u < x else (x, u)])
 
 
 def _number_classes(

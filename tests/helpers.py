@@ -18,14 +18,17 @@ from boxfactor import (
     DisconnectedGraphError,
     FactorizationError,
     GraphFormatError,
+    ShadowFactorization,
     ShadowGraph,
     bfs,
     cartesian_product,
+    coordinates_from_colors,
     group_coordinates,
     iso_check,
     shadow,
     unit_layer,
 )
+from boxfactor import shadow_factor
 
 
 def consistent_square() -> DiGraph:
@@ -177,6 +180,74 @@ def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
     return {frozenset(c) for c in classes.values()}
 
 
+def naive_square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[int]:
+    """Class label of every edge under delta*, for edges indexed as in `edges`.
+
+    Every pair of edges at every vertex is tested. At each vertex v, two
+    incident edges vu, vw are joined when they span no chordless square
+    (relation tau); otherwise each chordless square v-u-x-w joins its
+    opposite edges, vu with wx and vw with ux. A square is joined only from
+    its smallest corner, which sees it exactly once. The label of an edge is
+    the index of its class's root edge.
+    """
+    eidx = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))
+
+    def union(a: int, b: int) -> None:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+
+    nbrs = [set(nb) for nb in S.adj]
+    for v, nb in enumerate(S.adj):
+        closed = nbrs[v] | {v}
+        ids = [eidx[(v, u) if v < u else (u, v)] for u in nb]
+        for i, u in enumerate(nb):
+            nu = nbrs[u]
+            for j in range(i + 1, len(nb)):
+                w = nb[j]
+                # u, w adjacent: every square on vu, vw has a chord
+                far = () if w in nu else (nu & nbrs[w]) - closed
+                if not far:
+                    union(ids[i], ids[j])
+                elif v < u:  # adjacency lists are sorted, so u < w
+                    for x in far:
+                        if v < x:
+                            union(ids[i], eidx[(w, x) if w < x else (x, w)])
+                            union(ids[j], eidx[(u, x) if u < x else (x, u)])
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    return [find(a) for a in range(len(edges))]
+
+
+def naive_factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
+    """Reference for `factor_shadow`: the delta* classes of
+    `naive_square_closure`, then the Theta relations of one edge after
+    another in `shadow_factor._theta_order`, checked after each edge that
+    merges classes."""
+    if S.n == 1:
+        return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
+    B = bfs(S, root)
+    edges = sorted(S.edges)
+    labels = naive_square_closure(S, edges)
+    steps = shadow_factor._theta_order(B, edges)
+    while True:
+        colors = shadow_factor._number_classes(edges, labels, B.bfsnum)
+        try:
+            factors, coordin = coordinates_from_colors(S, root, colors, B)
+            return ShadowFactorization(root, colors, factors, coordin)
+        except FactorizationError:
+            if not any(shadow_factor._join_theta(S, edges, labels, e) for e in steps):
+                raise
+
+
 def naive_coordinates_from_colors(
     S: ShadowGraph, root: int, colors: dict[tuple[int, int], int]
 ) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
@@ -301,6 +372,45 @@ def naive_coordinates_from_colors(
             f"the layers multiply to {grid_edges} edges, the graph has {len(colors)}"
         )
     return tuple(factors), coordin
+
+
+def product_square(
+    S: ShadowGraph, colors, v: int, u: int, w: int
+) -> int:
+    """The fourth corner of the square on the differently colored edges vu, vw.
+
+    Under a product coloring there is exactly one chordless square through
+    v, u, w; its corner x opposite v satisfies color(ux) = color(vw) and
+    color(wx) = color(vu). Raises FactorizationError when no or several
+    candidates exist, which signals that `colors` is not a product coloring.
+    """
+
+    def key(a, b):
+        return (a, b) if a < b else (b, a)
+
+    for a, b in ((v, u), (v, w)):
+        if not S.has_edge(a, b):
+            raise ValueError(f"({a}, {b}) is not an edge")
+    cvu = colors[key(v, u)]
+    cvw = colors[key(v, w)]
+    if cvu == cvw:
+        raise ValueError("the two edges at v must have different colors")
+    if S.has_edge(u, w):
+        raise FactorizationError(
+            f"no chordless square on ({v},{u}) and ({v},{w}): u and w are adjacent"
+        )
+    cands = []
+    for x in S.adj[u]:
+        if x == v or not S.has_edge(x, w) or S.has_edge(v, x):
+            continue
+        if colors[key(u, x)] == cvw and colors[key(w, x)] == cvu:
+            cands.append(x)
+    if len(cands) != 1:
+        raise FactorizationError(
+            f"{len(cands)} square completions for ({v},{u}),({v},{w}); "
+            "coloring is not a product coloring"
+        )
+    return cands[0]
 
 
 def merge_classes(P: ColorPartition, class_ids) -> int:

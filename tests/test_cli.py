@@ -415,3 +415,51 @@ class TestBenchCommand:
         assert main(["bench", "--family", "grid", "--min-arcs", "40",
                      "--max-arcs", "80", "--reps", reps]) == 2
         assert "--reps must be at least 1" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process; later calls with
+    other commands behave as in a fresh process."""
+
+    @staticmethod
+    def _run(code, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        # the timings differ from run to run
+        return [line for line in run.stdout.splitlines() if not line.startswith("time_")]
+
+    def test_two_commands_in_one_process_match_fresh_processes(self, tmp_path):
+        commands = [
+            ["generate", "--factors", "3", "--loops", "0.3", "--seed", "4", "-o", "g.dg"],
+            ["factor", "--input", "g.dg", "--emit-coords", "--verify"],
+            ["verify", "g.dg", "g.dg.factor0", "g.dg.factor1", "g.dg.factor2",
+             "--coords", "g.dg.coords"],
+        ]
+        call = "from boxfactor.cli import main\nprint('exit', main({!r}))\n"
+        fresh = []
+        for argv in commands:
+            fresh += self._run(call.format(argv), tmp_path)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert {"g.dg", "g.dg.coords", "g.dg.factor2"} <= files.keys()
+        for p in tmp_path.iterdir():
+            p.unlink()
+        together = self._run("".join(call.format(argv) for argv in commands), tmp_path)
+        assert together == fresh
+        assert fresh.count("exit 0") == 3
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_argument_errors_still_exit_2(self, tmp_path, capsys):
+        g = tmp_path / "g.dg"
+        assert main(["generate", "--seed", "1", "-o", str(g)]) == 0
+        for argv in (["factor"], ["nosuchcommand"], ["factor", "--input", str(g), "--root", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["factor", "--input", str(g)]) == 0
+        assert "factors: " in capsys.readouterr().out

@@ -12,7 +12,6 @@ from boxfactor import (
     dist,
     group_coordinates,
     product_graph,
-    product_square,
     project_vertex,
     shadow,
     unit_layer,
@@ -23,6 +22,7 @@ from helpers import (
     connected_digraphs,
     naive_cartesian_product,
     naive_group_coordinates,
+    product_square,
     project,
     random_digraph,
     random_labeled_product,

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from boxfactor import (
     DiGraph,
     FactorizationError,
+    ShadowGraph,
     canonical_small_graphs,
     cartesian_product,
     coordinates_from_colors,
@@ -21,6 +23,7 @@ from boxfactor import (
     shadow_factorization_of_product,
 )
 from boxfactor import shadow_factor
+from boxfactor.cli import _bench_instance
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
@@ -28,8 +31,11 @@ from helpers import (
     connected_digraphs,
     mobius_ladder,
     naive_coordinates_from_colors,
+    naive_factor_shadow,
     naive_shadow_classes,
+    naive_square_closure,
     random_digraph,
+    relabel,
     undirected_cycle,
     undirected_path,
 )
@@ -50,6 +56,23 @@ def theta_steps(monkeypatch):
         return join(*args)
 
     monkeypatch.setattr(shadow_factor, "_join_theta", spy)
+    return calls
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """How many labelings of the ladder each factor_shadow call checked:
+    1 when round 1 was accepted."""
+    calls = []
+    ladder = shadow_factor._ladder
+
+    def spy(*args):
+        calls.append(0)
+        for labels in ladder(*args):
+            calls[-1] += 1
+            yield labels
+
+    monkeypatch.setattr(shadow_factor, "_ladder", spy)
     return calls
 
 
@@ -274,6 +297,116 @@ class TestAgainstNaiveClosure:
         assert theta_steps == [edge_key(B.down[v][0], v)]
 
 
+@functools.cache
+def _differential_corpus():
+    """(graph, roots) pairs: every c1 graph with every root, seeded random
+    graphs, generated products with two random roots, Moebius ladders and
+    Moebius ladders times P3."""
+    rng = random.Random(20261020)
+    out = []
+    for n in range(1, 5):
+        out += [(G, range(G.n)) for G in canonical_small_graphs(n)]
+    for _ in range(300):
+        G = random_digraph(
+            rng, rng.randint(5, 14), extra_prob=rng.choice([0.05, 0.1, 0.2, 0.4])
+        )
+        out.append((G, [rng.randrange(G.n)]))
+    for i in range(300):
+        nf = 2 + i % 3
+        G, _ = gen_product_instance(nf, (2, 6 if nf == 2 else 4), 0.3, seed=i)
+        out.append((G, [rng.randrange(G.n), rng.randrange(G.n)]))
+    for r in range(3, 30):
+        M = mobius_ladder(r)
+        P, _ = cartesian_product([M, undirected_path(3)])
+        out += [(M, [0, r]), (P, [0, P.n - 1])]
+    return out
+
+
+def _scrambled(G, seed):
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(G, perm), perm
+
+
+def _round_one(S, r):
+    """The labels of the first rung of factor_shadow's ladder."""
+    edges = sorted(S.edges)
+    return edges, next(shadow_factor._ladder(S, bfs(S, r), edges))
+
+
+class TestLadder:
+    """factor_shadow closes a cheap relation first and climbs to delta* and
+    Theta only when the check rejects it; the result is what the all-pairs
+    closure plus Theta gives."""
+
+    def test_same_colors_and_coordinates_as_all_pairs_closure(self):
+        runs = 0
+        for G, roots in _differential_corpus():
+            S = shadow(G)
+            for r in roots:
+                F = factor_shadow(S, r)
+                want = naive_factor_shadow(S, r)
+                assert F.colors == want.colors, (G, r)
+                assert F.factors == want.factors, (G, r)
+                assert F.coordin.coords == want.coordin.coords, (G, r)
+                runs += 1
+        assert runs > 10_000
+
+    def test_round_one_refines_delta_star(self):
+        for G, roots in _differential_corpus():
+            S = shadow(G)
+            if S.n == 1:
+                continue
+            for r in roots:
+                edges, labels = _round_one(S, r)
+                delta = naive_square_closure(S, edges)
+                # each round-1 class lies inside one delta* class
+                inside = {}
+                for a, b in zip(labels, delta):
+                    assert inside.setdefault(a, b) == b, (G, r)
+
+    @pytest.mark.parametrize(
+        "family, size",
+        [("grid", 3000), ("cube", 3000), ("randprod", 5000)]
+        + [("KqxKq", q) for q in (3, 5, 8, 12)],
+    )
+    def test_round_one_is_enough_on_products(self, family, size, rungs):
+        if family == "KqxKq":
+            arcs = {(a, b) for a in range(size) for b in range(size) if a != b}
+            G, C = cartesian_product([DiGraph(size, arcs, set())] * 2)
+        else:
+            G, C = _bench_instance(family, size, random.Random(size))
+        H, perm = _scrambled(G, size)
+        S = shadow(H)
+        # a corner of the coordinate grid, and a vertex in its middle
+        corner = C.vertex_of[(0,) * C.k]
+        middle = C.vertex_of[tuple(F.n // 2 for F in C.factors)]
+        for r in (perm[corner], perm[middle]):
+            rungs.clear()
+            F = factor_shadow(S, r)
+            assert rungs == [1], (family, size, r)
+            assert len(F.factors) == C.k
+
+    def test_round_two_after_a_rejected_round_one(self, rungs):
+        # found by a seeded search: a 4-cycle 0-1-2-3 with a pendant edge
+        # 3-4, rooted at 1; round 1 misses the tau pair (23, 34) and leaves
+        # two classes, delta* has one
+        S = ShadowGraph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)])
+        F = factor_shadow(S, 1)
+        assert rungs == [2]
+        assert F.colors == naive_factor_shadow(S, 1).colors
+        assert set(F.colors.values()) == {0}
+        # on a generated product, root 0
+        G, _ = gen_product_instance(2, (2, 6), 0.3, seed=381)
+        rungs.clear()
+        F = factor_shadow(shadow(G), 0)
+        assert rungs == [2]
+        want = naive_factor_shadow(shadow(G), 0)
+        assert F.colors == want.colors
+        assert F.coordin.coords == want.coordin.coords
+        assert len(F.factors) == 2
+
+
 class TestAgainstNaiveCoordinates:
     """The BFS-order coordinatization gives the same factors and coordinates
     as the per-color component search, or both raise FactorizationError, on
@@ -295,7 +428,7 @@ class TestAgainstNaiveCoordinates:
         for r in roots:
             bn = bfs(S, r).bfsnum
             delta = shadow_factor._number_classes(
-                edges, shadow_factor._square_closure(S, edges), bn
+                edges, naive_square_closure(S, edges), bn
             )
             final = factor_shadow(S, r).colors
             colorings = [delta, final]
