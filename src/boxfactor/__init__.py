@@ -24,7 +24,6 @@ from .core import (
 from .directed_factor import (
     ColorPartition,
     DirectedFactorization,
-    count_inconsistencies,
     factor_directed,
 )
 from .errors import (
@@ -56,7 +55,6 @@ from .shadow_factor import (
     ShadowFactorization,
     coordinates_from_colors,
     factor_shadow,
-    shadow_factorization_of_product,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +79,6 @@ __all__ = [
     "cartesian_product",
     "coordinates_from_colors",
     "coords_to_text",
-    "count_inconsistencies",
     "dist",
     "factor_directed",
     "factor_full",
@@ -100,7 +97,6 @@ __all__ = [
     "reconstruct_check",
     "reconstruct_check_parts",
     "shadow",
-    "shadow_factorization_of_product",
     "strip_loops",
     "to_text",
     "unit_layer",

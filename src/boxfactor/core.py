@@ -10,6 +10,7 @@ connectivity and degree always refer to the shadow.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -58,32 +59,102 @@ class DiGraph:
 
 
 class ShadowGraph:
-    """Undirected simple view of a DiGraph: its edges, without directions.
+    """Undirected simple view of a DiGraph: its edges, with the arcs behind
+    each kept only as two direction bits.
 
-    `edges` holds each edge once as a (min, max) pair; the arc directions
-    stay in the DiGraph. Adjacency lists are sorted, so every traversal of
-    this structure is deterministic.
+    `adj[v]` lists the neighbours of v in ascending order, so every
+    traversal of this structure is deterministic, and `edges` holds each
+    edge once as a (min, max) pair. The edges are numbered once, on first
+    use, in ascending (min, max) order: `ends[i]` is edge i, `inc[v]` lists
+    the ids of the edges to `adj[v]`, aligned with it (so the id of edge vw
+    is `inc[v][bisect_left(adj[v], w)]`), and `nbrs[v]` holds `adj[v]` as a
+    set. `dirs[i]` holds the arcs behind edge i as two bits, 1 for
+    min -> max and 2 for max -> min, when `shadow` took the edges from a
+    digraph's arcs; it is None for a shadow built from bare edges. A caller
+    that only walks `adj`, such as `bfs`, pays for none of the numbering.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj", "_edges", "_arcs", "_ids")
 
     def __init__(self, n: int, edges):
         self.n = n
-        self.edges: frozenset[tuple[int, int]] = frozenset(edges)
+        self._edges: frozenset[tuple[int, int]] | None = frozenset(edges)
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in self._edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) must satisfy 0 <= u < v < n")
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(b)) for b in nbrs)
+        self._arcs: frozenset[tuple[int, int]] | None = None
+        self._ids = None
+
+    @classmethod
+    def _of_arcs(cls, n: int, arcs: frozenset[tuple[int, int]]) -> ShadowGraph:
+        """The shadow of valid arcs on n vertices; `edges` is built on first
+        use, from the numbering."""
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in arcs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        S = object.__new__(cls)
+        S.n = n
+        S.adj = tuple(map(tuple, map(sorted, map(set, nbrs))))
+        S._edges = None
+        S._arcs = arcs
+        S._ids = None
+        return S
+
+    def _numbered(self):
+        """(ends, inc, nbrs, dirs), built on first use in one sweep over the
+        sorted adjacency lists: the edges to larger neighbours of 0, 1, ...
+        come in ascending (min, max) order, and every vertex meets the edges
+        to its smaller neighbours, in ascending order, before its own."""
+        if self._ids is None:
+            ends: list[tuple[int, int]] = []
+            inc: list[list[int]] = [[] for _ in range(self.n)]
+            for u, nb in enumerate(self.adj):
+                iu = inc[u]
+                for v in nb[bisect_right(nb, u) :]:
+                    i = len(ends)
+                    iu.append(i)
+                    inc[v].append(i)
+                    ends.append((u, v))
+            arcs = self._arcs
+            dirs = None
+            if arcs is not None:
+                dirs = bytes([((u, v) in arcs) + 2 * ((v, u) in arcs) for u, v in ends])
+            self._ids = (ends, inc, list(map(set, self.adj)), dirs)
+        return self._ids
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(self.ends)
+        return self._edges
+
+    @property
+    def ends(self) -> list[tuple[int, int]]:
+        return self._numbered()[0]
+
+    @property
+    def inc(self) -> list[list[int]]:
+        return self._numbered()[1]
+
+    @property
+    def nbrs(self) -> list[set[int]]:
+        return self._numbered()[2]
+
+    @property
+    def dirs(self) -> bytes | None:
+        return self._numbered()[3]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def __eq__(self, other):
         return (
@@ -96,7 +167,7 @@ class ShadowGraph:
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"ShadowGraph(n={self.n}, edges={len(self.edges)})"
+        return f"ShadowGraph(n={self.n}, edges={self.edge_count})"
 
 
 @dataclass(frozen=True)
@@ -118,8 +189,9 @@ class BfsOrder:
 
 
 def shadow(G: DiGraph) -> ShadowGraph:
-    """Forget directions and loops: the undirected support of G."""
-    return ShadowGraph(G.n, {(u, v) if u < v else (v, u) for u, v in G.arcs})
+    """Forget directions and loops: the undirected support of G. Its edges
+    carry the direction bits of G's arcs once they are numbered."""
+    return ShadowGraph._of_arcs(G.n, G.arcs)
 
 
 def strip_loops(G: DiGraph) -> DiGraph:
@@ -149,12 +221,35 @@ def bfs(S: ShadowGraph, root: int) -> BfsOrder:
 
     Neighbors are visited in ascending id order, so the numbering is
     deterministic. BFS numbers are assigned in dequeue order and are therefore
-    monotone in level.
+    monotone in level. One sweep fills the down and cross lists too: when v
+    is dequeued, every neighbour one level further is reached, so v is one of
+    its down-neighbours, and every neighbour on v's own level is reached.
     """
     n = S.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
-    order, level = _sweep(S, root)
+    adj = S.adj
+    level = [-1] * n
+    level[root] = 0
+    order = [root]
+    down: list[list[int]] = [[] for _ in range(n)]
+    cross: list[tuple[int, ...]] = [()] * n
+    for v in order:
+        lv = level[v]
+        lw = lv + 1
+        same = []
+        for w in adj[v]:
+            x = level[w]
+            if x < 0:
+                level[w] = lw
+                order.append(w)
+                down[w].append(v)
+            elif x == lw:
+                down[w].append(v)
+            elif x == lv:
+                same.append(w)
+        if same:
+            cross[v] = tuple(same)
     if len(order) != n:
         raise DisconnectedGraphError(
             f"graph is disconnected: reached {len(order)} of {n} vertices"
@@ -162,14 +257,14 @@ def bfs(S: ShadowGraph, root: int) -> BfsOrder:
     bfsnum = [0] * n
     for i, v in enumerate(order):
         bfsnum[v] = i
-    down = []
-    cross = []
-    for v in range(n):
-        lv = level[v]
-        down.append(tuple(w for w in S.adj[v] if level[w] == lv - 1))
-        cross.append(tuple(w for w in S.adj[v] if level[w] == lv))
+    # down-neighbours arrive in BFS order; the lists hold them by id
     return BfsOrder(
-        root, tuple(order), tuple(bfsnum), tuple(level), tuple(down), tuple(cross)
+        root,
+        tuple(order),
+        tuple(bfsnum),
+        tuple(level),
+        tuple(map(tuple, map(sorted, down))),
+        tuple(cross),
     )
 
 

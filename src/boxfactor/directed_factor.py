@@ -65,20 +65,24 @@ class ColorPartition:
     def classes(self) -> list[tuple[int, ...]]:
         return [tuple(sorted(self._members[i])) for i in self.live_ids()]
 
-    def merge(self, class_ids) -> int:
+    def merge(self, class_ids, survivor: int | None = None) -> int:
         """Merge the given live classes; returns the surviving id.
 
-        The largest class keeps its id (ties: smallest id) and the members of
-        the rest are repointed, so total repointing work stays quadratic in
-        the color count over any merge sequence.
+        The class `survivor` (one of the given ids) keeps its id; by default
+        the largest class does (ties: smallest id). The members of the rest
+        are repointed, so total repointing work stays quadratic in the color
+        count over any merge sequence.
         """
         ids = set(class_ids)
         for i in ids:
             if i not in self._members:
                 raise ValueError(f"{i} is not a live class id")
+        if survivor is not None and survivor not in ids:
+            raise ValueError(f"survivor {survivor} is not among the merged ids")
         if len(ids) <= 1:
             return next(iter(ids)) if ids else -1
-        survivor = min(ids, key=lambda i: (-len(self._members[i]), i))
+        if survivor is None:
+            survivor = min(ids, key=lambda i: (-len(self._members[i]), i))
         for i in ids:
             if i == survivor:
                 continue
@@ -100,7 +104,8 @@ class DirectedFactorization:
 
     `stages` is filled in only by `factor_full`: one `(name, seconds,
     merges)` row for each pass it ran, in the order `"shadow"` (always 0
-    merges), `"directed"`, `"loops"`, timed with `perf_counter`. It is `()`
+    merges), `"directed"`, `"loops"`, timed with `perf_counter`. The last
+    row's time includes the one regrouping of the coordinates. It is `()`
     for the one-vertex unit and for a pass called directly.
     """
 
@@ -120,14 +125,15 @@ _FLIP = (0, 2, 1, 3)
 
 
 def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None):
-    """Validate a direction scan's inputs in one sweep over the colored edges.
+    """Validate caller-supplied direction scan inputs in one sweep over the
+    colored edges.
 
     Returns the BFS structure (computed when omitted) and, keyed
     min*n + max for every edge of color c, 4*c plus its arcs: 1 for
-    min -> max, 2 for max -> min. This is the one place that reads the arc
-    directions behind a shadow edge; the shadow itself holds only edges.
-    The colored edges are the graph's edges exactly when each carries an arc
-    and, together, they carry every arc.
+    min -> max, 2 for max -> min. The colored edges are the graph's edges
+    exactly when each carries an arc and, together, they carry every arc.
+    `factor_full` needs no such check: it builds the same table from the
+    direction bits of its own shadow and the colors factored from it.
     """
     if G.loops:
         raise ValueError("graph must be loopless here; strip loops first")
@@ -209,26 +215,18 @@ def _inconsistent_edges(vertices, B, C, info, colof):
                 yield v, u, c
 
 
-def factor_directed(
-    G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None = None
-) -> DirectedFactorization:
-    """Prime factorization of a connected loopless directed graph.
-
-    `SF` must be the prime factorization of shadow(G) and `B` a BFS structure
-    rooted at SF.root (recomputed when omitted).
+def _direction_scan(C, B: BfsOrder, info, P: ColorPartition) -> int:
+    """The direction scan over the coordinatization C, in B's order: merge
+    classes of the fresh partition P, in place, at each vertex with an
+    inconsistent down or cross edge, and resume after that vertex. `info`
+    holds, keyed min*n + max for every edge of color c, 4*c plus its arcs
+    (1 for min -> max, 2 for max -> min). Returns the number of merges.
     """
-    B, info = _edge_info(G, SF, B)
-    n = G.n
-    k = len(SF.factors)
-    P = ColorPartition(k)
-    if n == 1:
-        return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
-    C = SF.coordin
+    n = len(C.coords)
     table = P.table
     # colof[c]: projection codes into the live class of color c; a merge
     # rebuilds only the survivor's column
-    colof = [C.projection_codes((c,)) for c in range(k)]
-
+    colof = [C.projection_codes((c,)) for c in range(P.k)]
     merges = 0
     rest = B.order
     # a merge ends the vertex: the scan resumes after it, under the new classes
@@ -242,30 +240,21 @@ def factor_directed(
             colof[cc] = col
         merges += 1
         rest = B.order[B.bfsnum[v] + 1 :]
-    coordin = group_coordinates(G, C, P.classes())
-    return DirectedFactorization(P, coordin.factors, coordin, merges)
+    return merges
 
 
-def count_inconsistencies(
-    G: DiGraph,
-    SF: ShadowFactorization,
-    assignment,
-    B: BfsOrder | None = None,
-) -> int:
-    """Number of down/cross edges whose direction disagrees with their
-    projection under a fixed class assignment (original color -> label).
+def factor_directed(
+    G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None = None
+) -> DirectedFactorization:
+    """Prime factorization of a connected loopless directed graph.
 
-    A factorization is a fixpoint of the scan exactly when this is zero for
-    its final assignment; used to re-check the single scan's output.
+    `SF` must be the prime factorization of shadow(G) and `B` a BFS structure
+    rooted at SF.root (recomputed when omitted).
     """
     B, info = _edge_info(G, SF, B)
-    k = len(SF.factors)
-    if len(assignment) != k:
-        raise ValueError("assignment must label every original color")
-    groups: dict[int, list[int]] = {}
-    for j, label in enumerate(assignment):
-        groups.setdefault(label, []).append(j)
-    C = SF.coordin
-    cols = {label: C.projection_codes(members) for label, members in groups.items()}
-    colof = [cols[label] for label in assignment]
-    return sum(1 for _ in _inconsistent_edges(B.order, B, C, info, colof))
+    P = ColorPartition(len(SF.factors))
+    if G.n == 1:
+        return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
+    merges = _direction_scan(SF.coordin, B, info, P)
+    coordin = group_coordinates(G, SF.coordin, P.classes())
+    return DirectedFactorization(P, coordin.factors, coordin, merges)

@@ -9,18 +9,20 @@ its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
 `factor_full` is the package's front door: it validates the input, factors
-the shadow, runs the directed scan, and runs the loop scan when needed. It
-times each pass it runs and returns the times and merge counts as the
-result's `stages`, which the `factor` command reports.
+the shadow, runs the directed scan, and runs the loop scan when needed. Both
+scans work on the shadow's coordinates and merge in one partition of its
+colors, so the coordinates are regrouped once, at the end. It times each
+pass it runs and returns the times and merge counts as the result's
+`stages`, which the `factor` command reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from math import prod
 from time import perf_counter
 
-from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow, strip_loops
-from .directed_factor import ColorPartition, DirectedFactorization, factor_directed
+from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
+from .directed_factor import ColorPartition, DirectedFactorization, _direction_scan
 from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
 from .product import Coordinatization, group_coordinates
 from .shadow_factor import factor_shadow
@@ -73,9 +75,8 @@ def factor_with_loops(
     G: DiGraph, NF: DirectedFactorization, B: BfsOrder | None = None
 ) -> DirectedFactorization:
     """Prime factorization of G from the factorization NF of G minus loops."""
-    n = G.n
     coordin = NF.coordin
-    if len(coordin.coords) != n:
+    if len(coordin.coords) != G.n:
         raise ValueError("factorization does not match the graph size")
     root = coordin.root
     if root in G.loops:
@@ -87,25 +88,41 @@ def factor_with_loops(
         B = bfs(shadow(G), root)
     elif B.root != root:
         raise ValueError("BFS root differs from the factorization root")
-
     P = ColorPartition(k)
+    merges = _loop_scan(G, coordin, P, B)
+    coordin2 = _regroup_looped(G, coordin, P)
+    return DirectedFactorization(P, coordin2.factors, coordin2, merges)
+
+
+def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) -> int:
+    """The loop scan over the coordinatization C, in B's order: merge
+    classes of P, in place, at each vertex whose loop state disagrees with
+    its projections into the live classes. Returns the number of merges.
+
+    A merge keeps the id of the class that holds the most of the classes
+    live when the scan began (ties: smallest id). On a fresh P that is the
+    largest class; on the classes the direction scan left, it numbers the
+    classes as a fresh partition over them would.
+    """
+    n = G.n
     table = P.table
-    coords = coordin.coords
+    coords = C.coords
     looped = G.loops
+    kk = range(C.k)
+    units = dict.fromkeys(P.live_ids(), 1)
     # at_loop[code]: is the vertex with that code looped; flags[i][v]: is v's
     # projection into live class i looped. A merge rebuilds only the
     # survivor's column.
     at_loop = bytearray(n)
-    codes = coordin.codes
+    codes = C.codes
     for v in looped:
         at_loop[codes[v]] = 1
 
     def flag_column(members):
-        return bytes([at_loop[c] for c in coordin.projection_codes(members)])
+        return bytes([at_loop[c] for c in C.projection_codes(members)])
 
-    flags = {i: flag_column((i,)) for i in range(k)}
+    flags = {i: flag_column(P.members(i)) for i in units}
     anyloop = bytes(map(any, zip(*flags.values())))
-    kk = range(k)
 
     merges = 0
     for v in B.order:
@@ -124,24 +141,41 @@ def factor_with_loops(
                 "loop mismatch with nothing to merge: the loopless "
                 "factorization was not prime"
             )
-        survivor = P.merge(ids)
+        survivor = min(ids, key=lambda i: (-units[i], i))
+        units[survivor] = sum(units.pop(i) for i in ids)
+        P.merge(ids, survivor)
         for i in ids:
             del flags[i]
         flags[survivor] = flag_column(P.members(survivor))
         anyloop = bytes(map(any, zip(*flags.values())))
         merges += 1
+    return merges
 
-    live = P.classes()
-    coordin2 = group_coordinates(G, coordin, live)
-    factors = coordin2.factors
-    for v in range(n):
-        cv2 = coordin2.coords[v]
-        has = any(cv2[i] in factors[i].loops for i in range(len(factors)))
-        if has != (v in looped):
+
+def _regroup_looped(
+    G: DiGraph, C: Coordinatization, P: ColorPartition
+) -> Coordinatization:
+    """C regrouped into the classes of P, checked to place every loop of G.
+
+    The regrouped coordinates are a bijection onto the grid, so the product
+    of the factors has n minus the product of their unlooped counts looped
+    vertices: it has G's loops exactly when it has that many and each loop
+    of G sits at a looped coordinate.
+    """
+    coordin = group_coordinates(G, C, P.classes())
+    loops = [F.loops for F in coordin.factors]
+    coords = coordin.coords
+    for v in G.loops:
+        if not any(c in lp for c, lp in zip(coords[v], loops)):
             raise FactorizationError(
                 f"loop placement of vertex {v} does not match the factorization"
             )
-    return DirectedFactorization(P, factors, coordin2, merges)
+    placed = G.n - prod(F.n - len(F.loops) for F in coordin.factors)
+    if placed != len(G.loops):
+        raise FactorizationError(
+            f"the factors place {placed} loops, the graph has {len(G.loops)}"
+        )
+    return coordin
 
 
 def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
@@ -151,7 +185,8 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     one unlooped vertex. `root` optionally fixes the base vertex; it must be
     unlooped. Factors come out with the root at local id of the root's
     coordinate, ordered canonically by their smallest original shadow color.
-    The result's `stages` holds the wall time and merge count of each pass.
+    The result's `stages` holds the wall time and merge count of each pass,
+    and its `partition` groups the shadow colors into the factors.
     """
     check_arc_count(G)
     S = shadow(G)
@@ -163,10 +198,23 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     t0 = perf_counter()
     SF = factor_shadow(S, B.root, B)
     t1 = perf_counter()
-    F = factor_directed(strip_loops(G), SF, B)
-    t2 = perf_counter()
-    stages = [("shadow", t1 - t0, 0), ("directed", t2 - t1, F.merges)]
+    stages = [("shadow", t1 - t0, 0)]
+    n = G.n
+    C = SF.coordin
+    # the colors come in edge-id order, aligned with the direction bits
+    info = {
+        u * n + v: 4 * c + d for (u, v), c, d in zip(S.ends, SF.colors.values(), S.dirs)
+    }
+    del S, SF  # the scans read only C, B and info: free the edge numbering
+    P = ColorPartition(C.k)
+    merges = _direction_scan(C, B, info, P)
     if G.loops:
-        F = factor_with_loops(G, F, B)
-        stages.append(("loops", perf_counter() - t2, F.merges))
-    return replace(F, stages=tuple(stages))
+        t2 = perf_counter()
+        stages.append(("directed", t2 - t1, merges))
+        t1 = t2
+        merges = _loop_scan(G, C, P, B)
+        coordin = _regroup_looped(G, C, P)
+    else:
+        coordin = group_coordinates(G, C, P.classes())
+    stages.append(("loops" if G.loops else "directed", perf_counter() - t1, merges))
+    return DirectedFactorization(P, coordin.factors, coordin, merges, tuple(stages))

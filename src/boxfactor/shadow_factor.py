@@ -24,9 +24,11 @@ when it merged classes:
    edge lies on it. Where no down-edge spans a chordless square with vu,
    at the root and wherever v has one down-neighbour, v lies on a unit
    layer of a product, all its down-edges in one factor; such a vertex
-   tests all pairs. Round 1 tests O(m) pairs plus all pairs at the
-   unit-layer vertices (sum of the factor sizes in a product), each by an
-   O(deg) intersection of neighbour sets. Two edges at a vertex that lie
+   tests all pairs, and joins a square only where no smaller corner whose
+   tree edge lies on it does (there u or w may be an up-neighbour whose
+   tree edge is the one to v). Round 1 tests O(m) pairs plus all pairs at
+   the unit-layer vertices (sum of the factor sizes in a product), each by
+   an O(deg) intersection of neighbour sets. Two edges at a vertex that lie
    in different factors of a product span exactly one chordless square, so
    on products the tree edge at v usually suffices to place every other
    edge at v, and round 1 is accepted; nothing rests on that, and a few
@@ -44,17 +46,20 @@ when it merged classes:
    the worst case.
 
 A rejected rung only moves up the ladder, so no input costs more than the
-delta* closure and Theta plus one round 1 and one failed check. The classes
-are numbered in BFS order from the root, and `coordinates_from_colors`
-turns them into unit-layer factors and vertex coordinates.
+delta* closure and Theta plus one round 1 and one failed check. The rungs
+work on the edge ids of the shadow and look an edge up by its ids'
+alignment with the sorted adjacency lists. The classes are numbered in BFS
+order from the root, and `coordinates_from_colors` turns them into
+unit-layer factors and vertex coordinates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs, shadow
+from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs
 from .errors import FactorizationError
 from .product import Coordinatization
 
@@ -63,10 +68,12 @@ from .product import Coordinatization
 class ShadowFactorization:
     """Edge coloring of a shadow into prime factor classes.
 
-    `colors` maps each edge (keyed (min, max)) to a color in 0..k-1. The
-    factor of color j is `factors[j]`, an undirected layer with local ids in
-    ascending host id order; `coordin` labels every vertex of the shadow with
-    its tuple of local factor ids. Color numbering follows the BFS order from
+    `colors` maps each edge (keyed (min, max)) to a color in 0..k-1;
+    `factor_shadow` inserts the edges in the shadow's edge-id order, so the
+    values, in order, are the color of edge 0, 1, ... The factor of color j
+    is `factors[j]`, an undirected layer with local ids in ascending host id
+    order; `coordin` labels every vertex of the shadow with its tuple of
+    local factor ids. Color numbering follows the BFS order from
     `root`: classes are sorted by the smallest (bfsnum, bfsnum) endpoint pair
     among their edges.
     """
@@ -94,28 +101,25 @@ def factor_shadow(
         raise ValueError("BFS root differs from the factorization root")
     if n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
-    edges = sorted(S.edges)
-    for labels in _ladder(S, B, edges):
-        colors = _number_classes(edges, labels, B.bfsnum)
+    for labels in _ladder(S, B):
+        colors = _number_classes(S.ends, labels, B.bfsnum)
         try:
-            factors, coordin = coordinates_from_colors(S, root, colors, B)
+            factors, coordin = _coordinates(S, root, colors, B)
         except FactorizationError as exc:
             rejected = exc  # strictly finer than sigma: take the next rung
             continue
-        return ShadowFactorization(root, colors, factors, coordin)
+        return ShadowFactorization(root, dict(zip(S.ends, colors)), factors, coordin)
     raise rejected
 
 
-def _ladder(
-    S: ShadowGraph, B: BfsOrder, edges: list[tuple[int, int]]
-) -> Iterator[list[int]]:
-    """Ever coarser class labelings of `edges`, each refining sigma: round
-    1, then delta*, then delta* plus the Theta relations of one edge after
-    another. A rung is yielded only when it merged classes; the label of an
-    edge is the index of its class's root edge. Each list yielded must be
-    read before the next rung is asked for.
+def _ladder(S: ShadowGraph, B: BfsOrder) -> Iterator[list[int]]:
+    """Ever coarser class labelings of the edges of S, by edge id, each
+    refining sigma: round 1, then delta*, then delta* plus the Theta
+    relations of one edge after another. A rung is yielded only when it
+    merged classes; the label of an edge is the id of its class's root edge.
+    Each list yielded must be read before the next rung is asked for.
     """
-    parent = list(range(len(edges)))
+    parent = list(range(len(S.ends)))
 
     def classes() -> list[int]:
         out = []
@@ -125,28 +129,27 @@ def _ladder(
             out.append(a)
         return out
 
-    _close_pairs(S, edges, parent, B.down)
+    _close_pairs(S, parent, B.down)
     labels = classes()
     yield labels
-    _close_pairs(S, edges, parent, None)
+    _close_pairs(S, parent, None)
     closed = classes()
     if closed != labels:
         labels = closed
         yield labels
-    for e in _theta_order(B, edges):
-        if _join_theta(S, edges, labels, e):
+    for e in _theta_order(B, S.ends):
+        if _join_theta(S, S.ends, labels, e):
             yield labels
 
 
 def _close_pairs(
     S: ShadowGraph,
-    edges: list[tuple[int, int]],
     parent: list[int],
     down: tuple[tuple[int, ...], ...] | None,
 ) -> None:
     """Join pairs of edges at each vertex in the union-find `parent` over
-    `edges`: every pair when `down` is None (closing delta), else round 1
-    with `down` the BFS down-neighbours of every vertex.
+    the edge ids of S: every pair when `down` is None (closing delta), else
+    round 1 with `down` the BFS down-neighbours of every vertex.
 
     Round 1: at each vertex v, join the pairs of edges that hold v's BFS-tree
     edge vu, a pair on no chordless square (tau) directly and otherwise the
@@ -154,17 +157,11 @@ def _close_pairs(
     at its smallest corner whose tree edge lies on it. The root, and every
     vertex where no down-edge vw spans a chordless square with vu (a
     unit-layer vertex of a product, whose down-edges all lie in one factor),
-    takes all pairs instead.
+    takes all pairs instead, under the same rule for squares.
     """
     adj = S.adj
-    # the ids of the edges at v, aligned with adj[v]: both run in ascending
-    # order of the other end, since the edges are sorted
-    inc: list[list[int]] = [[] for _ in adj]
-    for i, (a, b) in enumerate(edges):
-        inc[a].append(i)
-        inc[b].append(i)
-    eidx = {e: i for i, e in enumerate(edges)}
-    nbrs = [set(nb) for nb in adj]
+    inc = S.inc
+    nbrs = S.nbrs
 
     def union(a: int, b: int) -> None:
         while parent[a] != a:
@@ -175,14 +172,14 @@ def _close_pairs(
             parent[b] = a
 
     if down is None:
-        for v, nb in enumerate(adj):
-            _pairs(v, nb, inc[v], nbrs, eidx, union, False)
+        for v in range(S.n):
+            _pairs(v, S, union, None)
         return
     tree = [d[0] if d else -1 for d in down]
     for v, nb in enumerate(adj):
         u = tree[v]
         if u < 0:
-            _pairs(v, nb, inc[v], nbrs, eidx, union, True)
+            _pairs(v, S, union, tree)
             continue
         nu = nbrs[u]
         off = nu - nbrs[v]  # the far corners of squares on vu, and v itself
@@ -191,11 +188,14 @@ def _close_pairs(
             if w not in nu and not off.isdisjoint(nbrs[w]):
                 break
         else:
-            _pairs(v, nb, inc[v], nbrs, eidx, union, True)
+            _pairs(v, S, union, tree)
             continue
         tu = tree[u]
-        iu = inc[v][nb.index(u)]
-        for w, iw in zip(nb, inc[v]):
+        ids = inc[v]
+        iu = ids[bisect_left(nb, u)]
+        adu = adj[u]
+        icu = inc[u]
+        for w, iw in zip(nb, ids):
             if w == u:
                 continue
             far = () if w in nu else off & nbrs[w]
@@ -212,43 +212,66 @@ def _close_pairs(
                 tx = tree[x]
                 if x < v and (tx == u or tx == w):
                     continue
-                union(iu, eidx[(w, x) if w < x else (x, w)])
-                union(iw, eidx[(u, x) if u < x else (x, u)])
+                union(iu, inc[w][bisect_left(adj[w], x)])
+                union(iw, icu[bisect_left(adu, x)])
 
 
 def _pairs(
     v: int,
-    nb: tuple[int, ...],
-    ids: list[int],
-    nbrs: list[set[int]],
-    eidx: dict[tuple[int, int], int],
+    S: ShadowGraph,
     union: Callable[[int, int], None],
-    every: bool,
+    tree: list[int] | None,
 ) -> None:
     """Join every pair of edges at v on no chordless square (tau), and the
-    opposite edges of the chordless squares v-u-x-w they span: every such
-    square, or with `every` false only those whose smallest corner is v,
-    which sees each square of the graph exactly once."""
+    opposite edges of the chordless squares v-u-x-w they span. With `tree`
+    None (delta*), only the squares whose smallest corner is v, which sees
+    each square of the graph exactly once. With `tree` the BFS-tree
+    neighbour of every vertex (-1 at the root), every square but those that
+    a smaller corner whose tree edge lies on the square joins; here u or w
+    may be an up-neighbour whose tree edge is the one to v."""
+    adj = S.adj
+    inc = S.inc
+    nbrs = S.nbrs
+    nb = adj[v]
+    ids = inc[v]
     closed = nbrs[v] | {v}
     for i, u in enumerate(nb):
         nu = nbrs[u]
+        adu = adj[u]
+        icu = inc[u]
+        tu = -1 if tree is None else tree[u]
         for j in range(i + 1, len(nb)):
             w = nb[j]
             # u, w adjacent: every square on vu, vw has a chord
             far = () if w in nu else (nu & nbrs[w]) - closed
             if not far:
                 union(ids[i], ids[j])
-            elif every or v < u:  # adjacency lists are sorted, so u < w
-                for x in far:
-                    if every or v < x:
-                        union(ids[i], eidx[(w, x) if w < x else (x, w)])
-                        union(ids[j], eidx[(u, x) if u < x else (x, u)])
+                continue
+            if tree is None:
+                if v > u:  # adjacency lists are sorted, so u < w
+                    continue
+            else:
+                tw = tree[w]
+                if (u < v and tu == v) or (w < v and tw == v):
+                    continue  # u or w joins every square on this pair
+            adw = adj[w]
+            icw = inc[w]
+            for x in far:
+                if tree is None:
+                    if v > x:
+                        continue
+                elif (u < v and tu == x) or (w < v and tw == x) or (
+                    x < v and tree[x] in (u, w)
+                ):
+                    continue
+                union(ids[i], icw[bisect_left(adw, x)])
+                union(ids[j], icu[bisect_left(adu, x)])
 
 
 def _number_classes(
     edges: list[tuple[int, int]], labels: list[int], bn: tuple[int, ...]
-) -> dict[tuple[int, int], int]:
-    """Color edges by class, numbering classes by their smallest
+) -> list[int]:
+    """The color of every edge by class, numbering classes by their smallest
     (bfsnum, bfsnum) endpoint pair."""
     best: dict[int, tuple[int, int]] = {}
     for (u, v), c in zip(edges, labels):
@@ -256,7 +279,7 @@ def _number_classes(
         if c not in best or p < best[c]:
             best[c] = p
     number = {c: i for i, c in enumerate(sorted(best, key=best.__getitem__))}
-    return {e: number[c] for e, c in zip(edges, labels)}
+    return [number[c] for c in labels]
 
 
 def _theta_order(
@@ -311,10 +334,9 @@ def coordinates_from_colors(
     `colors` is not a product coloring. Accepting therefore proves that S is
     the product of the returned layers.
     """
-    n = S.n
     if colors.keys() != S.edges:
         raise ValueError("colors must cover exactly the edges of S")
-    if n == 1:
+    if S.n == 1:
         return (), Coordinatization((), ((),), 0)
     k = max(colors.values()) + 1
     if set(colors.values()) != set(range(k)):
@@ -323,7 +345,18 @@ def coordinates_from_colors(
         B = bfs(S, root)
     elif B.root != root:
         raise ValueError("BFS root differs from the factorization root")
+    return _coordinates(S, root, [colors[e] for e in S.ends], B)
+
+
+def _coordinates(
+    S: ShadowGraph, root: int, colors: list[int], B: BfsOrder
+) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
+    """`coordinates_from_colors` on valid inputs, with the colors of S's
+    edges listed by edge id."""
+    n = S.n
+    k = max(colors) + 1
     adj = S.adj
+    inc = S.inc
 
     factors = []
     locs: list[dict[int, int]] = []
@@ -333,8 +366,8 @@ def coordinates_from_colors(
         stack = [root]
         while stack:
             x = stack.pop()
-            for w in adj[x]:
-                if w not in seen and colors[(x, w) if x < w else (w, x)] == a:
+            for w, e in zip(adj[x], inc[x]):
+                if w not in seen and colors[e] == a:
                     if owner[w] >= 0:
                         raise FactorizationError(
                             f"the unit layers of colors {owner[w]} and {a} share "
@@ -346,9 +379,9 @@ def coordinates_from_colors(
         loc = {h: i for i, h in enumerate(sorted(seen))}
         zedges = []
         for x in loc:
-            for w in adj[x]:
+            for w, e in zip(adj[x], inc[x]):
                 if x < w and w in loc:
-                    c = colors[(x, w)]
+                    c = colors[e]
                     if c != a:
                         raise FactorizationError(
                             f"unit layer of color {a} induces an edge of color {c}"
@@ -361,10 +394,12 @@ def coordinates_from_colors(
     coords[root] = tuple(loc[root] for loc in locs)
     for v in B.order[1:]:
         down = B.down[v]
+        nb = adj[v]
+        ids = inc[v]
         u = down[0]
-        a = colors[(u, v) if u < v else (v, u)]
+        a = colors[ids[bisect_left(nb, u)]]
         for w in down[1:]:
-            if colors[(w, v) if w < v else (v, w)] != a:
+            if colors[ids[bisect_left(nb, w)]] != a:
                 x = coords[w][a]
                 break
         else:
@@ -385,14 +420,15 @@ def coordinates_from_colors(
     # the code by the step times the coordinate's stride
     codes = coordin.codes
     st = coordin.strides
-    for (u, v), c in colors.items():
+    layer_nbrs = [Z.nbrs for Z in factors]
+    for (u, v), c in zip(S.ends, colors):
         a, b = coords[u][c], coords[v][c]
         if codes[v] - codes[u] != (b - a) * st[c] or a == b:
             diffs = [i for i in range(k) if coords[u][i] != coords[v][i]]
             raise FactorizationError(
                 f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
             )
-        if not factors[c].has_edge(a, b):
+        if b not in layer_nbrs[c][a]:
             raise FactorizationError(
                 f"edge ({u}, {v}) does not project to an edge of factor {c}"
             )
@@ -410,54 +446,3 @@ def _undirected(Z: ShadowGraph) -> DiGraph:
     """Both-ways DiGraph carrying the undirected structure of Z."""
     arcs = {a for u, v in Z.edges for a in ((u, v), (v, u))}
     return DiGraph._unchecked(Z.n, arcs, ())
-
-
-def shadow_factorization_of_product(
-    G: DiGraph, C: Coordinatization
-) -> ShadowFactorization:
-    """Assemble the prime shadow factorization of a product built with known
-    coordinates, factoring each factor's shadow separately and composing.
-
-    This is how a caller that constructed the product itself (benchmarks,
-    tests) provides the precomputed shadow factorization without rerunning
-    the relation scan on the full graph.
-    """
-    k = C.k
-    subs = []
-    offsets = []
-    total = 0
-    for i in range(k):
-        Fi = C.factors[i]
-        Si = shadow(Fi)
-        SFi = factor_shadow(Si, C.coords[C.root][i])
-        subs.append(SFi)
-        offsets.append(total)
-        total += len(SFi.factors)
-
-    colors: dict[tuple[int, int], int] = {}
-    S = shadow(G)
-    for u, v in S.edges:
-        cu, cv = C.coords[u], C.coords[v]
-        diffs = [i for i in range(k) if cu[i] != cv[i]]
-        if len(diffs) != 1:
-            raise FactorizationError(
-                f"edge ({u}, {v}) changes {len(diffs)} coordinates"
-            )
-        i = diffs[0]
-        a, b = cu[i], cv[i]
-        e = (a, b) if a < b else (b, a)
-        colors[(u, v)] = offsets[i] + subs[i].colors[e]
-
-    factors = tuple(Z for SFi in subs for Z in SFi.factors)
-    coords = tuple(
-        tuple(
-            c
-            for i in range(k)
-            for c in subs[i].coordin.coords[C.coords[v][i]]
-        )
-        for v in range(G.n)
-    )
-    coordin = Coordinatization(
-        tuple(F for SFi in subs for F in SFi.coordin.factors), coords, C.root
-    )
-    return ShadowFactorization(C.root, colors, factors, coordin)

@@ -28,7 +28,7 @@ from boxfactor import (
     shadow,
     unit_layer,
 )
-from boxfactor import shadow_factor
+from boxfactor import directed_factor, shadow_factor
 
 
 def consistent_square() -> DiGraph:
@@ -239,7 +239,7 @@ def naive_factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     labels = naive_square_closure(S, edges)
     steps = shadow_factor._theta_order(B, edges)
     while True:
-        colors = shadow_factor._number_classes(edges, labels, B.bfsnum)
+        colors = dict(zip(edges, shadow_factor._number_classes(edges, labels, B.bfsnum)))
         try:
             factors, coordin = coordinates_from_colors(S, root, colors, B)
             return ShadowFactorization(root, colors, factors, coordin)
@@ -525,6 +525,26 @@ def naive_factor_with_loops(G: DiGraph, NF, B=None) -> DirectedFactorization:
         merges += 1
     coordin = group_coordinates(G, C, live)
     return DirectedFactorization(P, coordin.factors, coordin, merges)
+
+
+def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:
+    """Number of down/cross edges whose direction disagrees with their
+    projection under a fixed class assignment (original color -> label).
+
+    A factorization is a fixpoint of the direction scan exactly when this is
+    zero for its final assignment; used to re-check the single scan's output.
+    """
+    B, info = directed_factor._edge_info(G, SF, B)
+    k = len(SF.factors)
+    if len(assignment) != k:
+        raise ValueError("assignment must label every original color")
+    groups: dict[int, list[int]] = {}
+    for j, label in enumerate(assignment):
+        groups.setdefault(label, []).append(j)
+    C = SF.coordin
+    cols = {label: C.projection_codes(members) for label, members in groups.items()}
+    colof = [cols[label] for label in assignment]
+    return sum(1 for _ in directed_factor._inconsistent_edges(B.order, B, C, info, colof))
 
 
 # --- references for breadth-first search ------------------------------------

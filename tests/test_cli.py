@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -22,6 +23,8 @@ from helpers import (
     inconsistent_square,
     loop_product,
     looped_far_corner,
+    mobius_ladder,
+    relabel,
 )
 
 
@@ -463,3 +466,126 @@ class TestParserReuse:
         capsys.readouterr()
         assert main(["factor", "--input", str(g)]) == 0
         assert "factors: " in capsys.readouterr().out
+
+
+def _golden_inputs():
+    """(name, graph, extra factor arguments) for the golden-output test."""
+    rng = random.Random(2026)
+
+    def scrambled(G):
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        return relabel(G, perm)
+
+    out = []
+    # seed 2 merges in the direction scan, seeds 28 and 191 in the loop scan
+    for seed in (2, 28, 191):
+        out.append((f"gen{seed}", gen_product_instance(3, (2, 4), 0.3, seed)[0], []))
+    path = DiGraph(12, {(i, i + 1) for i in range(11)}, {11})
+    out.append(("grid12", scrambled(cartesian_product([path, path])[0]), []))
+    k2 = DiGraph(2, {(0, 1), (1, 0)}, set())
+    k2_looped = DiGraph(2, {(0, 1), (1, 0)}, {1})
+    out.append(("cube6", scrambled(cartesian_product([k2_looped] + [k2] * 5)[0]), []))
+    k5 = DiGraph(5, {(a, b) for a in range(5) for b in range(5) if a != b}, set())
+    out.append(("k5xk5", cartesian_product([k5, k5])[0], []))
+    out.append(("moebius9", mobius_ladder(9), []))  # factored only after Theta
+    G, _ = gen_product_instance(2, (3, 5), 0.3, 7)
+    root = max(v for v in range(G.n) if v not in G.loops)
+    out.append(("gen7root", G, ["--root", str(root)]))
+    return out
+
+
+def _golden_digests(tmp_path, capsys, name, G, extra):
+    """sha256 of every file `factor` writes for G, and of its stdout
+    without the time_* lines, keyed by file suffix ("stdout" for stdout)."""
+    (tmp_path / f"{name}.dg").write_text(to_text(G), encoding="utf-8")
+    argv = ["factor", "--input", f"{name}.dg", "--emit-coords", "--emit-colors", "--verify"]
+    assert main(argv + extra) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    stdout = "".join(line for line in lines if not line.startswith("time_"))
+    out = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    for p in sorted(tmp_path.glob(f"{name}.dg.*")):
+        out[p.name[len(name) + 4 :]] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return out
+
+
+# sha256 of what `factor --emit-coords --emit-colors --verify` writes for each
+# golden input, taken before the shadow edges were numbered once per run;
+# every byte must stay the same
+GOLDEN = {
+    "gen2": {
+        "stdout": "ed0995c90995ac563bf5ed538695d52bca126d5fa1979b191a8404b6f629f681",
+        "colors": "526a82b5108df772b6d15245ac6ceaf10b279d4c97411443774840dd16c9838a",
+        "coords": "72b2c39b88bb231d451e9f4458fab523fd9bde9547dc6d319892da3344fa2781",
+        "factor0": "55fdbfa11731602c1ece56ec91f373f64eb9a6435dc1517c2a7d63feb400ec00",
+        "factor1": "eef019e9beb4b8786ad53123ef3f16c5a254c5da3572a843648f3c571aa0cefb",
+        "factor2": "594934bdeaa9679cc09c07e377e78aba3c4c8b6064b9c4425efa213105b2b1bf",
+    },
+    "gen28": {
+        "stdout": "39925a49af8aa6f62fa3d45c855df5c5f4476b973ebae30cbc5b88d0a0688c7c",
+        "colors": "07c6a55aaad95e900dc81c1f09f98c2d68dd647f7d49c66c8c69d40fab26306a",
+        "coords": "0c91a60eeda8f4a62ee68dab5f46a2741ab19106f39ed6ffe6af4e7ba1353f05",
+        "factor0": "61a9e0d19209fd46a8675fc5f65dc073130e7cceb4e5a7efd9a367c4139dab8a",
+        "factor1": "b0ead99ba1d0b785f11c695c5c63bed0ceaa3c332420bce9434f98cde3617a42",
+        "factor2": "e9776e3e31de1739ce76abd343938473f71fe3c529a24bf32ce90e8e40aeb80f",
+    },
+    "gen191": {
+        "stdout": "369ada58fc195d8bc8347adab22f782d4bb39229895d2de5515e7c68443f84e9",
+        "colors": "aaf5dbe0786bef228b3d0306378c954ce8c7bea071ca855d8cf58bddcd727bf5",
+        "coords": "6463d539ebf85f95244bfed3abeb708fde1d8670c3e61683c9a6568b71c53a56",
+        "factor0": "efcc4da2163f9a85fbdf4e05c22c16668eb53b398deddeed910547160bac5c81",
+        "factor1": "f0fef826e063476ba7242b80641992c3eb01787f844d71d226f3441e09b17b86",
+        "factor2": "211d3c1544a12a3061fad7886e187e465b71fcfbd7ec0553dd30524a328b098a",
+    },
+    "grid12": {
+        "stdout": "664aacad4496f298cfdb9256adbd937b60ec714c0bd160bb4a9c5648f65c1307",
+        "colors": "8cf9b8aa540e35b63429a47c828d92182d40156d411d15722686caea7e6b42b4",
+        "coords": "457f4dfab8383359f0a706c7bfb8c8146968b435add667c89d3243ac007d3277",
+        "factor0": "615ce746d6b9b2520a193e898399f7e0d1e7cae007d6d8ee8ed861578df77b68",
+        "factor1": "4391d0e884a55390012c30cd09f508e12eec822d4ef00b53a0da6ce1f2ce9b95",
+    },
+    "cube6": {
+        "stdout": "276956d4d52ba423f05303eed7988742fae47d6cc9f9244baddd796e2fe705d4",
+        "colors": "f98ee04d95ff35437a981449881cf63d2a39bf4667723a73dc5068fe3df2100e",
+        "coords": "7e943982e41ccbf11dfb821c2a652d7d8302129bbbda38b7ca79b0b5fc65aefb",
+        "factor0": "189e73a6036194572200b9ced288b34bcc8c64c6550e0289c0640d8872cc7d61",
+        "factor1": "61a9e0d19209fd46a8675fc5f65dc073130e7cceb4e5a7efd9a367c4139dab8a",
+        "factor2": "61a9e0d19209fd46a8675fc5f65dc073130e7cceb4e5a7efd9a367c4139dab8a",
+        "factor3": "61a9e0d19209fd46a8675fc5f65dc073130e7cceb4e5a7efd9a367c4139dab8a",
+        "factor4": "61a9e0d19209fd46a8675fc5f65dc073130e7cceb4e5a7efd9a367c4139dab8a",
+        "factor5": "61a9e0d19209fd46a8675fc5f65dc073130e7cceb4e5a7efd9a367c4139dab8a",
+    },
+    "k5xk5": {
+        "stdout": "91efa6d749144d35743cc360860d5caf3c39d51affcb4e02ca91148f74958dd8",
+        "colors": "72dc6d426edebe9163d79c9976355c3af92958dcd0b5e43415d5ef73715e28a1",
+        "coords": "ce76408b2d7ed28ec8e552bf5db365c213a18fce86e5da8d486a9271f5b41de7",
+        "factor0": "6638363609178ee9532a97a0fccb27784aad8f140c8a5d2cdfd98f24e30fdceb",
+        "factor1": "6638363609178ee9532a97a0fccb27784aad8f140c8a5d2cdfd98f24e30fdceb",
+    },
+    "moebius9": {
+        "stdout": "f8c3ddf49fd0100fcf99bb30c75f543d9316213b4b2b0921fd135c8cc35d0dc3",
+        "colors": "041136a2c23b2dd10dac17533ba88bfb8e5c91498bf565237af33c117b3f5d83",
+        "coords": "0645fd579134ce559e73790e8dcad036b634600e95975c9db9a2ab8ba325c63e",
+        "factor0": "fc5a85ea48aab607628a93bb2ec2c86c029cb21c18a82c93ab7e82b4d2987cd5",
+    },
+    "gen7root": {
+        "stdout": "bded6e9b501484904405b47aae8848d454b51c2f20b0751c3fae0d8018b90f14",
+        "colors": "14df7744b3b5e0af9c9e878d9dd5b087a632ea3c2b2d3ac068b839899df6299b",
+        "coords": "f1725e4f1aae8b3def1b1b4ea3c33e13c5bee499b834df57c72fe67c7b4f6b72",
+        "factor0": "cfcac23400f0690486f4816a95bf87cdc03ea37524add24420c232191884a50c",
+        "factor1": "92e552f930a8a0316b3eadf9d1d4ea09951045b04238e3518c7ec8758718c37f",
+    },
+}
+
+
+class TestGoldenOutputs:
+    """`factor` writes the same bytes as before on a fixed set of inputs:
+    generated products that merge in each scan, a scrambled grid and cube,
+    K5 x K5, a Moebius ladder and a run with --root."""
+
+    @pytest.mark.parametrize(
+        "name, G, extra", [pytest.param(*case, id=case[0]) for case in _golden_inputs()]
+    )
+    def test_same_bytes(self, name, G, extra, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the report names the input path
+        assert _golden_digests(tmp_path, capsys, name, G, extra) == GOLDEN[name]

@@ -307,6 +307,19 @@ class TestShadow:
 
     @settings(deadline=None)
     @given(connected_digraphs())
+    def test_edge_ids_sorted_aligned_and_carry_the_arcs(self, G):
+        S = shadow(G)
+        assert S.ends == sorted(S.edges)
+        for v in range(G.n):
+            assert [S.ends[i] for i in S.inc[v]] == [(min(v, w), max(v, w)) for w in S.adj[v]]
+            assert S.nbrs[v] == set(S.adj[v])
+        assert list(S.dirs) == [((u, v) in G.arcs) + 2 * ((v, u) in G.arcs) for u, v in S.ends]
+        # a shadow built from bare edges is numbered the same, without arcs
+        T = ShadowGraph(G.n, S.edges)
+        assert (T.ends, T.adj, T.inc, T.dirs) == (S.ends, S.adj, S.inc, None)
+
+    @settings(deadline=None)
+    @given(connected_digraphs())
     def test_edges_are_min_max_pairs_of_arcs(self, G):
         S = shadow(G)
         assert S.edges == {(min(a), max(a)) for a in G.arcs}
@@ -430,6 +443,11 @@ class TestExports:
     def test_all_names_resolve(self):
         assert len(set(boxfactor.__all__)) == len(boxfactor.__all__)
         assert [n for n in boxfactor.__all__ if not hasattr(boxfactor, n)] == []
+
+    def test_test_only_helpers_are_not_exported(self):
+        for name in ("count_inconsistencies", "shadow_factorization_of_product"):
+            assert name not in boxfactor.__all__
+            assert not hasattr(boxfactor, name)
 
     def test_star_import(self):
         namespace = {}

@@ -9,21 +9,22 @@ from boxfactor import (
     ColorPartition,
     DiGraph,
     cartesian_product,
-    count_inconsistencies,
     factor_directed,
+    factor_full,
     factor_shadow,
     factor_with_loops,
     gen_product_instance,
     reconstruct_check,
     shadow,
-    shadow_factorization_of_product,
     strip_loops,
 )
+from boxfactor.cli import _shadow_factorization_of_product as shadow_factorization_of_product
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
     connected_digraphs,
     consistent_square,
+    count_inconsistencies,
     inconsistent_square,
     merge_classes,
     naive_factor_directed,
@@ -93,6 +94,15 @@ class TestColorPartition:
         P.merge(set(P.live_ids()))
         assert P.count == 1
         assert len(set(P.table)) == 1
+
+    def test_chosen_survivor_keeps_its_id(self):
+        P = ColorPartition(4)
+        P.merge({0, 1})
+        assert P.merge({0, 2}, survivor=2) == 2
+        assert P.classes() == [(0, 1, 2), (3,)]
+        assert P.table == [2, 2, 2, 3]
+        with pytest.raises(ValueError):
+            P.merge({2, 3}, survivor=0)
 
     def test_functional_wrapper(self):
         P = ColorPartition(2)
@@ -299,9 +309,10 @@ class TestAgainstNaiveScans:
         assert F.factors == R.factors
         assert F.coordin.coords == R.coordin.coords
 
-    def test_seeded_products(self):
+    def seeded_runs(self):
+        """(G, root, B): 150 seeded scrambled products of small primes,
+        each from up to two unlooped roots."""
         rng = random.Random(4)
-        merged = {"directed": 0, "loops": 0}
         for t in range(150):
             pool = [self.DCYCLE4, self.LOOPED_SQUARE, self.LOOPED_K2, both_k2()]
             pool += [gen_product_instance(1, (2, 4), 0.4, 1000 * t + j)[1][0] for j in range(2)]
@@ -312,17 +323,47 @@ class TestAgainstNaiveScans:
             G = relabel(P, perm)
             unlooped = [v for v in range(G.n) if v not in G.loops]
             for root in rng.sample(unlooped, min(2, len(unlooped))):
-                B = bfs(shadow(G), root)
-                SF = factor_shadow(shadow(G), root, B)
-                N = strip_loops(G)
-                NF = factor_directed(N, SF, B)
-                self.same(NF, naive_factor_directed(N, SF, B))
-                merged["directed"] += NF.merges
-                if G.loops:
-                    F = factor_with_loops(G, NF, B)
-                    self.same(F, naive_factor_with_loops(G, NF, B))
-                    merged["loops"] += F.merges
+                yield G, root, bfs(shadow(G), root)
+
+    def test_seeded_products(self):
+        merged = {"directed": 0, "loops": 0}
+        for G, root, B in self.seeded_runs():
+            SF = factor_shadow(shadow(G), root, B)
+            N = strip_loops(G)
+            NF = factor_directed(N, SF, B)
+            self.same(NF, naive_factor_directed(N, SF, B))
+            merged["directed"] += NF.merges
+            if G.loops:
+                F = factor_with_loops(G, NF, B)
+                self.same(F, naive_factor_with_loops(G, NF, B))
+                merged["loops"] += F.merges
         # both scans were made to merge, not only to agree on fixpoints
+        assert merged["directed"] > 50 and merged["loops"] > 50
+
+    def test_factor_full_matches_the_two_public_scans(self):
+        # factor_full runs both scans on the shadow's coordinates and
+        # regroups once; the public passes regroup after each scan
+        merged = {"directed": 0, "loops": 0}
+        for G, root, B in self.seeded_runs():
+            F = factor_full(G, root)
+            SF = factor_shadow(shadow(G), root, B)
+            NF = factor_directed(strip_loops(G), SF, B)
+            R = factor_with_loops(G, NF, B) if G.loops else NF
+            assert F.factors == R.factors
+            assert F.coordin.coords == R.coordin.coords
+            assert F.merges == R.merges
+            merges = [m for _, _, m in F.stages]
+            assert merges == [0, NF.merges] + ([R.merges] if G.loops else [])
+            # F groups the shadow colors; a loop pass groups NF's classes
+            classes = NF.partition.classes()
+            if G.loops:
+                classes = [
+                    tuple(sorted(c for j in cls for c in classes[j]))
+                    for cls in R.partition.classes()
+                ]
+                merged["loops"] += R.merges
+            assert F.partition.classes() == classes
+            merged["directed"] += NF.merges
         assert merged["directed"] > 50 and merged["loops"] > 50
 
     def test_edge_changing_another_coordinate_raises(self):

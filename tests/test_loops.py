@@ -1,3 +1,5 @@
+import random
+import sys
 import tracemalloc
 
 import pytest
@@ -5,25 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxfactor import (
+    ColorPartition,
     DiGraph,
+    DirectedFactorization,
     DisconnectedGraphError,
+    FactorizationError,
     NoUnloopedVertexError,
     cartesian_product,
     factor_directed,
     factor_full,
     factor_shadow,
     factor_with_loops,
+    gen_product_instance,
+    group_coordinates,
     pick_root,
     reconstruct_check,
     shadow,
     strip_loops,
 )
+from boxfactor import loop_factor
 from boxfactor.core import bfs
 from helpers import (
     connected_digraphs,
+    inconsistent_square,
     loop_product,
     looped_far_corner,
     multiset_iso,
+    relabel,
 )
 
 
@@ -146,6 +156,20 @@ class TestFactorWithLoops:
         with pytest.raises(ValueError, match="root"):
             factor_with_loops(P, NF, bfs(shadow(N), 1))
 
+    @pytest.mark.parametrize(
+        "loops, message", [({3}, "loop placement of vertex 3"), ({1}, "place 2 loops")]
+    )
+    def test_loops_the_factors_cannot_place_raise(self, loops, message):
+        # a both-ways square, split into its two sides without a loop scan:
+        # a loop at the far corner only, or at one side's end but not at
+        # the far corner, is no product of the sides
+        arcs = {a for u, v in ((0, 1), (1, 3), (3, 2), (2, 0)) for a in ((u, v), (v, u))}
+        G = DiGraph(4, arcs, loops)
+        C = factor_shadow(shadow(G), 0).coordin
+        assert C.coords == ((0, 0), (1, 0), (0, 1), (1, 1))
+        with pytest.raises(FactorizationError, match=message):
+            loop_factor._regroup_looped(G, C, ColorPartition(2))
+
 
 class TestFactorFullContract:
     def test_empty_rejected(self):
@@ -203,6 +227,25 @@ class TestFactorFullContract:
         G = DiGraph(2, {(0, 1), (1, 0)}, {1})
         with pytest.raises(NoUnloopedVertexError):
             factor_full(G, root=1)
+
+    def test_one_bfs_and_one_regroup_per_run(self, monkeypatch):
+        calls = {"bfs": 0, "group_coordinates": 0, "_edge_info": 0}
+        for name in calls:
+            for mod in [m for k, m in sys.modules.items() if k.startswith("boxfactor.")]:
+                fn = getattr(mod, name, None)
+                if fn is None:
+                    continue
+
+                def counted(*args, _fn=fn, _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(mod, name, counted)
+        # a direction merge, then a loop merge
+        P, _ = cartesian_product([inconsistent_square(), looped_far_corner()])
+        F = factor_full(P)
+        assert [m for _, _, m in F.stages] == [0, 1, 1]
+        assert calls == {"bfs": 1, "group_coordinates": 1, "_edge_info": 0}
 
     def test_loopless_graph_skips_loop_stage(self):
         G = DiGraph(4, {(0, 2), (1, 3), (0, 1), (2, 3)}, set())
@@ -270,3 +313,49 @@ class TestLoopProperties:
         F0 = factor_full(P, root=roots[0])
         F1 = factor_full(P, root=roots[1])
         assert multiset_iso(F0.factors, F1.factors)
+
+
+class TestLoopScanOnMergedClasses:
+    """The loop scan merging in a partition that already grouped colors
+    gives what a fresh scan over those groups, regrouped first, gives; its
+    merges keep the class that held the most groups, not the most colors."""
+
+    def test_same_as_regrouping_first(self):
+        rng = random.Random(11)
+        LOOPED_SQUARE = DiGraph(
+            4, {a for u, v in ((0, 1), (1, 3), (3, 2), (2, 0)) for a in ((u, v), (v, u))}, {3}
+        )
+        K2 = DiGraph(2, {(0, 1), (1, 0)}, set())
+        merged = 0
+        for t in range(120):
+            pool = [LOOPED_SQUARE, K2, gen_product_instance(1, (2, 4), 0.4, t)[1][0]]
+            P, _ = cartesian_product([rng.choice(pool) for _ in range(rng.randint(2, 4))])
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            G = relabel(P, perm)
+            root = rng.choice([v for v in range(G.n) if v not in G.loops])
+            B = bfs(shadow(G), root)
+            C = factor_shadow(shadow(G), root, B).coordin
+            # group the colors at random, as the direction scan might
+            groups = ColorPartition(C.k)
+            for _ in range(rng.randint(0, C.k - 1)):
+                groups.merge(rng.sample(groups.live_ids(), min(2, groups.count)))
+            regrouped = group_coordinates(G, C, groups.classes())
+            NF = DirectedFactorization(groups, regrouped.factors, regrouped, 0)
+
+            def shared():
+                merges = loop_factor._loop_scan(G, C, groups, B)
+                return merges, loop_factor._regroup_looped(G, C, groups)
+
+            try:
+                want = factor_with_loops(G, NF, B)
+            except FactorizationError:
+                with pytest.raises(FactorizationError):
+                    shared()
+                continue
+            merges, got = shared()
+            assert merges == want.merges
+            assert got.factors == want.factors
+            assert got.coords == want.coordin.coords
+            merged += merges > 0
+        assert merged > 20

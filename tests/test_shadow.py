@@ -20,10 +20,10 @@ from boxfactor import (
     gen_product_instance,
     min_degree,
     shadow,
-    shadow_factorization_of_product,
 )
 from boxfactor import shadow_factor
 from boxfactor.cli import _bench_instance
+from boxfactor.cli import _shadow_factorization_of_product as shadow_factorization_of_product
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
@@ -330,8 +330,7 @@ def _scrambled(G, seed):
 
 def _round_one(S, r):
     """The labels of the first rung of factor_shadow's ladder."""
-    edges = sorted(S.edges)
-    return edges, next(shadow_factor._ladder(S, bfs(S, r), edges))
+    return S.ends, next(shadow_factor._ladder(S, bfs(S, r)))
 
 
 class TestLadder:
@@ -427,9 +426,9 @@ class TestAgainstNaiveCoordinates:
         edges = sorted(S.edges)
         for r in roots:
             bn = bfs(S, r).bfsnum
-            delta = shadow_factor._number_classes(
+            delta = dict(zip(edges, shadow_factor._number_classes(
                 edges, naive_square_closure(S, edges), bn
-            )
+            )))
             final = factor_shadow(S, r).colors
             colorings = [delta, final]
             labels = [final[e] for e in edges]
