@@ -2,8 +2,8 @@
 
 The pipeline: factor the undirected shadow, repair the coloring against arc
 directions with one BFS-ordered scan, then repair it against loops with a
-second scan. `factor_full` runs all of it; the pieces are exposed for tests
-and for callers that already hold intermediate results.
+second scan. `factor_full` runs all of it; the pieces are exposed for
+callers that already hold intermediate results.
 """
 
 from .core import (
@@ -12,9 +12,7 @@ from .core import (
     ShadowGraph,
     bfs,
     coords_to_text,
-    dist,
     is_connected,
-    min_degree,
     parse_coords,
     parse_graph,
     shadow,
@@ -48,7 +46,6 @@ from .product import (
     cartesian_product,
     group_coordinates,
     product_graph,
-    project_vertex,
     unit_layer,
 )
 from .shadow_factor import (
@@ -79,7 +76,6 @@ __all__ = [
     "cartesian_product",
     "coordinates_from_colors",
     "coords_to_text",
-    "dist",
     "factor_directed",
     "factor_full",
     "factor_shadow",
@@ -88,12 +84,10 @@ __all__ = [
     "group_coordinates",
     "is_connected",
     "iso_check",
-    "min_degree",
     "parse_coords",
     "parse_graph",
     "pick_root",
     "product_graph",
-    "project_vertex",
     "reconstruct_check",
     "reconstruct_check_parts",
     "shadow",

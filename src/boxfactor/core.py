@@ -272,21 +272,6 @@ def is_connected(S: ShadowGraph) -> bool:
     return S.n <= 1 or len(_sweep(S, 0)[0]) == S.n
 
 
-def min_degree(S: ShadowGraph) -> int:
-    if S.n == 0:
-        return 0
-    return min(len(S.adj[v]) for v in range(S.n))
-
-
-def dist(S: ShadowGraph, u: int, v: int):
-    """Shadow distance between u and v; None when v is unreachable."""
-    for x in (u, v):
-        if not 0 <= x < S.n:
-            raise ValueError(f"vertex {x} out of range")
-    d = _sweep(S, u)[1][v]
-    return None if d < 0 else d
-
-
 # --- text format ------------------------------------------------------------
 #
 # Line-oriented: '# comment', 'n <N>' (exactly once, before any arc or loop),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BfsOrder, DiGraph, bfs, shadow
-from .product import Coordinatization, group_coordinates
+from .product import Coordinatization
 from .shadow_factor import ShadowFactorization
 
 
@@ -28,8 +28,8 @@ class ColorPartition:
 
     Lookup goes through a pointer table (original color to current class id),
     so merging relabels only the smaller side. Class ids are drawn from the
-    original color indices; `classes()` lists the live classes sorted by
-    their smallest member, which is the canonical output order.
+    original color indices; no output reads them. `classes()` lists the
+    live classes by their smallest member, which is the canonical order.
     """
 
     __slots__ = ("_table", "_members")
@@ -45,16 +45,9 @@ class ColorPartition:
         return len(self._table)
 
     @property
-    def count(self) -> int:
-        return len(self._members)
-
-    @property
     def table(self):
         """Live pointer table, indexed by original color. Read only."""
         return self._table
-
-    def class_of(self, color: int) -> int:
-        return self._table[color]
 
     def members(self, class_id: int) -> tuple[int, ...]:
         return tuple(self._members[class_id])
@@ -63,26 +56,21 @@ class ColorPartition:
         return sorted(self._members)
 
     def classes(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(self._members[i])) for i in self.live_ids()]
+        return sorted(tuple(sorted(m)) for m in self._members.values())
 
-    def merge(self, class_ids, survivor: int | None = None) -> int:
+    def merge(self, class_ids) -> int:
         """Merge the given live classes; returns the surviving id.
 
-        The class `survivor` (one of the given ids) keeps its id; by default
-        the largest class does (ties: smallest id). The members of the rest
-        are repointed, so total repointing work stays quadratic in the color
-        count over any merge sequence.
+        The largest class keeps its id (ties: smallest id); repointing the
+        rest keeps the total work quadratic in k over any merge sequence.
         """
         ids = set(class_ids)
         for i in ids:
             if i not in self._members:
                 raise ValueError(f"{i} is not a live class id")
-        if survivor is not None and survivor not in ids:
-            raise ValueError(f"survivor {survivor} is not among the merged ids")
         if len(ids) <= 1:
             return next(iter(ids)) if ids else -1
-        if survivor is None:
-            survivor = min(ids, key=lambda i: (-len(self._members[i]), i))
+        survivor = min(ids, key=lambda i: (-len(self._members[i]), i))
         for i in ids:
             if i == survivor:
                 continue
@@ -249,12 +237,10 @@ def factor_directed(
     """Prime factorization of a connected loopless directed graph.
 
     `SF` must be the prime factorization of shadow(G) and `B` a BFS structure
-    rooted at SF.root (recomputed when omitted).
+    rooted at SF.root (recomputed when omitted). Checks them, then runs
+    `factor_full`'s merge entry.
     """
+    from .loop_factor import _merge_scans  # loop_factor imports this module
     B, info = _edge_info(G, SF, B)
-    P = ColorPartition(len(SF.factors))
-    if G.n == 1:
-        return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
-    merges = _direction_scan(SF.coordin, B, info, P)
-    coordin = group_coordinates(G, SF.coordin, P.classes())
-    return DirectedFactorization(P, coordin.factors, coordin, merges)
+    P, coordin, rows = _merge_scans(G, SF.coordin, B, info)
+    return DirectedFactorization(P, coordin.factors, coordin, rows[-1][2])

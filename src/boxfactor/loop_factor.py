@@ -8,12 +8,12 @@ into the current classes: if the vertex's loop state disagrees with all of
 its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
-`factor_full` is the package's front door: it validates the input, factors
-the shadow, runs the directed scan, and runs the loop scan when needed. Both
-scans work on the shadow's coordinates and merge in one partition of its
-colors, so the coordinates are regrouped once, at the end. It times each
-pass it runs and returns the times and merge counts as the result's
-`stages`, which the `factor` command reports.
+`factor_full` is the package's front door: it validates the input and
+factors the shadow; `_merge_scans`, shared with `factor_directed` and
+`bench`, then runs the directed scan, and the loop scan when needed, in one
+partition of the shadow's colors and regroups the coordinates once. The
+result's `stages` hold each pass's time and merge count, which the `factor`
+command reports.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def rooted_bfs(G: DiGraph, S: ShadowGraph, root: int | None = None) -> BfsOrder:
 def factor_with_loops(
     G: DiGraph, NF: DirectedFactorization, B: BfsOrder | None = None
 ) -> DirectedFactorization:
-    """Prime factorization of G from the factorization NF of G minus loops."""
+    """Prime factorization of G from the factorization NF of G minus loops:
+    NF and B are checked against G, then the loop scan runs on NF."""
     coordin = NF.coordin
     if len(coordin.coords) != G.n:
         raise ValueError("factorization does not match the graph size")
@@ -99,17 +100,15 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
     classes of P, in place, at each vertex whose loop state disagrees with
     its projections into the live classes. Returns the number of merges.
 
-    A merge keeps the id of the class that holds the most of the classes
-    live when the scan began (ties: smallest id). On a fresh P that is the
-    largest class; on the classes the direction scan left, it numbers the
-    classes as a fresh partition over them would.
+    P may hold the classes the direction scan left: the scan reads only
+    their members, so it merges as a fresh partition over those classes
+    would.
     """
     n = G.n
     table = P.table
     coords = C.coords
     looped = G.loops
     kk = range(C.k)
-    units = dict.fromkeys(P.live_ids(), 1)
     # at_loop[code]: is the vertex with that code looped; flags[i][v]: is v's
     # projection into live class i looped. A merge rebuilds only the
     # survivor's column.
@@ -121,7 +120,7 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
     def flag_column(members):
         return bytes([at_loop[c] for c in C.projection_codes(members)])
 
-    flags = {i: flag_column(P.members(i)) for i in units}
+    flags = {i: flag_column(P.members(i)) for i in P.live_ids()}
     anyloop = bytes(map(any, zip(*flags.values())))
 
     merges = 0
@@ -141,9 +140,7 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
                 "loop mismatch with nothing to merge: the loopless "
                 "factorization was not prime"
             )
-        survivor = min(ids, key=lambda i: (-units[i], i))
-        units[survivor] = sum(units.pop(i) for i in ids)
-        P.merge(ids, survivor)
+        survivor = P.merge(ids)
         for i in ids:
             del flags[i]
         flags[survivor] = flag_column(P.members(survivor))
@@ -160,9 +157,13 @@ def _regroup_looped(
     The regrouped coordinates are a bijection onto the grid, so the product
     of the factors has n minus the product of their unlooped counts looped
     vertices: it has G's loops exactly when it has that many and each loop
-    of G sits at a looped coordinate.
+    of G sits at a looped coordinate. Each factor's arcs recur once per
+    vertex of the others, which a C made for another graph fails to match.
     """
     coordin = group_coordinates(G, C, P.classes())
+    made = sum(len(F.arcs) * (G.n // F.n) for F in coordin.factors)
+    if made != len(G.arcs):
+        raise FactorizationError(f"the factors make {made} arcs, the graph has {len(G.arcs)}")
     loops = [F.loops for F in coordin.factors]
     coords = coordin.coords
     for v in G.loops:
@@ -197,8 +198,7 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
         )
     t0 = perf_counter()
     SF = factor_shadow(S, B.root, B)
-    t1 = perf_counter()
-    stages = [("shadow", t1 - t0, 0)]
+    shadow_row = ("shadow", perf_counter() - t0, 0)
     n = G.n
     C = SF.coordin
     # the colors come in edge-id order, aligned with the direction bits
@@ -206,15 +206,26 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
         u * n + v: 4 * c + d for (u, v), c, d in zip(S.ends, SF.colors.values(), S.dirs)
     }
     del S, SF  # the scans read only C, B and info: free the edge numbering
+    P, coordin, rows = _merge_scans(G, C, B, info)
+    return DirectedFactorization(P, coordin.factors, coordin, rows[-1][2], (shadow_row, *rows))
+
+
+def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder, info):
+    """The direction scan over the shadow coordinates C of G (`info` as in
+    `_direction_scan`), then the loop scan when G has loops, in one fresh
+    partition of C's colors, then one regrouping. Inputs are trusted.
+    Returns the partition, the coordinates and a `(name, seconds, merges)`
+    row per scan; the last row's time includes the regrouping.
+    """
+    t0 = perf_counter()
     P = ColorPartition(C.k)
     merges = _direction_scan(C, B, info, P)
+    rows = []
     if G.loops:
-        t2 = perf_counter()
-        stages.append(("directed", t2 - t1, merges))
-        t1 = t2
+        t1 = perf_counter()
+        rows.append(("directed", t1 - t0, merges))
+        t0 = t1
         merges = _loop_scan(G, C, P, B)
-        coordin = _regroup_looped(G, C, P)
-    else:
-        coordin = group_coordinates(G, C, P.classes())
-    stages.append(("loops" if G.loops else "directed", perf_counter() - t1, merges))
-    return DirectedFactorization(P, coordin.factors, coordin, merges, tuple(stages))
+    coordin = _regroup_looped(G, C, P)
+    rows.append(("loops" if G.loops else "directed", perf_counter() - t0, merges))
+    return P, coordin, rows

@@ -156,18 +156,6 @@ def cartesian_product(factors: Sequence[DiGraph]) -> tuple[DiGraph, Coordinatiza
     return product_graph(C), C
 
 
-def project_vertex(v: CoordVector, keep, root: CoordVector) -> CoordVector:
-    """Coordinates of v's projection into the layer through `root` spanned by
-    the positions in `keep`: kept positions stay, the rest snap to root."""
-    if len(v) != len(root):
-        raise ValueError("coordinate vectors must have equal length")
-    ks = set(keep)
-    for i in ks:
-        if not 0 <= i < len(v):
-            raise ValueError(f"position {i} out of range")
-    return tuple(v[i] if i in ks else root[i] for i in range(len(v)))
-
-
 def unit_layer(
     G: DiGraph, C: Coordinatization, positions, root: int | None = None
 ) -> tuple[DiGraph, tuple[int, ...]]:

@@ -13,6 +13,7 @@ from boxfactor import (
     BfsOrder,
     ColorPartition,
     Coordinatization,
+    CoordVector,
     DiGraph,
     DirectedFactorization,
     DisconnectedGraphError,
@@ -28,7 +29,7 @@ from boxfactor import (
     shadow,
     unit_layer,
 )
-from boxfactor import directed_factor, shadow_factor
+from boxfactor import core, directed_factor, shadow_factor
 
 
 def consistent_square() -> DiGraph:
@@ -416,6 +417,43 @@ def product_square(
 def merge_classes(P: ColorPartition, class_ids) -> int:
     """Functional spelling of ColorPartition.merge."""
     return P.merge(class_ids)
+
+
+def class_of(P: ColorPartition, color: int) -> int:
+    """Id of the live class of P holding the original color."""
+    return P.table[color]
+
+
+def class_count(P: ColorPartition) -> int:
+    """Number of live classes of P."""
+    return len(P.live_ids())
+
+
+def project_vertex(v: CoordVector, keep, root: CoordVector) -> CoordVector:
+    """Coordinates of v's projection into the layer through `root` spanned by
+    the positions in `keep`: kept positions stay, the rest snap to root."""
+    if len(v) != len(root):
+        raise ValueError("coordinate vectors must have equal length")
+    ks = set(keep)
+    for i in ks:
+        if not 0 <= i < len(v):
+            raise ValueError(f"position {i} out of range")
+    return tuple(v[i] if i in ks else root[i] for i in range(len(v)))
+
+
+def min_degree(S: ShadowGraph) -> int:
+    if S.n == 0:
+        return 0
+    return min(len(S.adj[v]) for v in range(S.n))
+
+
+def dist(S: ShadowGraph, u: int, v: int):
+    """Shadow distance between u and v; None when v is unreachable."""
+    for x in (u, v):
+        if not 0 <= x < S.n:
+            raise ValueError(f"vertex {x} out of range")
+    d = core._sweep(S, u)[1][v]
+    return None if d < 0 else d
 
 
 def naive_group_coordinates(G: DiGraph, C: Coordinatization, classes) -> Coordinatization:

@@ -18,21 +18,21 @@ from boxfactor import (
     brute_force_prime,
     canonical_small_graphs,
     cartesian_product,
-    dist,
     factor_full,
     gen_product_instance,
-    min_degree,
-    project_vertex,
     reconstruct_check,
     shadow,
 )
 from boxfactor.cli import main as cli_main
 from helpers import (
     consistent_square,
+    dist,
     inconsistent_square,
     loop_product,
     looped_far_corner,
+    min_degree,
     multiset_iso,
+    project_vertex,
     random_digraph,
     relabel,
 )

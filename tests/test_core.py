@@ -12,9 +12,7 @@ from boxfactor import (
     ShadowGraph,
     bfs,
     coords_to_text,
-    dist,
     is_connected,
-    min_degree,
     parse_coords,
     parse_graph,
     shadow,
@@ -23,6 +21,8 @@ from boxfactor import (
 )
 from helpers import (
     connected_digraphs,
+    dist,
+    min_degree,
     naive_bfs,
     naive_dist,
     naive_is_connected,
@@ -445,9 +445,17 @@ class TestExports:
         assert [n for n in boxfactor.__all__ if not hasattr(boxfactor, n)] == []
 
     def test_test_only_helpers_are_not_exported(self):
-        for name in ("count_inconsistencies", "shadow_factorization_of_product"):
+        for name in (
+            "count_inconsistencies",
+            "shadow_factorization_of_product",
+            "dist",
+            "min_degree",
+            "project_vertex",
+        ):
             assert name not in boxfactor.__all__
             assert not hasattr(boxfactor, name)
+        for name in ("class_of", "count"):
+            assert not hasattr(boxfactor.ColorPartition, name)
 
     def test_star_import(self):
         namespace = {}

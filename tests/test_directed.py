@@ -22,6 +22,8 @@ from boxfactor.cli import _shadow_factorization_of_product as shadow_factorizati
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
+    class_count,
+    class_of,
     connected_digraphs,
     consistent_square,
     count_inconsistencies,
@@ -41,14 +43,14 @@ class TestColorPartition:
     def test_initial_state(self):
         P = ColorPartition(3)
         assert P.k == 3
-        assert P.count == 3
+        assert class_count(P) == 3
         assert P.table == [0, 1, 2]
         assert P.classes() == [(0,), (1,), (2,)]
         assert P.live_ids() == [0, 1, 2]
 
     def test_zero_colors(self):
         P = ColorPartition(0)
-        assert P.k == 0 and P.count == 0 and P.classes() == []
+        assert P.k == 0 and class_count(P) == 0 and P.classes() == []
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -57,22 +59,22 @@ class TestColorPartition:
     def test_single_id_merge_is_noop(self):
         P = ColorPartition(2)
         assert P.merge({1}) == 1
-        assert P.count == 2
+        assert class_count(P) == 2
 
     def test_empty_merge(self):
         P = ColorPartition(2)
         assert P.merge(set()) == -1
-        assert P.count == 2
+        assert class_count(P) == 2
 
     def test_basic_merge(self):
         P = ColorPartition(3)
         s = P.merge({0, 2})
         assert s == 0
         assert P.classes() == [(0, 2), (1,)]
-        assert P.class_of(2) == 0
+        assert class_of(P, 2) == 0
         assert P.table == [0, 1, 0]
         assert P.members(0) == (0, 2)
-        assert P.count == 2
+        assert class_count(P) == 2
 
     def test_unknown_id_rejected(self):
         P = ColorPartition(3)
@@ -86,28 +88,20 @@ class TestColorPartition:
         assert P.live_ids() == [0, 1, 2]
         s = P.merge({0, 2})  # class 2 has two members, wins over 0
         assert s == 2
-        assert P.class_of(0) == 2
-        assert P.classes() == [(1,), (0, 2, 3)]
+        assert class_of(P, 0) == 2
+        # listed by smallest member, whatever the ids
+        assert P.classes() == [(0, 2, 3), (1,)]
 
     def test_merge_to_single_class(self):
         P = ColorPartition(5)
         P.merge(set(P.live_ids()))
-        assert P.count == 1
+        assert class_count(P) == 1
         assert len(set(P.table)) == 1
-
-    def test_chosen_survivor_keeps_its_id(self):
-        P = ColorPartition(4)
-        P.merge({0, 1})
-        assert P.merge({0, 2}, survivor=2) == 2
-        assert P.classes() == [(0, 1, 2), (3,)]
-        assert P.table == [2, 2, 2, 3]
-        with pytest.raises(ValueError):
-            P.merge({2, 3}, survivor=0)
 
     def test_functional_wrapper(self):
         P = ColorPartition(2)
         assert merge_classes(P, {0, 1}) == 0
-        assert P.count == 1
+        assert class_count(P) == 1
 
 
 class TestExamples:
@@ -376,3 +370,63 @@ class TestAgainstNaiveScans:
             factor_directed(G, SF)
         with pytest.raises(ValueError, match="changes other coordinates"):
             count_inconsistencies(G, SF, [0, 1])
+
+
+class TestFactorOrder:
+    """Factors come out by their smallest shadow colour, whichever class id
+    survived the merges: oriented 3-cubes times an oriented 3-vertex path or
+    triangle, in random factor order, scrambled and rooted at random."""
+
+    Q3 = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    SMALL = ([(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)])
+
+    @staticmethod
+    def orient(rng, edges, n):
+        # forward, back or both ways, 0.4 / 0.4 / 0.2
+        arcs = set()
+        for u, v in edges:
+            r = rng.random()
+            if r < 0.4:
+                arcs.add((u, v))
+            elif r < 0.8:
+                arcs.add((v, u))
+            else:
+                arcs |= {(u, v), (v, u)}
+        return DiGraph(n, arcs, set())
+
+    def instance(self, seed):
+        rng = random.Random(seed)
+        factors = [self.orient(rng, self.Q3, 8), self.orient(rng, rng.choice(self.SMALL), 3)]
+        rng.shuffle(factors)
+        P, _ = cartesian_product(factors)
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        G = relabel(P, perm)
+        return G, rng.randrange(G.n)
+
+    def test_classes_by_smallest_colour(self):
+        # the class ids sort differently from the members in seeds 154, 441
+        # and 796, where the merged class's id is not its smallest colour
+        by_id = []
+        for seed in range(800):
+            G, root = self.instance(seed)
+            F = factor_full(G, root)
+            P = F.partition
+            assert P.classes() == sorted(P.classes())
+            if [tuple(sorted(P.members(i))) for i in P.live_ids()] != P.classes():
+                by_id.append(seed)
+            B = bfs(shadow(G), root)
+            NF = factor_directed(G, factor_shadow(shadow(G), root, B), B)
+            assert F.factors == NF.factors
+            assert F.coordin.coords == NF.coordin.coords
+        assert by_id == [154, 441, 796]
+
+    def test_merged_class_with_larger_id_comes_first(self):
+        G, root = self.instance(154)
+        assert (root, len(G.arcs)) == (18, 74)
+        F = factor_full(G, root)
+        assert F.partition.classes() == [(0, 2, 3), (1,)]
+        assert [Fi.n for Fi in F.factors] == [8, 3]
+        R = factor_with_loops(G, factor_directed(G, factor_shadow(shadow(G), root)))
+        assert R.factors == F.factors
+        assert R.coordin.coords == F.coordin.coords

@@ -13,6 +13,7 @@ from boxfactor import (
     DisconnectedGraphError,
     FactorizationError,
     NoUnloopedVertexError,
+    ShadowGraph,
     cartesian_product,
     factor_directed,
     factor_full,
@@ -28,6 +29,8 @@ from boxfactor import (
 from boxfactor import loop_factor
 from boxfactor.core import bfs
 from helpers import (
+    both_ways,
+    class_count,
     connected_digraphs,
     inconsistent_square,
     loop_product,
@@ -169,6 +172,16 @@ class TestFactorWithLoops:
         assert C.coords == ((0, 0), (1, 0), (0, 1), (1, 1))
         with pytest.raises(FactorizationError, match=message):
             loop_factor._regroup_looped(G, C, ColorPartition(2))
+
+    def test_factorization_of_another_graph_raises(self):
+        # NF factors the both-ways square 0-1-3-2; H is the both-ways cycle
+        # 0-1-2-3 on the same vertices, whose "factors" under NF's
+        # coordinates make 4 of its 8 arcs
+        NF = factor_full(both_ways(ShadowGraph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])))
+        assert NF.k == 2
+        H = both_ways(ShadowGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        with pytest.raises(FactorizationError, match="make 4 arcs, the graph has 8"):
+            factor_with_loops(H, NF)
 
 
 class TestFactorFullContract:
@@ -317,8 +330,7 @@ class TestLoopProperties:
 
 class TestLoopScanOnMergedClasses:
     """The loop scan merging in a partition that already grouped colors
-    gives what a fresh scan over those groups, regrouped first, gives; its
-    merges keep the class that held the most groups, not the most colors."""
+    gives what a fresh scan over those groups, regrouped first, gives."""
 
     def test_same_as_regrouping_first(self):
         rng = random.Random(11)
@@ -339,7 +351,7 @@ class TestLoopScanOnMergedClasses:
             # group the colors at random, as the direction scan might
             groups = ColorPartition(C.k)
             for _ in range(rng.randint(0, C.k - 1)):
-                groups.merge(rng.sample(groups.live_ids(), min(2, groups.count)))
+                groups.merge(rng.sample(groups.live_ids(), min(2, class_count(groups))))
             regrouped = group_coordinates(G, C, groups.classes())
             NF = DirectedFactorization(groups, regrouped.factors, regrouped, 0)
 

@@ -9,10 +9,8 @@ from boxfactor import (
     DiGraph,
     FactorizationError,
     cartesian_product,
-    dist,
     group_coordinates,
     product_graph,
-    project_vertex,
     shadow,
     unit_layer,
 )
@@ -20,10 +18,12 @@ from helpers import (
     both_k2,
     both_ways,
     connected_digraphs,
+    dist,
     naive_cartesian_product,
     naive_group_coordinates,
     product_square,
     project,
+    project_vertex,
     random_digraph,
     random_labeled_product,
 )

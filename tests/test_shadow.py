@@ -18,7 +18,6 @@ from boxfactor import (
     coordinates_from_colors,
     factor_shadow,
     gen_product_instance,
-    min_degree,
     shadow,
 )
 from boxfactor import shadow_factor
@@ -29,6 +28,7 @@ from helpers import (
     both_k2,
     both_ways,
     connected_digraphs,
+    min_degree,
     mobius_ladder,
     naive_coordinates_from_colors,
     naive_factor_shadow,
