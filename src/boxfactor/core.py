@@ -67,11 +67,11 @@ class ShadowGraph:
     edge once as a (min, max) pair. The edges are numbered once, on first
     use, in ascending (min, max) order: `ends[i]` is edge i, `inc[v]` lists
     the ids of the edges to `adj[v]`, aligned with it (so the id of edge vw
-    is `inc[v][bisect_left(adj[v], w)]`), and `nbrs[v]` holds `adj[v]` as a
-    set. `dirs[i]` holds the arcs behind edge i as two bits, 1 for
-    min -> max and 2 for max -> min, when `shadow` took the edges from a
-    digraph's arcs; it is None for a shadow built from bare edges. A caller
-    that only walks `adj`, such as `bfs`, pays for none of the numbering.
+    is `inc[v][bisect_left(adj[v], w)]`). `dirs[i]` holds the arcs behind
+    edge i as two bits, 1 for min -> max and 2 for max -> min, when `shadow`
+    took the edges from a digraph's arcs; it is None for a shadow built from
+    bare edges. A caller that only walks `adj`, such as `bfs`, pays for none
+    of the numbering.
     """
 
     __slots__ = ("n", "adj", "_edges", "_arcs", "_ids")
@@ -106,7 +106,7 @@ class ShadowGraph:
         return S
 
     def _numbered(self):
-        """(ends, inc, nbrs, dirs), built on first use in one sweep over the
+        """(ends, inc, dirs), built on first use in one sweep over the
         sorted adjacency lists: the edges to larger neighbours of 0, 1, ...
         come in ascending (min, max) order, and every vertex meets the edges
         to its smaller neighbours, in ascending order, before its own."""
@@ -124,7 +124,7 @@ class ShadowGraph:
             dirs = None
             if arcs is not None:
                 dirs = bytes([((u, v) in arcs) + 2 * ((v, u) in arcs) for u, v in ends])
-            self._ids = (ends, inc, list(map(set, self.adj)), dirs)
+            self._ids = (ends, inc, dirs)
         return self._ids
 
     @property
@@ -142,12 +142,8 @@ class ShadowGraph:
         return self._numbered()[1]
 
     @property
-    def nbrs(self) -> list[set[int]]:
-        return self._numbered()[2]
-
-    @property
     def dirs(self) -> bytes | None:
-        return self._numbered()[3]
+        return self._numbered()[2]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges

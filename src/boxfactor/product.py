@@ -60,14 +60,6 @@ class Coordinatization:
             raise ValueError(f"root {self.root} out of range")
 
     @cached_property
-    def vertex_of(self) -> dict[CoordVector, int]:
-        """Inverse of `coords`; raises if the labeling is not injective."""
-        table = {cv: v for v, cv in enumerate(self.coords)}
-        if len(table) != len(self.coords):
-            raise FactorizationError("coordinate labeling is not injective")
-        return table
-
-    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Mixed-radix place values: position 0 varies slowest, as in
         `cartesian_product`."""

@@ -13,29 +13,32 @@ rung joins is a tau pair or a pair of opposite edges of a chordless square,
 which are Theta-related, so every rung refines sigma. When a rung is a
 product coloring, sigma refines it too (Theta and tau never relate edges of
 different factors of a product), so it is sigma: the first rung accepted is
-the factorization, whichever rung that is. The rungs, each checked only
-when it merged classes:
+the factorization, whichever rung that is.
 
-1. Round 1. At each vertex v with BFS-tree edge vu (u the first
-   down-neighbour), the pairs vu, vw for every other neighbour w (down,
-   cross and up) are tested: a pair on no chordless square is tau and
-   joined, otherwise the opposite edges of each chordless square v-u-x-w
-   are joined. A square is joined once, at its smallest corner whose tree
-   edge lies on it. Where no down-edge spans a chordless square with vu,
-   at the root and wherever v has one down-neighbour, v lies on a unit
-   layer of a product, all its down-edges in one factor; such a vertex
-   tests all pairs, and joins a square only where no smaller corner whose
-   tree edge lies on it does (there u or w may be an up-neighbour whose
-   tree edge is the one to v). Round 1 tests O(m) pairs plus all pairs at
-   the unit-layer vertices (sum of the factor sizes in a product), each by
-   an O(deg) intersection of neighbour sets. Two edges at a vertex that lie
-   in different factors of a product span exactly one chordless square, so
-   on products the tree edge at v usually suffices to place every other
-   edge at v, and round 1 is accepted; nothing rests on that, and a few
-   rooted products do fall through to rung 2.
-2. delta*. Every pair of edges at every vertex, added to the same classes,
-   closes delta: tau plus the opposite edges of every chordless square.
-   This costs O(sum over v of deg(v)^2 times the degree of a neighbour).
+Rungs 1 and 2 are one square closure (`_close_pairs`) with two anchor
+rules. At each vertex v it tests the pairs of edges va, vw that hold an
+anchor a: a pair on no chordless square is tau and joined, otherwise the
+opposite edges of each chordless square v-a-x-w are joined, but only at
+the square's smallest corner that tests it. A corner tests a square when
+it takes every neighbour as an anchor or when its tree edge lies on it.
+The rungs, each checked only when it merged classes:
+
+1. Round 1. The anchor of v is its BFS-tree neighbour u, the first
+   down-neighbour, so vu is tested with every other edge at v (down,
+   cross and up). The root, and every v where no down-edge spans a
+   chordless square with vu (such as a v with one down-neighbour: a
+   unit-layer vertex of a product, all its down-edges in one factor), take
+   every neighbour as an anchor. Round 1 tests O(m) pairs plus all
+   pairs at the unit-layer vertices (sum of the factor sizes in a
+   product), each by an O(deg) intersection of neighbour sets. Two edges at
+   a vertex that lie in different factors of a product span exactly one
+   chordless square, so on products the tree edge at v usually suffices to
+   place every other edge at v, and round 1 is accepted; nothing rests on
+   that, and a few rooted products do fall through to rung 2.
+2. delta*. Every neighbour of every vertex is an anchor, so every square
+   is joined at its smallest corner, added to the same classes. This closes
+   delta: tau plus the opposite edges of every chordless square, in
+   O(sum over v of deg(v)^2 times the degree of a neighbour).
 3. Theta, one edge at a time, for graphs that are locally but not globally
    a product, such as a Moebius ladder: BFS-tree edges first, then the
    rest. An edge xy is Theta-related to uv exactly when
@@ -56,7 +59,7 @@ unit-layer factors and vertex coordinates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs
@@ -147,21 +150,18 @@ def _close_pairs(
     parent: list[int],
     down: tuple[tuple[int, ...], ...] | None,
 ) -> None:
-    """Join pairs of edges at each vertex in the union-find `parent` over
-    the edge ids of S: every pair when `down` is None (closing delta), else
-    round 1 with `down` the BFS down-neighbours of every vertex.
-
-    Round 1: at each vertex v, join the pairs of edges that hold v's BFS-tree
-    edge vu, a pair on no chordless square (tau) directly and otherwise the
-    opposite edges of each chordless square v-u-x-w. A square is joined only
-    at its smallest corner whose tree edge lies on it. The root, and every
-    vertex where no down-edge vw spans a chordless square with vu (a
-    unit-layer vertex of a product, whose down-edges all lie in one factor),
-    takes all pairs instead, under the same rule for squares.
+    """Join the pairs of edges that hold an anchor, at every vertex, in the
+    union-find `parent` over the edge ids of S, under the anchor and corner
+    rules of the module docstring: round 1 with `down` the BFS
+    down-neighbours of every vertex, delta* when `down` is None. The
+    vertices are swept in id order, so whether a smaller corner takes every
+    neighbour as an anchor is known when it is read.
     """
     adj = S.adj
     inc = S.inc
-    nbrs = S.nbrs
+    nbrs = list(map(set, adj))
+    tree = [-1] * S.n if down is None else [d[0] if d else -1 for d in down]
+    every = [False] * S.n
 
     def union(a: int, b: int) -> None:
         while parent[a] != a:
@@ -171,101 +171,55 @@ def _close_pairs(
         if a != b:
             parent[b] = a
 
-    if down is None:
-        for v in range(S.n):
-            _pairs(v, S, union, None)
-        return
-    tree = [d[0] if d else -1 for d in down]
     for v, nb in enumerate(adj):
+        nv = nbrs[v]
         u = tree[v]
         if u < 0:
-            _pairs(v, S, union, tree)
-            continue
-        nu = nbrs[u]
-        off = nu - nbrs[v]  # the far corners of squares on vu, and v itself
-        off.discard(v)
-        for w in down[v][1:]:
-            if w not in nu and not off.isdisjoint(nbrs[w]):
-                break
+            every[v] = True
         else:
-            _pairs(v, S, union, tree)
-            continue
-        tu = tree[u]
-        ids = inc[v]
-        iu = ids[bisect_left(nb, u)]
-        adu = adj[u]
-        icu = inc[u]
-        for w, iw in zip(nb, ids):
-            if w == u:
-                continue
-            far = () if w in nu else off & nbrs[w]
-            if not far:
-                union(iu, iw)
-                continue
-            tw = tree[w]
-            for x in far:
-                # a smaller corner whose tree edge lies on the square joins
-                # it: u by ux (u's tree edge is one level below, never uv),
-                # w by wv or wx, x by xu or xw
-                if (u < v and tu == x) or (w < v and (tw == v or tw == x)):
-                    continue
-                tx = tree[x]
-                if x < v and (tx == u or tx == w):
-                    continue
-                union(iu, inc[w][bisect_left(adj[w], x)])
-                union(iw, icu[bisect_left(adu, x)])
-
-
-def _pairs(
-    v: int,
-    S: ShadowGraph,
-    union: Callable[[int, int], None],
-    tree: list[int] | None,
-) -> None:
-    """Join every pair of edges at v on no chordless square (tau), and the
-    opposite edges of the chordless squares v-u-x-w they span. With `tree`
-    None (delta*), only the squares whose smallest corner is v, which sees
-    each square of the graph exactly once. With `tree` the BFS-tree
-    neighbour of every vertex (-1 at the root), every square but those that
-    a smaller corner whose tree edge lies on the square joins; here u or w
-    may be an up-neighbour whose tree edge is the one to v."""
-    adj = S.adj
-    inc = S.inc
-    nbrs = S.nbrs
-    nb = adj[v]
-    ids = inc[v]
-    closed = nbrs[v] | {v}
-    for i, u in enumerate(nb):
-        nu = nbrs[u]
-        adu = adj[u]
-        icu = inc[u]
-        tu = -1 if tree is None else tree[u]
-        for j in range(i + 1, len(nb)):
-            w = nb[j]
-            # u, w adjacent: every square on vu, vw has a chord
-            far = () if w in nu else (nu & nbrs[w]) - closed
-            if not far:
-                union(ids[i], ids[j])
-                continue
-            if tree is None:
-                if v > u:  # adjacency lists are sorted, so u < w
-                    continue
+            nu = nbrs[u]
+            off = nu - nv  # with v dropped: the far corners of squares on vu
+            off.discard(v)
+            for w in down[v][1:]:
+                if w not in nu and not off.isdisjoint(nbrs[w]):
+                    break
             else:
-                tw = tree[w]
-                if (u < v and tu == v) or (w < v and tw == v):
-                    continue  # u or w joins every square on this pair
-            adw = adj[w]
-            icw = inc[w]
-            for x in far:
-                if tree is None:
-                    if v > x:
-                        continue
-                elif (u < v and tu == x) or (w < v and tw == x) or (
-                    x < v and tree[x] in (u, w)
-                ):
+                every[v] = True
+        ev = every[v]
+        ids = inc[v]
+        for i in range(len(nb)) if ev else (bisect_left(nb, u),):
+            a = nb[i]
+            na = nbrs[a]
+            if ev:  # else a is u, whose far corners are already in off
+                off = na - nv
+                off.discard(v)
+            ta = tree[a]
+            ia = ids[i]
+            # a smaller corner a that takes every anchor, or whose tree edge
+            # is av, tests every square on va; likewise w below
+            a_tests = a < v and (every[a] or ta == v)
+            for w, iw in zip(nb[i + 1 :], ids[i + 1 :]) if ev else zip(nb, ids):
+                if w == a:
                     continue
-                union(ids[i], icw[bisect_left(adw, x)])
-                union(ids[j], icu[bisect_left(adu, x)])
+                # a, w adjacent: every square on va, vw has a chord
+                far = () if w in na else off & nbrs[w]
+                if not far:
+                    union(ia, iw)
+                    continue
+                tw = tree[w]
+                if a_tests or (w < v and (every[w] or tw == v)):
+                    continue
+                for x in far:
+                    # a tests the square by ax, w by wx, x by every anchor,
+                    # xa or xw
+                    if (
+                        (a < v and ta == x)
+                        or (w < v and tw == x)
+                        or (x < v and (every[x] or tree[x] == a or tree[x] == w))
+                    ):
+                        continue
+                    union(ia, inc[w][bisect_left(adj[w], x)])
+                    union(iw, inc[a][bisect_left(adj[a], x)])
 
 
 def _number_classes(
@@ -420,7 +374,7 @@ def _coordinates(
     # the code by the step times the coordinate's stride
     codes = coordin.codes
     st = coordin.strides
-    layer_nbrs = [Z.nbrs for Z in factors]
+    layer_edges = [Z.edges for Z in factors]
     for (u, v), c in zip(S.ends, colors):
         a, b = coords[u][c], coords[v][c]
         if codes[v] - codes[u] != (b - a) * st[c] or a == b:
@@ -428,7 +382,7 @@ def _coordinates(
             raise FactorizationError(
                 f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
             )
-        if b not in layer_nbrs[c][a]:
+        if ((a, b) if a < b else (b, a)) not in layer_edges[c]:
             raise FactorizationError(
                 f"edge ({u}, {v}) does not project to an edge of factor {c}"
             )

@@ -228,6 +228,59 @@ def naive_square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[i
     return [find(a) for a in range(len(edges))]
 
 
+def naive_round_one(S: ShadowGraph, B: BfsOrder) -> list[int]:
+    """Class label of every edge under round 1 of `factor_shadow`'s ladder,
+    for edges indexed as in `sorted(S.edges)`, with no rule for which corner
+    joins a square.
+
+    A vertex v tests the pairs of its edges that hold an anchor: its BFS-tree
+    neighbour u = B.down[v][0], or every neighbour when v is the root or no
+    down-edge vw spans a chordless square with vu. A tested pair on no
+    chordless square is joined; otherwise the opposite edges of every
+    chordless square v-a-x-w it spans are joined, at every corner that tests
+    the square. The label of an edge is the index of its class's root edge.
+    """
+    edges = sorted(S.edges)
+    eidx = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    def join(p: int, q: int, r: int, s: int) -> None:
+        # the edges pq and rs
+        parent[find(eidx[(r, s) if r < s else (s, r)])] = find(
+            eidx[(p, q) if p < q else (q, p)]
+        )
+
+    nbrs = [set(nb) for nb in S.adj]
+
+    def far_corners(v: int, a: int, w: int) -> list[int]:
+        # the x with v-a-x-w a square without chords
+        if w in nbrs[a]:
+            return []
+        return [x for x in S.adj[a] if x != v and x in nbrs[w] and x not in nbrs[v]]
+
+    for v in range(S.n):
+        anchors = S.adj[v]
+        down = B.down[v]
+        if down and any(far_corners(v, down[0], w) for w in down[1:]):
+            anchors = down[:1]
+        for a in anchors:
+            for w in S.adj[v]:
+                if w == a:
+                    continue
+                far = far_corners(v, a, w)
+                if not far:
+                    join(v, a, v, w)
+                for x in far:
+                    join(v, a, w, x)
+                    join(v, w, a, x)
+    return [find(a) for a in range(len(edges))]
+
+
 def naive_factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     """Reference for `factor_shadow`: the delta* classes of
     `naive_square_closure`, then the Theta relations of one edge after
@@ -350,7 +403,7 @@ def naive_coordinates_from_colors(
         tuple(tuple(cv) for cv in coords),
         root,
     )
-    coordin.vertex_of  # force the injectivity check
+    vertex_of(coordin)  # force the injectivity check
 
     # every edge must step exactly one grid coordinate inside its own factor
     for (u, v), c in colors.items():
@@ -441,6 +494,14 @@ def project_vertex(v: CoordVector, keep, root: CoordVector) -> CoordVector:
     return tuple(v[i] if i in ks else root[i] for i in range(len(v)))
 
 
+def vertex_of(C: Coordinatization) -> dict[CoordVector, int]:
+    """Inverse of `C.coords`; raises if the labeling is not injective."""
+    table = {cv: v for v, cv in enumerate(C.coords)}
+    if len(table) != len(C.coords):
+        raise FactorizationError("coordinate labeling is not injective")
+    return table
+
+
 def min_degree(S: ShadowGraph) -> int:
     if S.n == 0:
         return 0
@@ -461,7 +522,7 @@ def naive_group_coordinates(G: DiGraph, C: Coordinatization, classes) -> Coordin
     projections looked up as coordinate tuples in `vertex_of`."""
     k = C.k
     rc = C.coords[C.root]
-    vo = C.vertex_of
+    vo = vertex_of(C)
     new_factors = []
     projs = []
     for b in classes:

@@ -35,6 +35,7 @@ from helpers import (
     project_vertex,
     random_digraph,
     relabel,
+    vertex_of,
 )
 
 
@@ -219,11 +220,12 @@ def test_c5_invariant_suite(capsys):
         flat, Cf = cartesian_product(fs)
         left, Cl = cartesian_product(fs[:2])
         grouped, Cg = cartesian_product([left, fs[2]])
+        at = vertex_of(Cf)
         m = {}
         for v in range(grouped.n):
             ab, c = Cg.coords[v]
             a, b = Cl.coords[ab]
-            m[v] = Cf.vertex_of[(a, b, c)]
+            m[v] = at[(a, b, c)]
         if (
             {(m[u], m[v]) for (u, v) in grouped.arcs} != set(flat.arcs)
             or {m[v] for v in grouped.loops} != set(flat.loops)
@@ -238,13 +240,14 @@ def test_c5_invariant_suite(capsys):
         rng.shuffle(perm)
         P1, C1 = cartesian_product(fs)
         P2, C2 = cartesian_product([fs[i] for i in perm])
+        at = vertex_of(C1)
         m = {}
         for v in range(P2.n):
             cv = C2.coords[v]
             orig = [0, 0, 0]
             for pos, i in enumerate(perm):
                 orig[i] = cv[pos]
-            m[v] = C1.vertex_of[tuple(orig)]
+            m[v] = at[tuple(orig)]
         if (
             {(m[u], m[v]) for (u, v) in P2.arcs} != set(P1.arcs)
             or {m[v] for v in P2.loops} != set(P1.loops)
@@ -293,12 +296,13 @@ def test_c5_invariant_suite(capsys):
             for v in range(P.n)
             if all(C.coords[v][j] == cw[j] for j in range(2) if j != i)
         ]
+        at = vertex_of(C)
         good = True
         for v in range(P.n):
             ds = {x: dist(SP, v, x) for x in layer}
             best = min(ds.values())
             mins = [x for x, d in ds.items() if d == best]
-            proj = C.vertex_of[project_vertex(C.coords[v], {i}, cw)]
+            proj = at[project_vertex(C.coords[v], {i}, cw)]
             if mins != [proj]:
                 good = False
                 break

@@ -26,6 +26,7 @@ from helpers import (
     project_vertex,
     random_digraph,
     random_labeled_product,
+    vertex_of,
 )
 
 
@@ -69,9 +70,10 @@ class TestCartesianProduct:
 
     def test_coordinatization_is_bijective(self):
         P, C = cartesian_product([arc01(), both_k2(), arc01()])
-        assert len(C.vertex_of) == P.n
+        at = vertex_of(C)
+        assert len(at) == P.n
         for v in range(P.n):
-            assert C.vertex_of[C.coords[v]] == v
+            assert at[C.coords[v]] == v
 
     def test_arc_iff_one_coordinate_steps(self):
         A = DiGraph(3, {(0, 1), (1, 2), (2, 0)}, set())
@@ -131,7 +133,9 @@ class TestCoordinatization:
     def test_non_injective_rejected(self):
         C = Coordinatization((arc01(),), ((0,), (0,)), 0)
         with pytest.raises(FactorizationError):
-            C.vertex_of
+            C.vertex_at
+        with pytest.raises(FactorizationError):
+            vertex_of(C)
 
     def test_non_injective_rejected_by_codes(self):
         # the grid size matches, but (0, 0) is used twice and (0, 1) never
@@ -158,10 +162,11 @@ class TestCoordinatization:
             coords[perm[v]] = cv
         D = Coordinatization(C.factors, coords, 7)
         rc = D.coords[7]
+        at = vertex_of(D)
         for v in range(12):
             assert D.vertex_at[D.codes[v]] == v
             for keep in ((), (0,), (2,), (0, 2), (1, 0), (0, 1, 2)):
-                expect = D.vertex_of[project_vertex(D.coords[v], keep, rc)]
+                expect = at[project_vertex(D.coords[v], keep, rc)]
                 assert project(D, v, keep) == expect
                 assert D.vertex_at[D.projection_codes(keep)[v]] == expect
 
@@ -175,11 +180,12 @@ class TestProjectVertex:
 
     def test_cube_distance(self):
         P, C = cartesian_product([both_k2()] * 3)
-        v = C.vertex_of[(1, 1, 1)]
+        at = vertex_of(C)
+        v = at[(1, 1, 1)]
         p = project_vertex((1, 1, 1), {1}, (0, 0, 0))
         assert p == (0, 1, 0)
         S = shadow(P)
-        assert dist(S, v, C.vertex_of[p]) == 2
+        assert dist(S, v, at[p]) == 2
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
@@ -210,7 +216,7 @@ class TestUnitLayer:
 
     def test_off_root_layer(self):
         P, C = cartesian_product([arc01(), arc01()])
-        layer, hosts = unit_layer(P, C, {0}, root=C.vertex_of[(0, 1)])
+        layer, hosts = unit_layer(P, C, {0}, root=vertex_of(C)[(0, 1)])
         assert hosts == (1, 3)
 
 
@@ -222,10 +228,11 @@ class TestProductSquare:
         for u, v in S.edges:
             cu, cv = C.coords[u], C.coords[v]
             colors[(u, v)] = 0 if cu[0] != cv[0] else 1
-        v = C.vertex_of[(0, 0)]
-        u = C.vertex_of[(1, 0)]
-        w = C.vertex_of[(0, 1)]
-        assert product_square(S, colors, v, u, w) == C.vertex_of[(1, 1)]
+        at = vertex_of(C)
+        v = at[(0, 0)]
+        u = at[(1, 0)]
+        w = at[(0, 1)]
+        assert product_square(S, colors, v, u, w) == at[(1, 1)]
 
     def test_cube_square(self):
         P, C = cartesian_product([both_k2()] * 3)
@@ -234,10 +241,11 @@ class TestProductSquare:
         for u, v in S.edges:
             cu, cv = C.coords[u], C.coords[v]
             colors[(u, v)] = next(i for i in range(3) if cu[i] != cv[i])
-        v = C.vertex_of[(0, 0, 0)]
-        u = C.vertex_of[(1, 0, 0)]
-        w = C.vertex_of[(0, 1, 0)]
-        assert product_square(S, colors, v, u, w) == C.vertex_of[(1, 1, 0)]
+        at = vertex_of(C)
+        v = at[(0, 0, 0)]
+        u = at[(1, 0, 0)]
+        w = at[(0, 1, 0)]
+        assert product_square(S, colors, v, u, w) == at[(1, 1, 0)]
 
     def test_no_square_raises(self):
         # a path has no square at all
@@ -355,11 +363,12 @@ class TestAlgebraicLaws:
         left, Cl = cartesian_product(fs[:2])
         grouped, Cg = cartesian_product([left, fs[2]])
         # natural bijection: grid coords agree after flattening
+        at = vertex_of(Cf)
         m = {}
         for v in range(grouped.n):
             (ab, c) = Cg.coords[v]
             a, b = Cl.coords[ab]
-            m[v] = Cf.vertex_of[(a, b, c)]
+            m[v] = at[(a, b, c)]
         assert {(m[u], m[v]) for (u, v) in grouped.arcs} == set(flat.arcs)
         assert {m[v] for v in grouped.loops} == set(flat.loops)
 
@@ -370,13 +379,14 @@ class TestAlgebraicLaws:
         perm = data.draw(st.permutations(range(3)))
         P1, C1 = cartesian_product(fs)
         P2, C2 = cartesian_product([fs[i] for i in perm])
+        at = vertex_of(C1)
         m = {}
         for v in range(P2.n):
             cv = C2.coords[v]
             orig = [0, 0, 0]
             for pos, i in enumerate(perm):
                 orig[i] = cv[pos]
-            m[v] = C1.vertex_of[tuple(orig)]
+            m[v] = at[tuple(orig)]
         assert {(m[u], m[v]) for (u, v) in P2.arcs} == set(P1.arcs)
         assert {m[v] for v in P2.loops} == set(P1.loops)
 

@@ -32,12 +32,14 @@ from helpers import (
     mobius_ladder,
     naive_coordinates_from_colors,
     naive_factor_shadow,
+    naive_round_one,
     naive_shadow_classes,
     naive_square_closure,
     random_digraph,
     relabel,
     undirected_cycle,
     undirected_path,
+    vertex_of,
 )
 
 
@@ -328,6 +330,36 @@ def _scrambled(G, seed):
     return relabel(G, perm), perm
 
 
+def _scrambled_product(family, size):
+    """The scrambled shadow of a bench-family product (or of K_q x K_q,
+    q = size), a corner of its coordinate grid and a vertex in its middle,
+    and its factor count."""
+    if family == "KqxKq":
+        arcs = {(a, b) for a in range(size) for b in range(size) if a != b}
+        G, C = cartesian_product([DiGraph(size, arcs, set())] * 2)
+    else:
+        G, C = _bench_instance(family, size, random.Random(size))
+    H, perm = _scrambled(G, size)
+    at = vertex_of(C)
+    corner = at[(0,) * C.k]
+    middle = at[tuple(F.n // 2 for F in C.factors)]
+    return shadow(H), [perm[corner], perm[middle]], C.k
+
+
+def _find(parent, a):
+    while parent[a] != a:
+        a = parent[a]
+    return a
+
+
+def _partition(labels):
+    """The classes of a labeling of edge ids, as a set of id sets."""
+    classes = {}
+    for i, c in enumerate(labels):
+        classes.setdefault(c, set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
 def _round_one(S, r):
     """The labels of the first rung of factor_shadow's ladder."""
     return S.ends, next(shadow_factor._ladder(S, bfs(S, r)))
@@ -370,21 +402,50 @@ class TestLadder:
         + [("KqxKq", q) for q in (3, 5, 8, 12)],
     )
     def test_round_one_is_enough_on_products(self, family, size, rungs):
-        if family == "KqxKq":
-            arcs = {(a, b) for a in range(size) for b in range(size) if a != b}
-            G, C = cartesian_product([DiGraph(size, arcs, set())] * 2)
-        else:
-            G, C = _bench_instance(family, size, random.Random(size))
-        H, perm = _scrambled(G, size)
-        S = shadow(H)
-        # a corner of the coordinate grid, and a vertex in its middle
-        corner = C.vertex_of[(0,) * C.k]
-        middle = C.vertex_of[tuple(F.n // 2 for F in C.factors)]
-        for r in (perm[corner], perm[middle]):
+        S, roots, k = _scrambled_product(family, size)
+        for r in roots:
             rungs.clear()
             F = factor_shadow(S, r)
             assert rungs == [1], (family, size, r)
-            assert len(F.factors) == C.k
+            assert len(F.factors) == k
+
+    @pytest.mark.parametrize(
+        "family", ["grid", "cube", "randprod", "KqxKq", "moebius", "random", "generated"]
+    )
+    def test_rungs_match_their_references(self, family):
+        # round 1 joins each square at one corner only, delta* at its
+        # smallest; the references join it at every corner that tests it
+        if family == "KqxKq":
+            inputs = [_scrambled_product(family, q)[:2] for q in range(3, 13)]
+        elif family == "moebius":
+            inputs = [(shadow(mobius_ladder(r)), [0, r]) for r in range(3, 21)]
+        elif family == "random":
+            rng = random.Random(20261019)
+            inputs = []
+            for _ in range(200):
+                G = random_digraph(
+                    rng, rng.randint(5, 14), extra_prob=rng.choice([0.05, 0.1, 0.2, 0.4])
+                )
+                inputs.append((shadow(G), [0, G.n // 2]))
+        elif family == "generated":
+            # roots every eighth of the ids: the rule at a smaller corner w
+            # decides the partition only from a few roots, such as seed 189
+            # from root 3
+            inputs = []
+            for i in range(300):
+                G, _ = gen_product_instance(2 + i % 3, (2, 5), 0.3, seed=i)
+                inputs.append((shadow(G), range(0, G.n, max(1, G.n // 8))))
+        else:
+            inputs = [_scrambled_product(family, 3000 if family != "randprod" else 5000)[:2]]
+        for S, roots in inputs:
+            parent = list(range(len(S.ends)))
+            shadow_factor._close_pairs(S, parent, None)
+            delta = [_find(parent, a) for a in range(len(parent))]
+            assert _partition(delta) == _partition(naive_square_closure(S, S.ends))
+            for r in roots:
+                B = bfs(S, r)
+                labels = next(shadow_factor._ladder(S, B))
+                assert _partition(labels) == _partition(naive_round_one(S, B)), (S, r)
 
     def test_round_two_after_a_rejected_round_one(self, rungs):
         # found by a seeded search: a 4-cycle 0-1-2-3 with a pendant edge
@@ -501,7 +562,8 @@ class TestProductRecovery:
         parts = [both_ways(f) for f in F.factors]
         P, C = cartesian_product(parts)
         # map through coordinates and compare edge sets
-        m = {v: C.vertex_of[F.coordin.coords[v]] for v in range(S.n)}
+        at = vertex_of(C)
+        m = {v: at[F.coordin.coords[v]] for v in range(S.n)}
         lhs = {edge_key(m[u], m[v]) for (u, v) in S.edges}
         rhs = shadow(P).edges
         assert lhs == rhs
