@@ -6,12 +6,19 @@ vertices; loops are stored separately as a vertex set. The shadow of a graph
 is the simple undirected graph with an edge {u, v} whenever at least one of
 the arcs (u, v), (v, u) is present; loops do not contribute edges. Distance,
 connectivity and degree always refer to the shadow.
+
+The text format lives here too: canonical text, as `to_text` and
+`coords_to_text` write it, is read in bulk, and any other text line by line,
+with the same result or error.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 
 from .errors import DisconnectedGraphError, GraphFormatError
 
@@ -273,7 +280,114 @@ def is_connected(S: ShadowGraph) -> bool:
 # Line-oriented: '# comment', 'n <N>' (exactly once, before any arc or loop),
 # 'a <u> <v>' for an arc, 'l <v>' for a loop, 'c <v> <c_1> ... <c_k>' for an
 # optional coordinate row. Ids are 0-based decimal. Canonical serialization
-# is the n line, then sorted a lines, then sorted l lines.
+# is the n line, then sorted a lines, then sorted l lines, then any c rows,
+# with single spaces and every line ending in '\n'.
+#
+# Both parsers first try a bulk reader that takes only text laid out like
+# that (lines within a section may come in any order). It walks each section
+# in slices of whole lines, at most _SLICE characters each, checks every
+# slice in full against an anchored pattern, converts it with str.split and
+# map(int, ...), and checks ranges, self arcs and duplicates over whole lists.
+# The patterns admit only ASCII digits, single spaces and '\n', so
+# str.splitlines sees the same lines. Bounding the slice bounds the stack
+# that `re` keeps for each repeated line. Any text that fails a check goes
+# whole to the line parser, which reads every hand-written layout and is the
+# only source of GraphFormatError.
+
+# Characters per checked slice. Larger slices are no faster, and the token
+# lists and the regex stack of a slice grow with it.
+_SLICE = 1 << 13
+_HEAD = re.compile(r"n ([0-9]+)\n")
+_ARC_LINES = re.compile(r"(?:a [0-9]+ [0-9]+\n)*")
+_LOOP_LINES = re.compile(r"(?:l [0-9]+\n)*")
+_ANY_ROWS = re.compile(r"(?:c [ 0-9]*\n)*")  # the c rows parse_graph skips
+_GRAPH_LINES = re.compile(r"(?:[nal][ 0-9]*\n)*")  # the lines parse_coords skips
+
+
+class _NotCanonical(Exception):
+    """Raised by the bulk readers on text they leave to the line parser."""
+
+
+def _slices(pattern: re.Pattern, text: str, pos: int, end: int):
+    """text[pos:end] in slices of whole lines of at most _SLICE characters;
+    raises _NotCanonical unless every slice matches `pattern` in full."""
+    while pos < end:
+        stop = text.rfind("\n", pos, min(pos + _SLICE, end)) + 1
+        if stop <= pos or not pattern.fullmatch(text, pos, stop):
+            raise _NotCanonical
+        yield text[pos:stop]
+        pos = stop
+
+
+def _line_start(text: str, tag: str, pos: int, end: int) -> int:
+    """The first line start in [pos, end) whose line begins with `tag`, or
+    end; pos must be a line start."""
+    if text.startswith(tag, pos, end):
+        return pos
+    i = text.find("\n" + tag, pos, end)
+    return end if i < 0 else i + 1
+
+
+def _bulk_graph(text: str) -> DiGraph:
+    """parse_graph on canonical text; raises _NotCanonical on any other."""
+    head = _HEAD.match(text)
+    n = int(head[1]) if head else 0
+    if n < 1:
+        raise _NotCanonical
+    end = len(text)
+    a0 = head.end()
+    c0 = _line_start(text, "c ", a0, end)
+    l0 = _line_start(text, "l ", a0, c0)
+    arcs: set[tuple[int, int]] = set()
+    count = 0
+    for part in _slices(_ARC_LINES, text, a0, l0):
+        t = part.split()
+        us = list(map(int, t[1::3]))
+        vs = list(map(int, t[2::3]))
+        if max(us) >= n or max(vs) >= n or any(map(eq, us, vs)):
+            raise _NotCanonical
+        arcs.update(zip(us, vs))
+        count += len(us)
+    loops: set[int] = set()
+    nloops = 0
+    for part in _slices(_LOOP_LINES, text, l0, c0):
+        vs = list(map(int, part.split()[1::2]))
+        if max(vs) >= n:
+            raise _NotCanonical
+        loops.update(vs)
+        nloops += len(vs)
+    for _ in _slices(_ANY_ROWS, text, c0, end):
+        pass
+    if len(arcs) != count or len(loops) != nloops:
+        raise _NotCanonical
+    return DiGraph._unchecked(n, arcs, loops)
+
+
+def _bulk_coords(text: str) -> dict[int, tuple[int, ...]]:
+    """parse_coords on canonical text; raises _NotCanonical on any other."""
+    end = len(text)
+    c0 = _line_start(text, "c ", 0, end)
+    for _ in _slices(_GRAPH_LINES, text, 0, c0):
+        pass
+    table: dict[int, tuple[int, ...]] = {}
+    if c0 == end:
+        return table
+    eol = text.find("\n", c0)
+    if eol < 0:
+        raise _NotCanonical
+    k = text.count(" ", c0, eol) - 1  # the first row's width
+    w = k + 2
+    count = 0
+    rows = re.compile("(?:c [0-9]+" + " [0-9]+" * k + "\n)*")
+    for part in _slices(rows, text, c0, end):
+        t = part.split()
+        vs = t[1::w]
+        cols = zip(*[map(int, t[i::w]) for i in range(2, w)]) if k else repeat(())
+        table.update(zip(map(int, vs), cols))
+        count += len(vs)
+    if len(table) != count:
+        raise _NotCanonical
+    return table
 
 
 def _parse_id(token: str, lineno: int, what: str) -> int:
@@ -287,9 +401,19 @@ def parse_graph(text: str) -> DiGraph:
     """Parse graph text; raises GraphFormatError with a line number on bad input.
 
     Coordinate rows ('c ...') are tolerated and skipped; use parse_coords to
-    read them. One split per line; ids that are not plain ASCII decimals go
-    through `_parse_id`, which raises.
+    read them. Canonical text is read in bulk; any other text, valid or not,
+    is read by the line parser, with the same result or error.
     """
+    try:
+        return _bulk_graph(text)
+    except (_NotCanonical, ValueError):  # ValueError: int() digit limit
+        pass
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> DiGraph:
+    """The line parser behind parse_graph. One split per line; ids that are
+    not plain ASCII decimals go through `_parse_id`, which raises."""
     n = None
     arcs: set[tuple[int, int]] = set()
     loops: set[int] = set()
@@ -344,11 +468,24 @@ def parse_graph(text: str) -> DiGraph:
 
 
 def parse_coords(text: str) -> dict[int, tuple[int, ...]]:
-    """Read the 'c <vertex> <c_1> ... <c_k>' rows of a coordinate table.
+    """Read the 'c <vertex> <c_1> ... <c_k>' rows of a coordinate table,
+    skipping every other line.
 
-    One split per line; a row whose ids are not all plain ASCII decimals
-    goes through `_parse_id`, which raises.
+    Canonical text (c rows of one width, after any canonical graph lines) is
+    read in bulk; any other text is read by the line parser, with the same
+    result or error.
     """
+    try:
+        return _bulk_coords(text)
+    except (_NotCanonical, ValueError):  # ValueError: int() digit limit
+        pass
+    return _parse_coords_lines(text)
+
+
+def _parse_coords_lines(text: str) -> dict[int, tuple[int, ...]]:
+    """The line parser behind parse_coords. One split per line; a row whose
+    ids are not all plain ASCII decimals goes through `_parse_id`, which
+    raises."""
     table: dict[int, tuple[int, ...]] = {}
     width = None
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxfactor
+from boxfactor import core
 from boxfactor import (
     DiGraph,
     DisconnectedGraphError,
@@ -237,6 +239,28 @@ def outcome(parse, text):
         return "error", str(exc), exc.line
 
 
+def assert_agrees(text):
+    """Both parsers match their naive references on text; returns the two
+    outcome kinds, "ok" or "error"."""
+    kinds = []
+    for parse, naive in ((parse_graph, naive_parse_graph), (parse_coords, naive_parse_coords)):
+        got = outcome(parse, text)
+        assert got == outcome(naive, text), text
+        kinds.append(got[0])
+    return kinds
+
+
+def assert_mutated_corpus_agrees():
+    rng = random.Random(78)
+    kinds = {"ok": 0, "error": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        G = random_digraph(rng, n, extra_prob=0.2, loop_prob=0.3, keep_unlooped=False)
+        for kind in assert_agrees(mutate(rng, naive_to_text(G, random_table(rng, n)))):
+            kinds[kind] += 1
+    assert kinds["ok"] > 500 and kinds["error"] > 500, kinds
+
+
 class TestAgainstNaiveCodec:
     def test_to_text_bytes(self):
         rng = random.Random(77)
@@ -248,17 +272,7 @@ class TestAgainstNaiveCodec:
             assert to_text(G, table) == naive_to_text(G, table)
 
     def test_parse_mutated_texts(self):
-        rng = random.Random(78)
-        kinds = {"ok": 0, "error": 0}
-        for _ in range(1500):
-            n = rng.randint(1, 12)
-            G = random_digraph(rng, n, extra_prob=0.2, loop_prob=0.3, keep_unlooped=False)
-            text = mutate(rng, naive_to_text(G, random_table(rng, n)))
-            for parse, naive in ((parse_graph, naive_parse_graph), (parse_coords, naive_parse_coords)):
-                got = outcome(parse, text)
-                assert got == outcome(naive, text), text
-                kinds[got[0]] += 1
-        assert kinds["ok"] > 500 and kinds["error"] > 500, kinds
+        assert_mutated_corpus_agrees()
 
     @settings(deadline=None)
     @given(
@@ -272,6 +286,125 @@ class TestAgainstNaiveCodec:
         text = coords_to_text(rows)
         assert parse_coords(text) == dict(enumerate(rows))
         assert parse_coords(to_text(DiGraph(len(rows)), rows)) == dict(enumerate(rows))
+
+
+# each separator that str.splitlines honours besides '\n' and '\r\n'
+SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def planted_texts():
+    """(name, text): a canonical text of 40 vertices with arcs, loops and
+    width-2 coordinate rows, with one error or irregular line planted near
+    the end of a section, past its first 40-character slice."""
+    rng = random.Random(79)
+    n = 40
+    G = random_digraph(rng, n, extra_prob=0.05, loop_prob=0.3)
+    lines = naive_to_text(G, [(v % 7, v % 5) for v in range(n)]).splitlines()
+    first = {kind: next(i for i, x in enumerate(lines) if x[0] == kind) for kind in "alc"}
+    # the last line of the arc, loop and coordinate sections
+    last = {"a": first["l"] - 1, "l": first["c"] - 1, "c": len(lines) - 1}
+    arc, loop, row = lines[first["a"]], lines[first["l"]], lines[first["c"]]
+
+    def plant(kind, line):
+        assert len("\n".join(lines[first[kind] : last[kind]])) > 40
+        out = list(lines)
+        out.insert(last[kind], line)
+        return "\n".join(out) + "\n"
+
+    cases = [
+        ("duplicate-arc", plant("a", arc)),
+        ("self-arc", plant("a", "a 5 5")),
+        ("head-equal-to-n", plant("a", f"a 0 {n}")),
+        ("tail-equal-to-n", plant("a", f"a {n} 0")),
+        ("loop-equal-to-n", plant("l", f"l {n}")),
+        ("duplicate-loop", plant("l", loop)),
+        ("second-n-line", plant("l", "n 0")),
+        ("n-0", "n 0\n" + "\n".join(lines[1:]) + "\n"),
+        ("loop-among-arcs", plant("a", loop)),
+        ("arc-among-loops", plant("l", "a 39 0" if (39, 0) not in G.arcs else "a 39 1")),
+        ("c-row-among-arcs", plant("a", row)),
+        ("c-row-among-loops", plant("l", row)),
+        ("leading-zeros-in-an-arc", plant("a", "a 007 0" if (7, 0) not in G.arcs else "a 007 1")),
+        ("leading-zeros-in-a-row", plant("c", "c 039 1 1")),
+        ("duplicate-row", plant("c", row)),
+        ("wider-row", plant("c", row + " 0")),
+        ("narrower-row", plant("c", "c 0 1")),
+        ("bad-c-row", plant("c", "c x")),
+        ("missing-final-newline", "\n".join(lines)),
+    ]
+    for sep in SEPARATORS:
+        for kind in "alc":
+            i = last[kind] - 1
+            ends = lines[:i] + [lines[i] + sep + lines[i + 1]] + lines[i + 2 :]
+            inside = lines[:i] + [lines[i].replace(" ", sep, 1)] + lines[i + 1 :]
+            cases.append((f"U+{ord(sep):04X}-ends-{kind}-line", "\n".join(ends) + "\n"))
+            cases.append((f"U+{ord(sep):04X}-inside-{kind}-line", "\n".join(inside) + "\n"))
+    return cases
+
+
+PLANTED = planted_texts()
+
+
+class TestBulkReader:
+    """The bulk readers take canonical text and hand anything else to the
+    line parser; either way the result, or the error and its line, is the
+    line-by-line reference's."""
+
+    @pytest.fixture
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(core, "_SLICE", 40)
+
+    def test_mutated_corpus_in_small_slices(self, small_slices):
+        assert_mutated_corpus_agrees()
+
+    @pytest.mark.parametrize("text", [text for _, text in PLANTED], ids=[name for name, _ in PLANTED])
+    def test_error_planted_in_a_later_slice(self, small_slices, text):
+        assert_agrees(text)
+
+    def test_id_past_the_int_digit_limit_falls_back(self):
+        # int() refuses the long id in bulk; the line parser stops at line 3 first
+        huge = "1" * 5000
+        with pytest.raises(GraphFormatError, match="line 3: duplicate arc"):
+            parse_graph(f"n 3\na 0 1\na 0 1\na 0 {huge}\n")
+        with pytest.raises(GraphFormatError, match="line 2: duplicate coordinates"):
+            parse_coords(f"c 0 1\nc 0 2\nc 1 {huge}\n")
+
+    @pytest.mark.parametrize("slice_chars", [40, core._SLICE])
+    def test_written_text_never_reaches_the_line_parser(self, monkeypatch, slice_chars):
+        def refuse(text):
+            raise AssertionError("line parser called on written text")
+
+        monkeypatch.setattr(core, "_SLICE", slice_chars)
+        monkeypatch.setattr(core, "_parse_graph_lines", refuse)
+        monkeypatch.setattr(core, "_parse_coords_lines", refuse)
+        rng = random.Random(80)
+        graphs = [DiGraph(1), DiGraph(1, loops={0}), DiGraph(3), DiGraph(3, loops={2})]
+        graphs += [random_digraph(rng, rng.randint(2, 30), loop_prob=rng.random()) for _ in range(40)]
+        for G in graphs:
+            assert parse_graph(to_text(G)) == G
+            assert parse_coords(to_text(G)) == {}
+            for width in range(5):
+                table = [tuple(rng.randrange(10**rng.randint(1, 6)) for _ in range(width)) for _ in range(G.n)]
+                assert parse_graph(to_text(G, table)) == G
+                assert parse_coords(to_text(G, table)) == dict(enumerate(table))
+                assert parse_coords(coords_to_text(table)) == dict(enumerate(table))
+
+    def test_peak_memory_at_most_the_line_parsers(self):
+        n = 26_000
+        arcs = {(u, (u + d) % n) for u in range(n) for d in (1, 37)}
+        text = to_text(DiGraph(n, arcs, set(range(0, n, 10))))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for parse in (core._parse_graph_lines, parse_graph):
+                tracemalloc.reset_peak()
+                G = parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del G
+        finally:
+            tracemalloc.stop()
+        assert len(arcs) >= 50_000
+        assert peaks[1] <= peaks[0], peaks
 
 
 class TestShadow:
