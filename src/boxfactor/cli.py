@@ -7,6 +7,12 @@ Subcommands: `factor` (prime factorization of a graph file), `product`
 synthesized from known factors and checked once, before timing). `factor` runs
 `factor_full` once and prints its report from the result: the root from
 the coordinates, the merge count and the per-pass times from `stages`.
+`product` writes the canonical text straight from the factors
+(`product_text`). `verify` compares the graph file's text with that text
+for the claimed factors and table; canonical text is unique, so equal text
+proves equal graphs. Any other file, and any error while building the text,
+goes to the parse-and-compare path, which alone prints `false` and reports
+errors, the graph file's first.
 
 Exit codes: 0 ok, 2 unreadable or malformed input (or bad arguments),
 3 disconnected graph, 4 no unlooped vertex, 5 verification failure,
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import math
 import random
 import statistics
@@ -44,7 +51,7 @@ from .errors import (
 )
 from .loop_factor import _merge_scans, factor_full
 from .oracle import gen_product_instance, reconstruct_check, reconstruct_check_parts
-from .product import Coordinatization, cartesian_product, product_graph
+from .product import Coordinatization, cartesian_product, product_text
 from .shadow_factor import ShadowFactorization, factor_shadow
 
 EXIT_OK = 0
@@ -129,17 +136,22 @@ def cmd_factor(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _product_of_files(paths, coords: str | None) -> str:
+    """The canonical text of the product of the graph files `paths`, laid
+    out by the coordinate table file `coords`, or row-major without one."""
+    factors = [_load_graph(p) for p in paths]
+    if coords is None:
+        C = Coordinatization(factors, itertools.product(*(range(F.n) for F in factors)), 0)
+        return product_text(C)
+    rows = _load_rows(coords, math.prod(F.n for F in factors))
+    try:
+        return product_text(Coordinatization(factors, rows, 0))
+    except FactorizationError as exc:  # wrong width, off the grid, assigned twice
+        raise GraphFormatError(f"coordinate table: {exc}") from exc
+
+
 def cmd_product(args) -> int:
-    factors = [_load_graph(p) for p in args.inputs]
-    if args.coords:
-        rows = _load_rows(args.coords, math.prod(F.n for F in factors))
-        try:
-            out = product_graph(Coordinatization(factors, rows, 0))
-        except FactorizationError as exc:  # wrong width, off the grid, assigned twice
-            raise GraphFormatError(f"coordinate table: {exc}") from exc
-    else:
-        out, _ = cartesian_product(factors)
-    text = to_text(out)
+    text = _product_of_files(args.inputs, args.coords)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -164,9 +176,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    G = _load_graph(args.graph)
-    factors = [_load_graph(p) for p in args.factors]
-    ok = reconstruct_check_parts(G, factors, _load_rows(args.coords, G.n))
+    text = Path(args.graph).read_text(encoding="utf-8")
+    try:
+        # canonical text is unique, so equal text proves equal graphs
+        ok = _product_of_files(args.factors, args.coords) == text
+    except (ValueError, OSError, FactorizationError, MemoryError):
+        ok = False  # the path below reports the error, the graph file's first
+    if not ok:
+        G = parse_graph(text)
+        factors = [_load_graph(p) for p in args.factors]
+        ok = reconstruct_check_parts(G, factors, _load_rows(args.coords, G.n))
     print(f"verified: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -338,16 +338,21 @@ def _bulk_graph(text: str) -> DiGraph:
     a0 = head.end()
     c0 = _line_start(text, "c ", a0, end)
     l0 = _line_start(text, "l ", a0, c0)
-    arcs: set[tuple[int, int]] = set()
     count = 0
-    for part in _slices(_ARC_LINES, text, a0, l0):
-        t = part.split()
-        us = list(map(int, t[1::3]))
-        vs = list(map(int, t[2::3]))
-        if max(us) >= n or max(vs) >= n or any(map(eq, us, vs)):
-            raise _NotCanonical
-        arcs.update(zip(us, vs))
-        count += len(us)
+
+    def arc_slices():
+        nonlocal count
+        for part in _slices(_ARC_LINES, text, a0, l0):
+            t = part.split()
+            us = list(map(int, t[1::3]))
+            vs = list(map(int, t[2::3]))
+            if max(us) >= n or max(vs) >= n or any(map(eq, us, vs)):
+                raise _NotCanonical
+            count += len(us)
+            yield zip(us, vs)
+
+    # built once: DiGraph._unchecked keeps a frozenset as it is
+    arcs = frozenset(chain.from_iterable(arc_slices()))
     loops: set[int] = set()
     nloops = 0
     for part in _slices(_LOOP_LINES, text, l0, c0):

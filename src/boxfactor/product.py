@@ -130,6 +130,46 @@ def product_graph(C: Coordinatization) -> DiGraph:
     return DiGraph._unchecked(n, arcs, loops)
 
 
+def product_text(C: Coordinatization) -> str:
+    """`to_text(product_graph(C))`, written without building an arc tuple
+    or an arc set.
+
+    The same sweep over the grid codes as `product_graph` appends each
+    arc's head to a list kept for its tail's code (consecutive codes, so
+    the lists are filled in near order) and collects the looped vertices.
+    Then each vertex's heads are sorted and formatted once, with one id
+    string per vertex. `C.vertex_at` raises FactorizationError unless the
+    coordinates are a bijection onto the grid. O(n*k + m) plus the per-tail
+    sorts; past the text, it holds one head per arc and one string per
+    vertex.
+    """
+    at = C.vertex_at
+    n = len(at)
+    heads: list[list[int]] = [[] for _ in range(n)]  # by the tail's code
+    loops: set[int] = set()
+    for F, st in zip(C.factors, C.strides):
+        span = st * F.n
+        starts = [h + lo for h in range(0, n, span) for lo in range(st)]
+        for a, b in F.arcs:
+            da, db = a * st, b * st
+            for x in starts:
+                heads[x + da].append(at[x + db])
+        for a in F.loops:
+            da = a * st
+            loops.update([at[x + da] for x in starts])
+    ids = list(map(str, range(n)))
+    parts = [f"n {n}"]
+    for u, code in enumerate(C.codes):
+        hs = heads[code]
+        if hs:
+            hs.sort()
+            sep = f"\na {ids[u]} "
+            parts.append(sep + sep.join(map(ids.__getitem__, hs)))
+    parts += [f"\nl {v}" for v in sorted(loops)]
+    parts.append("\n")
+    return "".join(parts)
+
+
 def cartesian_product(factors: Sequence[DiGraph]) -> tuple[DiGraph, Coordinatization]:
     """Build the product of the given factors, in row-major vertex order.
 

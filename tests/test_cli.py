@@ -246,6 +246,142 @@ class TestVerifyCommand:
         assert "must cover vertices 0..3" in capsys.readouterr().err
 
 
+def factored(tmp_path, capsys, G, name="g.dg"):
+    """Write G, run `factor --emit-coords` on it, and return the graph path,
+    the factor paths and the coordinate table path."""
+    g = write_graph(tmp_path / name, G)
+    assert main(["factor", "--input", g, "--emit-coords"]) == 0
+    nfac = int(out_lines(capsys)["factors"])
+    return g, [f"{g}.factor{i}" for i in range(nfac)], f"{g}.coords"
+
+
+class TestVerifyPaths:
+    """`verify` compares a canonical graph file with the claimed product's
+    text; any other file, or any error, takes the parse-and-compare path,
+    which alone reports errors, `false` and exit codes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from boxfactor import cli
+
+        seen = {"parse_graph": [], "reconstruct_check_parts": 0}
+        parse_graph, reconstruct = cli.parse_graph, cli.reconstruct_check_parts
+
+        def parse_spy(text):
+            seen["parse_graph"].append(text)
+            return parse_graph(text)
+
+        def reconstruct_spy(*args):
+            seen["reconstruct_check_parts"] += 1
+            return reconstruct(*args)
+
+        monkeypatch.setattr(cli, "parse_graph", parse_spy)
+        monkeypatch.setattr(cli, "reconstruct_check_parts", reconstruct_spy)
+        return seen
+
+    def looped_product(self):
+        G = gen_product_instance(3, (2, 4), 0.3, 1)[0]
+        assert G.loops
+        return G
+
+    def test_canonical_file_is_compared_not_parsed(self, tmp_path, capsys, calls):
+        g, parts, table = factored(tmp_path, capsys, self.looped_product())
+        calls["parse_graph"].clear()
+        assert main(["verify", g, *parts, "--coords", table]) == 0
+        assert capsys.readouterr().out == "verified: true\n"
+        texts = [Path(p).read_text() for p in parts]
+        assert calls["parse_graph"] == texts
+        assert calls["reconstruct_check_parts"] == 0
+
+    def test_hand_written_file_is_parsed_once(self, tmp_path, capsys, calls):
+        G = self.looped_product()
+        g, parts, table = factored(tmp_path, capsys, G)
+        lines = to_text(G).splitlines()
+        arcs = [line for line in lines if line.startswith("a ")]
+        random.Random(5).shuffle(arcs)
+        rest = [line for line in lines if not line.startswith("a ")]
+        hand = tmp_path / "hand.dg"
+        hand.write_bytes("\r\n".join(["# hand-written", rest[0], *arcs, *rest[1:]]).encode() + b"\r\n")
+        calls["parse_graph"].clear()
+        assert main(["verify", str(hand), *parts, "--coords", table]) == 0
+        assert capsys.readouterr().out == "verified: true\n"
+        assert [t.startswith("# hand-written") for t in calls["parse_graph"]].count(True) == 1
+        assert calls["reconstruct_check_parts"] == 1
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_graph_one_arc_away_is_false(self, tmp_path, capsys, change):
+        G = self.looped_product()
+        g, parts, table = factored(tmp_path, capsys, G)
+        if change == "drop":
+            arcs = set(G.arcs) - {min(G.arcs)}
+        else:
+            arcs = set(G.arcs) | {next((0, v) for v in range(1, G.n) if (0, v) not in G.arcs)}
+        write_graph(tmp_path / "g.dg", DiGraph(G.n, arcs, G.loops))
+        assert main(["verify", g, *parts, "--coords", table]) == 5
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("verified: false\n", "")
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 0 1\n", "c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 1 2\n"],
+        ids=["assigned-twice", "off-the-grid"],
+    )
+    def test_table_not_a_bijection_is_false(self, tmp_path, capsys, rows):
+        P, C, A, B = loop_product()
+        g = write_graph(tmp_path / "prod.dg", P)
+        fa = write_graph(tmp_path / "fa.dg", A)
+        fb = write_graph(tmp_path / "fb.dg", B)
+        coords = tmp_path / "prod.coords"
+        coords.write_text(rows)
+        assert main(["verify", g, fa, fb, "--coords", str(coords)]) == 5
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("verified: false\n", "")
+
+    @pytest.mark.parametrize("other", ["malformed-table", "missing-factor"])
+    def test_graph_file_error_comes_first(self, tmp_path, capsys, other):
+        P, C, A, B = loop_product()
+        g = tmp_path / "prod.dg"
+        g.write_text("n 4\na 0 1\na 0 9\n")
+        fa = write_graph(tmp_path / "fa.dg", A)
+        fb = write_graph(tmp_path / "fb.dg", B)
+        coords = tmp_path / "prod.coords"
+        coords.write_text("c 0 0 0\nc x\n" if other == "malformed-table" else coords_to_text(C.coords))
+        if other == "missing-factor":
+            fb = str(tmp_path / "absent.dg")
+        assert main(["verify", str(g), fa, fb, "--coords", str(coords)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: arc (0, 9) out of range for n=4\n"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["consistent-square", "inconsistent-square", "loop-product", "far-corner"]
+        + [f"seed{s}" for s in (1, 2, 4, 5, 6, 7, 8, 9, 10, 11)],  # seed 3 draws no loop
+    )
+    def test_factor_then_product_reproduces_the_bytes(self, tmp_path, capsys, name):
+        named = {
+            "consistent-square": consistent_square,
+            "inconsistent-square": inconsistent_square,
+            "loop-product": lambda: loop_product()[0],
+            "far-corner": looped_far_corner,
+        }
+        if name in named:
+            g, parts, table = factored(tmp_path, capsys, named[name]())
+        else:
+            g = str(tmp_path / "g.dg")
+            argv = ["generate", "--factors", "3", "--loops", "0.3", "--seed", name[4:], "-o", g]
+            assert main(argv) == 0
+            assert int(out_lines(capsys)["loops"]) > 0
+            assert main(["factor", "--input", g, "--emit-coords"]) == 0
+            nfac = int(out_lines(capsys)["factors"])
+            parts, table = [f"{g}.factor{i}" for i in range(nfac)], f"{g}.coords"
+        back = tmp_path / "back.dg"
+        assert main(["product", *parts, "--coords", table, "-o", str(back)]) == 0
+        assert back.read_bytes() == Path(g).read_bytes()
+        assert main(["verify", g, *parts, "--coords", table]) == 0
+        assert capsys.readouterr().out.endswith("verified: true\n")
+
+
 class TestGenerateCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         out1 = tmp_path / "one.dg"
@@ -368,10 +504,10 @@ class TestExitCodes:
     def test_out_of_memory_exits_7(self, tmp_path, capsys, monkeypatch):
         from boxfactor import cli
 
-        def exhausted(factors):
+        def exhausted(C):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "cartesian_product", exhausted)
+        monkeypatch.setattr(cli, "product_text", exhausted)
         g = write_graph(tmp_path / "k2.dg", DiGraph(2, {(0, 1)}, set()))
         out = tmp_path / "out.dg"
         assert main(["product", g, g, "-o", str(out)]) == 7

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from boxfactor import (
     group_coordinates,
     product_graph,
     shadow,
+    to_text,
     unit_layer,
 )
+from boxfactor.product import product_text
 from helpers import (
     both_k2,
     both_ways,
@@ -119,6 +122,66 @@ class TestProductGraph:
     def test_no_factors_is_the_unit(self):
         H = product_graph(Coordinatization((), ((),), 0))
         assert (H.n, H.arcs, H.loops) == (1, frozenset(), frozenset())
+
+
+def scrambled_layout(rng: random.Random) -> Coordinatization:
+    """1-4 random factors of 1-5 vertices, some arc-less and some with every
+    vertex looped, laid out by a random bijection onto their grid."""
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        n = rng.randint(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:  # no arcs, any loops
+            F = DiGraph(n, (), rng.sample(range(n), rng.randint(0, n)))
+        elif kind == 1:  # every vertex looped
+            F = random_digraph(rng, n, extra_prob=0.3, loop_prob=1.0, keep_unlooped=False)
+        else:
+            F = random_digraph(rng, n, extra_prob=0.3, loop_prob=0.3)
+        factors.append(F)
+    grid = list(itertools.product(*(range(F.n) for F in factors)))
+    rng.shuffle(grid)
+    return Coordinatization(factors, grid, rng.randrange(len(grid)))
+
+
+class TestProductText:
+    """product_text writes the bytes of to_text(product_graph(C)) without
+    building the product's arcs."""
+
+    def test_matches_to_text_on_scrambled_products(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(600):
+            C = scrambled_layout(rng)
+            for F in C.factors:
+                seen.add("one-vertex" if F.n == 1 else "arc-less" if not F.arcs else "arcs")
+                if F.n > 1 and len(F.loops) == F.n:
+                    seen.add("all-looped")
+            assert product_text(C) == to_text(product_graph(C))
+        assert seen == {"one-vertex", "arc-less", "arcs", "all-looped"}
+
+    def test_matches_on_cartesian_product_layouts(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            C0 = scrambled_layout(rng)
+            P, C = cartesian_product(C0.factors)
+            assert product_text(C) == to_text(P)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_property_small_factors_any_labels(self, data):
+        factors = data.draw(st.lists(connected_digraphs(max_n=4), min_size=1, max_size=3))
+        grid = list(itertools.product(*(range(F.n) for F in factors)))
+        coords = data.draw(st.permutations(grid))
+        C = Coordinatization(factors, coords, 0)
+        assert product_text(C) == to_text(product_graph(C))
+
+    def test_not_injective_raises(self):
+        C = Coordinatization([arc01(), arc01()], [(0, 0), (0, 1), (1, 0), (0, 1)], 0)
+        with pytest.raises(FactorizationError, match="not injective"):
+            product_text(C)
+
+    def test_no_factors_is_the_unit(self):
+        assert product_text(Coordinatization((), ((),), 0)) == "n 1\n"
 
 
 class TestCoordinatization:
