@@ -3,8 +3,8 @@
 Subcommands: `factor` (prime factorization of a graph file), `product`
 (multiply graph files), `generate` (seeded random product instances),
 `verify` (check a claimed factorization against a graph), and `bench`
-(empirical scaling of `factor_full`'s merge entry on a shadow factorization
-synthesized from known factors and checked once, before timing). `factor` runs
+(empirical scaling of `factor_full`'s merge entry, timed on the inputs that
+`factor_full`'s own shadow stage builds in set-up). `factor` runs
 `factor_full` once and prints its report from the result: the root from
 the coordinates, the merge count and the per-pass times from `stages`.
 `product` writes the canonical text straight from the factors
@@ -33,26 +33,16 @@ import sys
 import time
 from pathlib import Path
 
-from .core import (
-    DiGraph,
-    coords_to_text,
-    parse_coords,
-    parse_graph,
-    shadow,
-    strip_loops,
-    to_text,
-)
-from .directed_factor import _edge_info
+from .core import DiGraph, coords_to_text, parse_coords, parse_graph, shadow, to_text
 from .errors import (
     DisconnectedGraphError,
     FactorizationError,
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .loop_factor import _merge_scans, factor_full
-from .oracle import gen_product_instance, reconstruct_check, reconstruct_check_parts
+from .loop_factor import _merge_scans, _shadow_stage, factor_full, rooted_bfs
+from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, product_text
-from .shadow_factor import ShadowFactorization, factor_shadow
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -198,15 +188,7 @@ def _directed_path(n: int, loop_at_end: bool = True) -> DiGraph:
 def _bench_random_digraph(rng: random.Random, n: int) -> DiGraph:
     arcs = set()
     for v in range(1, n):
-        p = rng.randrange(v)
-        roll = rng.random()
-        if roll < 0.4:
-            arcs.add((p, v))
-        elif roll < 0.8:
-            arcs.add((v, p))
-        else:
-            arcs.add((p, v))
-            arcs.add((v, p))
+        arcs.update(_orient(rng, rng.randrange(v), v))
     for _ in range(n // 2):
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -243,57 +225,6 @@ def _bench_instance(family: str, target_arcs: int, rng: random.Random):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _shadow_factorization_of_product(
-    G: DiGraph, C: Coordinatization
-) -> ShadowFactorization:
-    """Assemble the prime shadow factorization of a product built with known
-    coordinates, factoring each factor's shadow separately and composing.
-
-    This is how `bench` provides the precomputed shadow factorization of the
-    product it built without rerunning the relation scan on the full graph,
-    so that only the merge passes are timed.
-    """
-    k = C.k
-    subs = []
-    offsets = []
-    total = 0
-    for i in range(k):
-        Fi = C.factors[i]
-        Si = shadow(Fi)
-        SFi = factor_shadow(Si, C.coords[C.root][i])
-        subs.append(SFi)
-        offsets.append(total)
-        total += len(SFi.factors)
-
-    colors: dict[tuple[int, int], int] = {}
-    S = shadow(G)
-    for u, v in S.edges:
-        cu, cv = C.coords[u], C.coords[v]
-        diffs = [i for i in range(k) if cu[i] != cv[i]]
-        if len(diffs) != 1:
-            raise FactorizationError(
-                f"edge ({u}, {v}) changes {len(diffs)} coordinates"
-            )
-        i = diffs[0]
-        a, b = cu[i], cv[i]
-        e = (a, b) if a < b else (b, a)
-        colors[(u, v)] = offsets[i] + subs[i].colors[e]
-
-    factors = tuple(Z for SFi in subs for Z in SFi.factors)
-    coords = tuple(
-        tuple(
-            c
-            for i in range(k)
-            for c in subs[i].coordin.coords[C.coords[v][i]]
-        )
-        for v in range(G.n)
-    )
-    coordin = Coordinatization(
-        tuple(F for SFi in subs for F in SFi.coordin.factors), coords, C.root
-    )
-    return ShadowFactorization(C.root, colors, factors, coordin)
-
-
 def cmd_bench(args) -> int:
     if args.min_arcs < 4 or args.max_arcs < args.min_arcs:
         raise GraphFormatError("need 4 <= min-arcs <= max-arcs")
@@ -311,16 +242,18 @@ def cmd_bench(args) -> int:
     seen = set()
     print("arcs,seconds,seconds_per_arc")
     for target in targets:
-        G, C = _bench_instance(args.family, target, rng)
+        G = _bench_instance(args.family, target, rng)[0]
         if len(G.arcs) in seen:
             continue  # an earlier row already timed this size
         seen.add(len(G.arcs))
-        SF = _shadow_factorization_of_product(G, C)
-        # the inputs are checked once here; the reps time the merge entry
-        B, info = _edge_info(strip_loops(G), SF, None)
+        # set up as `factor_full` does; the reps time its merge entry
+        S = shadow(G)
+        B = rooted_bfs(G, S)
+        C, info, _ = _shadow_stage(S, B)
+        del S
 
         def run():
-            return _merge_scans(G, SF.coordin, B, info)
+            return _merge_scans(G, C, B, info)
 
         run()  # warmup: caches, lazy tables
         times = []
@@ -338,7 +271,7 @@ def cmd_bench(args) -> int:
         arcs = len(G.arcs)
         rows.append((arcs, sec, sec / arcs))
         print(f"{arcs},{sec:.6f},{sec / arcs:.6e}", flush=True)
-        del G, C, SF, B, info
+        del G, C, B, info
         gc.collect()
 
     if args.emit_csv:

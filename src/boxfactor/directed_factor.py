@@ -85,10 +85,10 @@ class ColorPartition:
 class DirectedFactorization:
     """Result of a directed (or loop) factorization scan.
 
-    `partition` groups the input colors into the final classes, `factors` are
-    the prime factors read off the unit layers (local ids ascending by host
-    id), `coordin` locates every vertex of the input graph over those
-    factors, and `merges` counts the merge events of the scan.
+    `partition` groups the input colors into the final classes, `coordin`
+    locates every vertex of the input graph over the prime factors read off
+    the unit layers (local ids ascending by host id), `factors` is
+    `coordin.factors`, and `merges` counts the merge events of the scan.
 
     `stages` is filled in only by `factor_full`: one `(name, seconds,
     merges)` row for each pass it ran, in the order `"shadow"` (always 0
@@ -98,10 +98,13 @@ class DirectedFactorization:
     """
 
     partition: ColorPartition
-    factors: tuple[DiGraph, ...]
     coordin: Coordinatization
     merges: int
     stages: tuple[tuple[str, float, int], ...] = ()
+
+    @property
+    def factors(self) -> tuple[DiGraph, ...]:
+        return self.coordin.factors
 
     @property
     def k(self) -> int:
@@ -243,4 +246,4 @@ def factor_directed(
     from .loop_factor import _merge_scans  # loop_factor imports this module
     B, info = _edge_info(G, SF, B)
     P, coordin, rows = _merge_scans(G, SF.coordin, B, info)
-    return DirectedFactorization(P, coordin.factors, coordin, rows[-1][2])
+    return DirectedFactorization(P, coordin, rows[-1][2])

@@ -8,10 +8,12 @@ into the current classes: if the vertex's loop state disagrees with all of
 its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
-`factor_full` is the package's front door: it validates the input and
-factors the shadow; `_merge_scans`, shared with `factor_directed` and
-`bench`, then runs the directed scan, and the loop scan when needed, in one
-partition of the shadow's colors and regroups the coordinates once. The
+`factor_full` is the package's front door: it validates the input, and
+`_shadow_stage` factors the shadow and builds the direction table;
+`_merge_scans` then runs the directed scan, and the loop scan when needed,
+in one partition of the shadow's colors and regroups the coordinates once.
+`bench` sets up through the same two functions, and `factor_directed`
+checks a caller's shadow factorization before it calls `_merge_scans`. The
 result's `stages` hold each pass's time and merge count, which the `factor`
 command reports.
 """
@@ -92,7 +94,7 @@ def factor_with_loops(
     P = ColorPartition(k)
     merges = _loop_scan(G, coordin, P, B)
     coordin2 = _regroup_looped(G, coordin, P)
-    return DirectedFactorization(P, coordin2.factors, coordin2, merges)
+    return DirectedFactorization(P, coordin2, merges)
 
 
 def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) -> int:
@@ -193,21 +195,28 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     S = shadow(G)
     B = rooted_bfs(G, S, root)
     if G.n == 1:
-        return DirectedFactorization(
-            ColorPartition(0), (), Coordinatization((), ((),), 0), 0
-        )
+        return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
+    C, info, shadow_row = _shadow_stage(S, B)
+    del S  # the scans read only C, B and info: free the edge numbering
+    P, coordin, rows = _merge_scans(G, C, B, info)
+    return DirectedFactorization(P, coordin, rows[-1][2], (shadow_row, *rows))
+
+
+def _shadow_stage(S: ShadowGraph, B: BfsOrder):
+    """Factor the shadow S from B's root and build the merge scans' inputs:
+    the coordinatization, the direction table (`info` as in
+    `_direction_scan`) and the `("shadow", seconds, 0)` stage row. `factor_full`
+    and `bench` both set up the scans here.
+    """
     t0 = perf_counter()
     SF = factor_shadow(S, B.root, B)
     shadow_row = ("shadow", perf_counter() - t0, 0)
-    n = G.n
-    C = SF.coordin
+    n = S.n
     # the colors come in edge-id order, aligned with the direction bits
     info = {
         u * n + v: 4 * c + d for (u, v), c, d in zip(S.ends, SF.colors.values(), S.dirs)
     }
-    del S, SF  # the scans read only C, B and info: free the edge numbering
-    P, coordin, rows = _merge_scans(G, C, B, info)
-    return DirectedFactorization(P, coordin.factors, coordin, rows[-1][2], (shadow_row, *rows))
+    return SF.coordin, info, shadow_row
 
 
 def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder, info):

@@ -564,7 +564,7 @@ def naive_factor_directed(G: DiGraph, SF, B=None) -> DirectedFactorization:
     k = len(SF.factors)
     P = ColorPartition(k)
     if n == 1:
-        return DirectedFactorization(P, (), Coordinatization((), ((),), 0), 0)
+        return DirectedFactorization(P, Coordinatization((), ((),), 0), 0)
     C = SF.coordin
     table = P.table
     arcs = G.arcs
@@ -593,7 +593,7 @@ def naive_factor_directed(G: DiGraph, SF, B=None) -> DirectedFactorization:
             merges += 1
             break
     coordin = group_coordinates(G, C, P.classes())
-    return DirectedFactorization(P, coordin.factors, coordin, merges)
+    return DirectedFactorization(P, coordin, merges)
 
 
 def naive_factor_with_loops(G: DiGraph, NF, B=None) -> DirectedFactorization:
@@ -623,7 +623,7 @@ def naive_factor_with_loops(G: DiGraph, NF, B=None) -> DirectedFactorization:
         live = P.classes()
         merges += 1
     coordin = group_coordinates(G, C, live)
-    return DirectedFactorization(P, coordin.factors, coordin, merges)
+    return DirectedFactorization(P, coordin, merges)
 
 
 def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:

@@ -17,7 +17,8 @@ from boxfactor import (
     gen_product_instance,
     to_text,
 )
-from boxfactor.cli import main
+from boxfactor import cli, loop_factor
+from boxfactor.cli import _bench_instance, main
 from helpers import (
     consistent_square,
     inconsistent_square,
@@ -548,6 +549,42 @@ class TestBenchCommand:
         out = capsys.readouterr().out.splitlines()
         # grids have 2a^2 - 2a arcs: a = 5, 6, 9, 13
         assert [int(line.split(",")[0]) for line in out[1:]] == [40, 60, 144, 312]
+
+    @pytest.mark.parametrize("family", ["grid", "cube", "randprod"])
+    def test_times_the_inputs_factor_builds(self, family, monkeypatch):
+        # bench's timed call gets the coordinates, BFS and direction table
+        # that factor_full hands its merge entry, and returns its result
+        def recorder(calls, scans):
+            def record(*args):
+                calls.append((args, scans(*args)))
+                return calls[-1][1]
+            return record
+
+        timed, staged = [], []
+        monkeypatch.setattr(cli, "_merge_scans", recorder(timed, loop_factor._merge_scans))
+        assert main(["bench", "--family", family, "--min-arcs", "300",
+                     "--max-arcs", "300", "--reps", "1"]) == 0
+        assert len(timed) == 2  # the warm-up and one rep
+        (G, C, B, info), (_, coordin, _) = timed[-1]
+        assert 150 <= len(G.arcs) <= 300
+        monkeypatch.setattr(loop_factor, "_merge_scans", recorder(staged, loop_factor._merge_scans))
+        F = factor_full(G)
+        [((_, C_full, B_full, info_full), _)] = staged
+        assert C.coords == C_full.coords
+        assert B.order == B_full.order and info == info_full
+        assert coordin.factors == F.factors
+        assert coordin.coords == F.coordin.coords
+
+    @pytest.mark.parametrize(
+        "target, seed, digest",
+        [
+            (300, 1, "b9b6ddda14a2f100aee3a8a9f6fb2a5a3ab3dc99025a4817db23f87e8bd767b9"),
+            (5000, 7, "d6cda32be7c9d0d17b966e759a15a235c4e424619aaba000638e8cdd66a9a9bc"),
+        ],
+    )
+    def test_randprod_instances_are_pinned(self, target, seed, digest):
+        G = _bench_instance("randprod", target, random.Random(seed))[0]
+        assert hashlib.sha256(to_text(G).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_2(self, reps, capsys):

@@ -18,7 +18,6 @@ from boxfactor import (
     shadow,
     strip_loops,
 )
-from boxfactor.cli import _shadow_factorization_of_product as shadow_factorization_of_product
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
@@ -193,8 +192,8 @@ class TestScanProperties:
     def test_fixpoint_and_soundness_on_products(self, data):
         A = data.draw(connected_digraphs(min_n=2, max_n=4, allow_loops=False))
         B = data.draw(connected_digraphs(min_n=2, max_n=4, allow_loops=False))
-        P, C = cartesian_product([A, B])
-        SF = shadow_factorization_of_product(P, C)
+        P, _ = cartesian_product([A, B])
+        SF = shadow_fact(P)
         F = factor_directed(P, SF)
         assert count_inconsistencies(P, SF, F.partition.table) == 0
         assert len(F.factors) <= len(SF.factors)
@@ -215,8 +214,8 @@ class TestScanProperties:
         # so the scan can never be forced to merge there
         A = data.draw(connected_digraphs(min_n=2, max_n=4, allow_loops=False))
         B = data.draw(connected_digraphs(min_n=2, max_n=4, allow_loops=False))
-        P, C = cartesian_product([A, B])
-        SF = shadow_factorization_of_product(P, C)
+        P, _ = cartesian_product([A, B])
+        SF = shadow_fact(P)
         B_ = bfs(shadow(P), SF.root)
         rc = SF.coordin.coords[SF.root]
         k = len(SF.factors)

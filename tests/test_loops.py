@@ -353,7 +353,7 @@ class TestLoopScanOnMergedClasses:
             for _ in range(rng.randint(0, C.k - 1)):
                 groups.merge(rng.sample(groups.live_ids(), min(2, class_count(groups))))
             regrouped = group_coordinates(G, C, groups.classes())
-            NF = DirectedFactorization(groups, regrouped.factors, regrouped, 0)
+            NF = DirectedFactorization(groups, regrouped, 0)
 
             def shared():
                 merges = loop_factor._loop_scan(G, C, groups, B)

@@ -22,7 +22,6 @@ from boxfactor import (
 )
 from boxfactor import shadow_factor
 from boxfactor.cli import _bench_instance
-from boxfactor.cli import _shadow_factorization_of_product as shadow_factorization_of_product
 from boxfactor.core import bfs
 from helpers import (
     both_k2,
@@ -567,41 +566,6 @@ class TestProductRecovery:
         lhs = {edge_key(m[u], m[v]) for (u, v) in S.edges}
         rhs = shadow(P).edges
         assert lhs == rhs
-
-
-class TestShadowFactorizationOfProduct:
-    def test_layers_are_k2_shadows(self):
-        A = DiGraph(2, {(0, 1)}, set())
-        P, C = cartesian_product([A, A])
-        SF = shadow_factorization_of_product(P, C)
-        assert SF.factors == (shadow(A), shadow(A))
-        assert all(f.edges == {(0, 1)} for f in SF.factors)
-
-    def test_colors_follow_coordinates(self):
-        A = DiGraph(3, {(0, 1), (1, 2)}, set())
-        B = both_k2()
-        P, C = cartesian_product([A, B])
-        SF = shadow_factorization_of_product(P, C)
-        for (u, v), c in SF.colors.items():
-            cu, cv = C.coords[u], C.coords[v]
-            diff = [i for i in range(2) if cu[i] != cv[i]]
-            assert diff == [c]
-
-    def test_same_classes_as_factor_shadow_on_cube(self):
-        P, C = cartesian_product([both_k2()] * 3)
-        SF = shadow_factorization_of_product(P, C)
-        F = factor_shadow(shadow(P), 0)
-        # numbering may differ, the partition into classes may not
-        assert _classes(SF.colors) == _classes(F.colors)
-
-    def test_loops_are_ignored(self):
-        from boxfactor import strip_loops
-
-        A = DiGraph(2, {(0, 1), (1, 0)}, {1})
-        P, C = cartesian_product([A, both_k2()])
-        SF = shadow_factorization_of_product(P, C)
-        F = factor_shadow(shadow(strip_loops(P)), C.root)
-        assert _classes(SF.colors) == _classes(F.colors)
 
 
 class TestLargeInstance:
