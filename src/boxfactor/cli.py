@@ -120,7 +120,7 @@ def cmd_factor(args) -> int:
 
     t_total = time.perf_counter() - t_start
     print(f"time_parse: {t_parse:.6f}")
-    for name in ("shadow", "directed", "loops"):
+    for name in ("prepare", "shadow", "table", "directed", "loops"):
         print(f"time_{name}: {times.get(name, 0.0):.6f}")
     print(f"time_total: {t_total:.6f}")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -130,10 +130,15 @@ def _product_of_files(paths, coords: str | None) -> str:
     """The canonical text of the product of the graph files `paths`, laid
     out by the coordinate table file `coords`, or row-major without one."""
     factors = [_load_graph(p) for p in paths]
-    if coords is None:
-        C = Coordinatization(factors, itertools.product(*(range(F.n) for F in factors)), 0)
-        return product_text(C)
-    rows = _load_rows(coords, math.prod(F.n for F in factors))
+    rows = None if coords is None else _load_rows(coords, math.prod(F.n for F in factors))
+    return _claim_text(factors, rows)
+
+
+def _claim_text(factors: list[DiGraph], rows) -> str:
+    """The canonical text of the product of `factors`, laid out by the
+    coordinate `rows`, or row-major when they are None."""
+    if rows is None:
+        rows = itertools.product(*(range(F.n) for F in factors))
     try:
         return product_text(Coordinatization(factors, rows, 0))
     except FactorizationError as exc:  # wrong width, off the grid, assigned twice
@@ -167,15 +172,21 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     text = Path(args.graph).read_text(encoding="utf-8")
+    factors = rows = None
     try:
+        factors = [_load_graph(p) for p in args.factors]
+        rows = _load_rows(args.coords, math.prod(F.n for F in factors))
         # canonical text is unique, so equal text proves equal graphs
-        ok = _product_of_files(args.factors, args.coords) == text
+        ok = _claim_text(factors, rows) == text
     except (ValueError, OSError, FactorizationError, MemoryError):
         ok = False  # the path below reports the error, the graph file's first
     if not ok:
         G = parse_graph(text)
-        factors = [_load_graph(p) for p in args.factors]
-        ok = reconstruct_check_parts(G, factors, _load_rows(args.coords, G.n))
+        if factors is None:
+            factors = [_load_graph(p) for p in args.factors]
+        if rows is None or len(rows) != G.n:
+            rows = _load_rows(args.coords, G.n)
+        ok = reconstruct_check_parts(G, factors, rows)
     print(f"verified: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -91,10 +91,12 @@ class DirectedFactorization:
     `coordin.factors`, and `merges` counts the merge events of the scan.
 
     `stages` is filled in only by `factor_full`: one `(name, seconds,
-    merges)` row for each pass it ran, in the order `"shadow"` (always 0
-    merges), `"directed"`, `"loops"`, timed with `perf_counter`. The last
-    row's time includes the one regrouping of the coordinates. It is `()`
-    for the one-vertex unit and for a pass called directly.
+    merges)` row for each stage it ran, in the order `"prepare"` (the
+    arc-count check, the shadow and the BFS), `"shadow"`, `"table"` (the
+    direction table), all three with 0 merges, then `"directed"` and
+    `"loops"`, timed with `perf_counter`. The last row's time includes the
+    one regrouping of the coordinates. It is `()` for the one-vertex unit
+    and for a pass called directly.
     """
 
     partition: ColorPartition

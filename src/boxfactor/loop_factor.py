@@ -188,35 +188,42 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     one unlooped vertex. `root` optionally fixes the base vertex; it must be
     unlooped. Factors come out with the root at local id of the root's
     coordinate, ordered canonically by their smallest original shadow color.
-    The result's `stages` holds the wall time and merge count of each pass,
-    and its `partition` groups the shadow colors into the factors.
+    The result's `stages` holds the wall time and merge count of each stage:
+    `prepare` (the arc-count check, the shadow and the BFS), `shadow`,
+    `table` (the direction table), then the scans. Its `partition` groups
+    the shadow colors into the factors.
     """
+    t0 = perf_counter()
     check_arc_count(G)
     S = shadow(G)
     B = rooted_bfs(G, S, root)
     if G.n == 1:
         return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
-    C, info, shadow_row = _shadow_stage(S, B)
+    prepare_row = ("prepare", perf_counter() - t0, 0)
+    C, info, shadow_rows = _shadow_stage(S, B)
     del S  # the scans read only C, B and info: free the edge numbering
     P, coordin, rows = _merge_scans(G, C, B, info)
-    return DirectedFactorization(P, coordin, rows[-1][2], (shadow_row, *rows))
+    return DirectedFactorization(
+        P, coordin, rows[-1][2], (prepare_row, *shadow_rows, *rows)
+    )
 
 
 def _shadow_stage(S: ShadowGraph, B: BfsOrder):
     """Factor the shadow S from B's root and build the merge scans' inputs:
     the coordinatization, the direction table (`info` as in
-    `_direction_scan`) and the `("shadow", seconds, 0)` stage row. `factor_full`
-    and `bench` both set up the scans here.
+    `_direction_scan`) and the stage rows `("shadow", seconds, 0)` and
+    `("table", seconds, 0)`. `factor_full` and `bench` both set up the scans
+    here.
     """
     t0 = perf_counter()
     SF = factor_shadow(S, B.root, B)
-    shadow_row = ("shadow", perf_counter() - t0, 0)
+    t1 = perf_counter()
     n = S.n
     # the colors come in edge-id order, aligned with the direction bits
     info = {
         u * n + v: 4 * c + d for (u, v), c, d in zip(S.ends, SF.colors.values(), S.dirs)
     }
-    return SF.coordin, info, shadow_row
+    return SF.coordin, info, (("shadow", t1 - t0, 0), ("table", perf_counter() - t1, 0))
 
 
 def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder, info):

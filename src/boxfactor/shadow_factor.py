@@ -7,38 +7,55 @@ sigma = (Theta u tau)*, the transitive closure of two edge relations:
   tau    e and f share an endpoint and lie on no common chordless square.
 Computing Theta directly needs all-pairs distances and every pair of edges.
 
-Instead, `factor_shadow` climbs a ladder of ever coarser edge partitions
-and checks each rung exactly with `coordinates_from_colors`. Every pair a
-rung joins is a tau pair or a pair of opposite edges of a chordless square,
-which are Theta-related, so every rung refines sigma. When a rung is a
-product coloring, sigma refines it too (Theta and tau never relate edges of
-different factors of a product), so it is sigma: the first rung accepted is
-the factorization, whichever rung that is.
+Instead, `factor_shadow` climbs a ladder of edge colourings and checks each
+rung exactly with `coordinates_from_colors`, which accepts only a product
+colouring. The factor classes of any product decomposition are unions of
+sigma classes, so an accepted colouring is sigma whenever it refines sigma:
+the first rung accepted is the factorization, whichever rung that is. The
+rungs, each checked only when it differs from the one before:
 
-Rungs 1 and 2 are one square closure (`_close_pairs`) with two anchor
-rules. At each vertex v it tests the pairs of edges va, vw that hold an
-anchor a: a pair on no chordless square is tau and joined, otherwise the
-opposite edges of each chordless square v-a-x-w are joined, but only at
-the square's smallest corner that tests it. A corner tests a square when
-it takes every neighbour as an anchor or when its tree edge lies on it.
-The rungs, each checked only when it merged classes:
-
-1. Round 1. The anchor of v is its BFS-tree neighbour u, the first
-   down-neighbour, so vu is tested with every other edge at v (down,
-   cross and up). The root, and every v where no down-edge spans a
-   chordless square with vu (such as a v with one down-neighbour: a
-   unit-layer vertex of a product, all its down-edges in one factor), take
-   every neighbour as an anchor. Round 1 tests O(m) pairs plus all
-   pairs at the unit-layer vertices (sum of the factor sizes in a
-   product), each by an O(deg) intersection of neighbour sets. Two edges at
-   a vertex that lie in different factors of a product span exactly one
-   chordless square, so on products the tree edge at v usually suffices to
-   place every other edge at v, and round 1 is accepted; nothing rests on
-   that, and a few rooted products do fall through to rung 2.
-2. delta*. Every neighbour of every vertex is an anchor, so every square
-   is joined at its smallest corner, added to the same classes. This closes
-   delta: tau plus the opposite edges of every chordless square, in
-   O(sum over v of deg(v)^2 times the degree of a neighbour).
+1. Colour propagation (`_propagate`), after Imrich and Peterin's linear
+   recognition of Cartesian products: one sweep over the BFS order gives
+   every edge one colour, copied from an edge one level lower, and a small
+   union-find over the colours (one per root edge) merges two colours when
+   two squares disagree. A down-edge is coloured at its upper end, a
+   cross-edge at its later end in BFS order. With u the first
+   down-neighbour of v:
+   - two root edges ra, rw merge unless the common neighbours of a and w
+     are r and one x off N(r), x's down-neighbours are a and w only, and
+     deg x + deg r = deg a + deg w (adjacent a and w need no test: the
+     triangle rule below merges them at the cross-edge aw);
+   - another down-edge vw takes vu's colour on a triangle (w ~ u); when
+     some x is a down-neighbour of both u and w, vw copies ux and vu copies
+     wx (the copies of later such w merge into vu's); otherwise vw takes
+     vu's colour;
+   - when no other down-edge spans such a square with vu (a v below level
+     1 with one down-neighbour included), vu copies u's first down-edge
+     and all of u's down-edge colours merge;
+   - a cross-edge vy takes vu's colour, merged with yu's, on a triangle
+     (u ~ y); for each x that is a down-neighbour of y and a cross-neighbour
+     of u but not a neighbour of v, vy copies ux and vu merges with yx;
+     otherwise vy takes vu's colour.
+   The colouring refines sigma. In a prime graph sigma is one class. In a
+   nontrivial product every copy and merge stays in one sigma class: the
+   opposite edges of a chordless square and the edges of a triangle are
+   Theta-related in any graph; root edges of two factors pass every root
+   test, so a pair failing one lies in one factor; a v whose tree edge
+   spans no down-square with another down-edge has all its down-edges in
+   one factor, so v and u lie in one unit layer with all of u's
+   down-edges; and a down- or cross-edge at v that spans no level square
+   with vu lies in vu's factor, since two edges of different factors span
+   the product square, whose far corner is one level below the upper
+   ones. On products the colouring is almost always sigma itself and is
+   accepted; nothing rests on that. The sweep does O(1) bisections of the
+   sorted adjacency lists per pair of a down- or cross-edge and a
+   down-neighbour, O(m) on bounded down-degrees.
+2. delta* (`_close_pairs`), for a rejected rung 1. At every vertex v each
+   pair of edges va, vw is tested: a pair on no chordless square is tau
+   and joined, otherwise each chordless square v-a-x-w joins its opposite
+   edges, at the square's smallest corner only. This closes delta: tau
+   plus the opposite edges of every chordless square, in O(sum over v of
+   deg(v)^2 times the degree of a neighbour).
 3. Theta, one edge at a time, for graphs that are locally but not globally
    a product, such as a Moebius ladder: BFS-tree edges first, then the
    rest. An edge xy is Theta-related to uv exactly when
@@ -48,12 +65,12 @@ The rungs, each checked only when it merged classes:
    k0 - 1 re-checks for the k0 classes of delta*, and O(m*(n + m)) time in
    the worst case.
 
-A rejected rung only moves up the ladder, so no input costs more than the
-delta* closure and Theta plus one round 1 and one failed check. The rungs
-work on the edge ids of the shadow and look an edge up by its ids'
-alignment with the sorted adjacency lists. The classes are numbered in BFS
-order from the root, and `coordinates_from_colors` turns them into
-unit-layer factors and vertex coordinates.
+Each rung refines sigma, so no input costs more than rung 1, the delta*
+closure and Theta plus their failed checks. The rungs work on the edge ids
+of the shadow and look an edge up by its ids' alignment with the sorted
+adjacency lists. The classes are numbered in BFS order from the root, and
+`coordinates_from_colors` turns them into unit-layer factors and vertex
+coordinates.
 """
 
 from __future__ import annotations
@@ -104,8 +121,7 @@ def factor_shadow(
         raise ValueError("BFS root differs from the factorization root")
     if n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
-    for labels in _ladder(S, B):
-        colors = _number_classes(S.ends, labels, B.bfsnum)
+    for colors in _ladder(S, B):
         try:
             factors, coordin = _coordinates(S, root, colors, B)
         except FactorizationError as exc:
@@ -116,52 +132,191 @@ def factor_shadow(
 
 
 def _ladder(S: ShadowGraph, B: BfsOrder) -> Iterator[list[int]]:
-    """Ever coarser class labelings of the edges of S, by edge id, each
-    refining sigma: round 1, then delta*, then delta* plus the Theta
-    relations of one edge after another. A rung is yielded only when it
-    merged classes; the label of an edge is the id of its class's root edge.
-    Each list yielded must be read before the next rung is asked for.
+    """The colourings of the edges of S that `factor_shadow` checks, by edge
+    id and numbered as `_number_classes` numbers them, each refining sigma:
+    colour propagation, then delta* in a fresh union-find, then delta* plus
+    the Theta relations of one edge after another. A rung is yielded only
+    when it differs from the rung before.
     """
+    colors = _propagate(S, B)
+    yield colors
     parent = list(range(len(S.ends)))
-
-    def classes() -> list[int]:
-        out = []
-        for a in range(len(parent)):
-            while parent[a] != a:
-                a = parent[a]
-            out.append(a)
-        return out
-
-    _close_pairs(S, parent, B.down)
-    labels = classes()
-    yield labels
-    _close_pairs(S, parent, None)
-    closed = classes()
-    if closed != labels:
-        labels = closed
-        yield labels
+    _close_pairs(S, parent)
+    labels = []
+    for a in range(len(parent)):
+        while parent[a] != a:
+            a = parent[a]
+        labels.append(a)
+    closed = _number_classes(S.ends, labels, B.bfsnum)
+    if closed != colors:
+        yield closed
     for e in _theta_order(B, S.ends):
         if _join_theta(S, S.ends, labels, e):
-            yield labels
+            yield _number_classes(S.ends, labels, B.bfsnum)
 
 
-def _close_pairs(
-    S: ShadowGraph,
-    parent: list[int],
-    down: tuple[tuple[int, ...], ...] | None,
-) -> None:
-    """Join the pairs of edges that hold an anchor, at every vertex, in the
-    union-find `parent` over the edge ids of S, under the anchor and corner
-    rules of the module docstring: round 1 with `down` the BFS
-    down-neighbours of every vertex, delta* when `down` is None. The
-    vertices are swept in id order, so whether a smaller corner takes every
-    neighbour as an anchor is known when it is read.
+def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
+    """Rung 1: the colour of every edge of S by edge id, propagated from the
+    root's edges along B under the rules of the module docstring.
+
+    The root edge to the i-th neighbour of the root starts with colour i;
+    the BFS numbers those neighbours 1, 2, ... in the same order. Every
+    class holds a root edge, and a root edge's (bfsnum, bfsnum) pair is
+    smaller than any other edge's, so numbering the classes by their
+    smallest colour numbers them as `_number_classes` does.
+    """
+    adj = S.adj
+    inc = S.inc
+    down = B.down
+    cross = B.cross
+    root = B.root
+    col = [-1] * len(S.ends)
+    rn = adj[root]
+    k = len(rn)
+    parent = list(range(k))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    def union(a: int, b: int) -> None:
+        a = find(a)
+        b = find(b)
+        if a != b:
+            parent[b] = a
+
+    for c, e in enumerate(inc[root]):
+        col[e] = c
+    # The root pairs ra, rw that pass every root test, by colour: a and w
+    # have two common neighbours, r and a level-2 x with down-neighbours a
+    # and w only, and deg x + deg r = deg a + deg w. Every other pair merges.
+    pos = {a: i for i, a in enumerate(rn)}
+    corner: dict[tuple[int, int], int] = {}
+    for x in B.order[k + 1 :]:
+        if B.level[x] > 2:
+            break
+        if len(down[x]) == 2:
+            corner[down[x]] = x
+    passes: list[set[int]] = [set() for _ in range(k)]
+    for (a, w), x in corner.items():
+        na = adj[a]
+        if (
+            len(adj[x]) + k == len(na) + len(adj[w])
+            and len(set(na).intersection(adj[w])) == 2
+        ):
+            passes[pos[a]].add(pos[w])
+            passes[pos[w]].add(pos[a])
+    # the classes are the components of the complement of `passes`, found
+    # in O(k + len(passes)): each step keeps only the unreached colours that
+    # pass with i
+    rest = set(range(k))
+    for s in range(k):
+        if s not in rest:
+            continue
+        rest.discard(s)
+        todo = [s]
+        for i in todo:
+            keep = rest.intersection(passes[i])
+            for j in rest - keep:
+                parent[j] = s
+                todo.append(j)
+            rest = keep
+
+    # the down-edges below level 1, at their upper ends; u is the tree
+    # neighbour of v, and cu becomes the colour of vu
+    merged = bytearray(S.n)  # all of u's down-edge colours merged
+    for v in B.order[k + 1 :]:
+        dv = down[v]
+        u = dv[0]
+        nb = adj[v]
+        ids = inc[v]
+        du = down[u]
+        cu = -1
+        same = [ids[bisect_left(nb, u)]]  # edges that take vu's colour
+        for w in dv[1:]:
+            e = ids[bisect_left(nb, w)]
+            if w in cross[u]:
+                same.append(e)
+                continue
+            dw = down[w]
+            for x in du:
+                if x in dw:
+                    break
+            else:
+                same.append(e)
+                continue
+            col[e] = col[inc[u][bisect_left(adj[u], x)]]
+            c = col[inc[w][bisect_left(adj[w], x)]]
+            if cu < 0:
+                cu = c
+            else:
+                union(cu, c)
+        if cu < 0:  # v and u lie in one unit layer
+            au = adj[u]
+            iu = inc[u]
+            cu = col[iu[bisect_left(au, du[0])]]
+            if not merged[u]:
+                merged[u] = 1
+                for x in du[1:]:
+                    union(cu, col[iu[bisect_left(au, x)]])
+        for e in same:
+            col[e] = cu
+    # the cross-edges, at their later ends in BFS order
+    bn = B.bfsnum
+    for v in B.order[1:]:
+        cv = cross[v]
+        if not cv:
+            continue
+        b = bn[v]
+        nb = adj[v]
+        ids = inc[v]
+        dv = down[v]
+        u = dv[0]
+        au = adj[u]
+        iu = inc[u]
+        cu = col[ids[bisect_left(nb, u)]]
+        for y in cv:
+            if bn[y] > b:
+                continue
+            ay = adj[y]
+            iy = inc[y]
+            dy = down[y]
+            e = ids[bisect_left(nb, y)]
+            if u in dy:  # a triangle
+                col[e] = cu
+                union(cu, col[iy[bisect_left(ay, u)]])
+                continue
+            c = -1  # the colour of vy, from the far edges ux of squares v-u-x-y
+            for x in dy:
+                if x in dv:
+                    continue
+                i = bisect_left(au, x)
+                if i == len(au) or au[i] != x:
+                    continue
+                cx = col[iu[i]]
+                if c < 0:
+                    c = cx
+                else:
+                    union(c, cx)
+                union(cu, col[iy[bisect_left(ay, x)]])
+            col[e] = cu if c < 0 else c
+    number = [0] * k
+    seen: dict[int, int] = {}
+    for c in range(k):
+        number[c] = seen.setdefault(find(c), len(seen))
+    return [number[c] for c in col]
+
+
+def _close_pairs(S: ShadowGraph, parent: list[int]) -> None:
+    """Close delta in the union-find `parent` over the edge ids of S: at
+    every vertex v, join each pair of edges va, vw on no chordless square,
+    and join the opposite edges of each chordless square v-a-x-w whose
+    smallest corner is v.
     """
     adj = S.adj
     inc = S.inc
     nbrs = list(map(set, adj))
-    tree = [-1] * S.n if down is None else [d[0] if d else -1 for d in down]
-    every = [False] * S.n
 
     def union(a: int, b: int) -> None:
         while parent[a] != a:
@@ -173,53 +328,22 @@ def _close_pairs(
 
     for v, nb in enumerate(adj):
         nv = nbrs[v]
-        u = tree[v]
-        if u < 0:
-            every[v] = True
-        else:
-            nu = nbrs[u]
-            off = nu - nv  # with v dropped: the far corners of squares on vu
-            off.discard(v)
-            for w in down[v][1:]:
-                if w not in nu and not off.isdisjoint(nbrs[w]):
-                    break
-            else:
-                every[v] = True
-        ev = every[v]
         ids = inc[v]
-        for i in range(len(nb)) if ev else (bisect_left(nb, u),):
-            a = nb[i]
+        for i, a in enumerate(nb):
             na = nbrs[a]
-            if ev:  # else a is u, whose far corners are already in off
-                off = na - nv
-                off.discard(v)
-            ta = tree[a]
+            off = na - nv  # with v dropped: the far corners of squares on va
+            off.discard(v)
             ia = ids[i]
-            # a smaller corner a that takes every anchor, or whose tree edge
-            # is av, tests every square on va; likewise w below
-            a_tests = a < v and (every[a] or ta == v)
-            for w, iw in zip(nb[i + 1 :], ids[i + 1 :]) if ev else zip(nb, ids):
-                if w == a:
-                    continue
+            for w, iw in zip(nb[i + 1 :], ids[i + 1 :]):
                 # a, w adjacent: every square on va, vw has a chord
                 far = () if w in na else off & nbrs[w]
                 if not far:
                     union(ia, iw)
-                    continue
-                tw = tree[w]
-                if a_tests or (w < v and (every[w] or tw == v)):
-                    continue
-                for x in far:
-                    # a tests the square by ax, w by wx, x by every anchor,
-                    # xa or xw
-                    if (
-                        (a < v and ta == x)
-                        or (w < v and tw == x)
-                        or (x < v and (every[x] or tree[x] == a or tree[x] == w))
-                    ):
-                        continue
-                    union(ia, inc[w][bisect_left(adj[w], x)])
-                    union(iw, inc[a][bisect_left(adj[a], x)])
+                elif v < a:  # the lists are sorted, so a < w
+                    for x in far:
+                        if v < x:
+                            union(ia, inc[w][bisect_left(adj[w], x)])
+                            union(iw, inc[a][bisect_left(adj[a], x)])
 
 
 def _number_classes(

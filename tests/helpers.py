@@ -228,21 +228,30 @@ def naive_square_closure(S: ShadowGraph, edges: list[tuple[int, int]]) -> list[i
     return [find(a) for a in range(len(edges))]
 
 
-def naive_round_one(S: ShadowGraph, B: BfsOrder) -> list[int]:
-    """Class label of every edge under round 1 of `factor_shadow`'s ladder,
-    for edges indexed as in `sorted(S.edges)`, with no rule for which corner
-    joins a square.
+PROPAGATION_RULES = (
+    "root-common",
+    "root-down",
+    "root-degree",
+    "square-merge",
+    "unit-merge",
+    "cross-triangle-merge",
+    "cross-square-merge",
+)
 
-    A vertex v tests the pairs of its edges that hold an anchor: its BFS-tree
-    neighbour u = B.down[v][0], or every neighbour when v is the root or no
-    down-edge vw spans a chordless square with vu. A tested pair on no
-    chordless square is joined; otherwise the opposite edges of every
-    chordless square v-a-x-w it spans are joined, at every corner that tests
-    the square. The label of an edge is the index of its class's root edge.
+
+def naive_propagate(S: ShadowGraph, B: BfsOrder, drop=()) -> list[int]:
+    """Class label of every edge under rung 1 of `factor_shadow`, colour
+    propagation, for edges indexed as in `sorted(S.edges)`.
+
+    Every rule is a join of two edges, made on edge pairs with neighbour
+    sets. `drop` names rules of `PROPAGATION_RULES` to leave out: a dropped
+    root test counts as passed, a dropped merge is not made (the copies stay).
+    The label of an edge is the index of its class's root edge.
     """
     edges = sorted(S.edges)
     eidx = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
+    nbrs = [set(nb) for nb in S.adj]
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -255,29 +264,54 @@ def naive_round_one(S: ShadowGraph, B: BfsOrder) -> list[int]:
             eidx[(p, q) if p < q else (q, p)]
         )
 
-    nbrs = [set(nb) for nb in S.adj]
-
-    def far_corners(v: int, a: int, w: int) -> list[int]:
-        # the x with v-a-x-w a square without chords
-        if w in nbrs[a]:
-            return []
-        return [x for x in S.adj[a] if x != v and x in nbrs[w] and x not in nbrs[v]]
-
-    for v in range(S.n):
-        anchors = S.adj[v]
-        down = B.down[v]
-        if down and any(far_corners(v, down[0], w) for w in down[1:]):
-            anchors = down[:1]
-        for a in anchors:
-            for w in S.adj[v]:
-                if w == a:
-                    continue
-                far = far_corners(v, a, w)
-                if not far:
-                    join(v, a, v, w)
-                for x in far:
-                    join(v, a, w, x)
-                    join(v, w, a, x)
+    r = B.root
+    for a, w in itertools.combinations(S.adj[r], 2):
+        common = nbrs[a] & nbrs[w]
+        x = max(common - {r}, default=-1)
+        tests = {
+            "root-common": len(common) == 2 and x not in nbrs[r],
+            "root-down": set(B.down[x]) == {a, w} if x >= 0 else False,
+            "root-degree": len(nbrs[x]) + len(nbrs[r]) == len(nbrs[a]) + len(nbrs[w]),
+        }
+        if not all(ok or name in drop for name, ok in tests.items()):
+            join(r, a, r, w)
+    for v in B.order:
+        if B.level[v] < 2:
+            continue
+        u = B.down[v][0]
+        squares = 0
+        for w in B.down[v][1:]:
+            xs = set(B.down[u]) & set(B.down[w])
+            if w in nbrs[u] or not xs:
+                join(v, u, v, w)
+                continue
+            x = min(xs)
+            join(v, w, u, x)
+            squares += 1
+            if squares == 1 or "square-merge" not in drop:
+                join(v, u, w, x)
+        if not squares:
+            join(v, u, u, B.down[u][0])
+            if "unit-merge" not in drop:
+                for x in B.down[u]:
+                    join(u, x, u, B.down[u][0])
+    for v in B.order:
+        u = B.down[v][0] if B.down[v] else -1
+        for y in B.cross[v]:
+            if B.bfsnum[y] > B.bfsnum[v]:
+                continue
+            if u in B.down[y]:
+                join(v, y, v, u)
+                if "cross-triangle-merge" not in drop:
+                    join(v, y, y, u)
+                continue
+            xs = [x for x in B.down[y] if x in nbrs[u] and x not in nbrs[v]]
+            for x in xs:
+                join(v, y, u, x)
+                if "cross-square-merge" not in drop:
+                    join(v, u, y, x)
+            if not xs:
+                join(v, y, v, u)
     return [find(a) for a in range(len(edges))]
 
 

@@ -78,7 +78,15 @@ class TestFactorCommand:
         g = write_graph(tmp_path / "g.dg", consistent_square())
         main(["factor", "--input", g])
         got = out_lines(capsys)
-        for key in ("time_parse", "time_shadow", "time_directed", "time_loops", "time_total"):
+        for key in (
+            "time_parse",
+            "time_prepare",
+            "time_shadow",
+            "time_table",
+            "time_directed",
+            "time_loops",
+            "time_total",
+        ):
             assert float(got[key]) >= 0.0
 
     def test_explicit_root(self, tmp_path, capsys):
@@ -138,7 +146,7 @@ class TestFactorMatchesLibrary:
         F = factor_full(P)
         assert F.merges == 1
         assert [(name, m) for name, _, m in F.stages] == [
-            ("shadow", 0), ("directed", 1), ("loops", 1)
+            ("prepare", 0), ("shadow", 0), ("table", 0), ("directed", 1), ("loops", 1)
         ]
         g = write_graph(tmp_path / "p.dg", P)
         assert main(["factor", "--input", g]) == 0
@@ -321,6 +329,26 @@ class TestVerifyPaths:
         assert main(["verify", g, *parts, "--coords", table]) == 5
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("verified: false\n", "")
+
+    def test_false_answer_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
+        # the parse-and-compare path reuses the factors and the table that
+        # building the claimed text read
+        from boxfactor import cli
+
+        G = self.looped_product()
+        g, parts, table = factored(tmp_path, capsys, G)
+        write_graph(tmp_path / "g.dg", DiGraph(G.n, set(G.arcs) - {min(G.arcs)}, G.loops))
+        loads = []
+        for name in ("_load_graph", "_load_rows"):
+
+            def counted(path, *rest, _fn=getattr(cli, name), _name=name):
+                loads.append((_name, path))
+                return _fn(path, *rest)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["verify", g, *parts, "--coords", table]) == 5
+        assert capsys.readouterr().out == "verified: false\n"
+        assert loads == [("_load_graph", p) for p in parts] + [("_load_rows", table)]
 
     @pytest.mark.parametrize(
         "rows",

@@ -346,7 +346,7 @@ class TestAgainstNaiveScans:
             assert F.coordin.coords == R.coordin.coords
             assert F.merges == R.merges
             merges = [m for _, _, m in F.stages]
-            assert merges == [0, NF.merges] + ([R.merges] if G.loops else [])
+            assert merges == [0, 0, 0, NF.merges] + ([R.merges] if G.loops else [])
             # F groups the shadow colors; a loop pass groups NF's classes
             classes = NF.partition.classes()
             if G.loops:

@@ -257,7 +257,7 @@ class TestFactorFullContract:
         # a direction merge, then a loop merge
         P, _ = cartesian_product([inconsistent_square(), looped_far_corner()])
         F = factor_full(P)
-        assert [m for _, _, m in F.stages] == [0, 1, 1]
+        assert [m for _, _, m in F.stages] == [0, 0, 0, 1, 1]
         assert calls == {"bfs": 1, "group_coordinates": 1, "_edge_info": 0}
 
     def test_loopless_graph_skips_loop_stage(self):
@@ -266,14 +266,14 @@ class TestFactorFullContract:
         SF = factor_shadow(shadow(G), 0)
         N = factor_directed(G, SF)
         assert frozen(F) == frozen(N)
-        assert [name for name, _, _ in F.stages] == ["shadow", "directed"]
+        assert [name for name, _, _ in F.stages] == ["prepare", "shadow", "table", "directed"]
         assert N.stages == ()
 
     def test_stages_time_every_pass_that_ran(self):
         P, _, _, _ = loop_product()
         F = factor_full(P)
         assert [(name, m) for name, _, m in F.stages] == [
-            ("shadow", 0), ("directed", 0), ("loops", 0)
+            ("prepare", 0), ("shadow", 0), ("table", 0), ("directed", 0), ("loops", 0)
         ]
         assert all(seconds >= 0.0 for _, seconds, _ in F.stages)
         assert factor_with_loops(P, factor_full(strip_loops(P))).stages == ()

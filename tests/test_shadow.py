@@ -24,6 +24,8 @@ from boxfactor import shadow_factor
 from boxfactor.cli import _bench_instance
 from boxfactor.core import bfs
 from helpers import (
+    NAIVE_MAX_N,
+    PROPAGATION_RULES,
     both_k2,
     both_ways,
     connected_digraphs,
@@ -31,7 +33,7 @@ from helpers import (
     mobius_ladder,
     naive_coordinates_from_colors,
     naive_factor_shadow,
-    naive_round_one,
+    naive_propagate,
     naive_shadow_classes,
     naive_square_closure,
     random_digraph,
@@ -62,8 +64,8 @@ def theta_steps(monkeypatch):
 
 @pytest.fixture
 def rungs(monkeypatch):
-    """How many labelings of the ladder each factor_shadow call checked:
-    1 when round 1 was accepted."""
+    """How many colourings of the ladder each factor_shadow call checked:
+    1 when rung 1 was accepted."""
     calls = []
     ladder = shadow_factor._ladder
 
@@ -238,7 +240,7 @@ class TestCoordinatesFromColors:
 
 class TestAgainstNaiveClosure:
     """factor_shadow's classes equal (Theta u tau)* computed from the
-    definitions, whether the square closure is accepted or the exact
+    definitions, whether a cheap rung is accepted or the exact
     fallback runs."""
 
     @staticmethod
@@ -280,9 +282,9 @@ class TestAgainstNaiveClosure:
                 for root in (0, G.n - 1):
                     calls.clear()
                     assert self._agree(G, [root]) == k
-                    # the square closure alone is rejected, so Theta is added
+                    # rung 1 and delta* are rejected, so Theta is added
                     assert calls, (G, root)
-        # prisms are products: the square closure is accepted at once
+        # prisms are products: rung 1 is accepted at once
         calls.clear()
         for r in range(3, 14):
             P, _ = cartesian_product([undirected_cycle(r), both_k2()])
@@ -359,13 +361,34 @@ def _partition(labels):
     return {frozenset(c) for c in classes.values()}
 
 
-def _round_one(S, r):
-    """The labels of the first rung of factor_shadow's ladder."""
-    return S.ends, next(shadow_factor._ladder(S, bfs(S, r)))
+def _sigma(S):
+    """The sigma classes of S as sets of edge ids: from the definitions up
+    to NAIVE_MAX_N vertices, else from the all-pairs closure plus Theta."""
+    if S.n <= NAIVE_MAX_N:
+        eid = {e: i for i, e in enumerate(S.ends)}
+        return {frozenset(eid[e] for e in c) for c in naive_shadow_classes(S)}
+    return _partition(list(naive_factor_shadow(S, 0).colors.values()))
+
+
+def _check_rung_one(S, r, sigma):
+    """Rung 1 from root r refines sigma, and equals it when the check
+    accepts it; returns whether it was accepted."""
+    B = bfs(S, r)
+    colors = shadow_factor._propagate(S, B)
+    classes = _partition(colors)
+    where = {i: j for j, c in enumerate(sigma) for i in c}
+    for c in classes:
+        assert len({where[i] for i in c}) == 1, (S, r)
+    try:
+        shadow_factor._coordinates(S, r, colors, B)
+    except FactorizationError:
+        return False
+    assert classes == sigma, (S, r)
+    return True
 
 
 class TestLadder:
-    """factor_shadow closes a cheap relation first and climbs to delta* and
+    """factor_shadow propagates colours first and climbs to delta* and
     Theta only when the check rejects it; the result is what the all-pairs
     closure plus Theta gives."""
 
@@ -382,18 +405,14 @@ class TestLadder:
                 runs += 1
         assert runs > 10_000
 
-    def test_round_one_refines_delta_star(self):
+    def test_rung_one_refines_sigma(self):
         for G, roots in _differential_corpus():
             S = shadow(G)
             if S.n == 1:
                 continue
+            sigma = _sigma(S)
             for r in roots:
-                edges, labels = _round_one(S, r)
-                delta = naive_square_closure(S, edges)
-                # each round-1 class lies inside one delta* class
-                inside = {}
-                for a, b in zip(labels, delta):
-                    assert inside.setdefault(a, b) == b, (G, r)
+                _check_rung_one(S, r, sigma)
 
     @pytest.mark.parametrize(
         "family, size",
@@ -412,8 +431,9 @@ class TestLadder:
         "family", ["grid", "cube", "randprod", "KqxKq", "moebius", "random", "generated"]
     )
     def test_rungs_match_their_references(self, family):
-        # round 1 joins each square at one corner only, delta* at its
-        # smallest; the references join it at every corner that tests it
+        # delta* joins each square at its smallest corner, the reference at
+        # every corner; rung 1 makes the joins of its reference, and refines
+        # sigma
         if family == "KqxKq":
             inputs = [_scrambled_product(family, q)[:2] for q in range(3, 13)]
         elif family == "moebius":
@@ -438,32 +458,139 @@ class TestLadder:
             inputs = [_scrambled_product(family, 3000 if family != "randprod" else 5000)[:2]]
         for S, roots in inputs:
             parent = list(range(len(S.ends)))
-            shadow_factor._close_pairs(S, parent, None)
+            shadow_factor._close_pairs(S, parent)
             delta = [_find(parent, a) for a in range(len(parent))]
             assert _partition(delta) == _partition(naive_square_closure(S, S.ends))
+            sigma = _sigma(S)
             for r in roots:
                 B = bfs(S, r)
-                labels = next(shadow_factor._ladder(S, B))
-                assert _partition(labels) == _partition(naive_round_one(S, B)), (S, r)
+                colors = shadow_factor._propagate(S, B)
+                assert _partition(colors) == _partition(naive_propagate(S, B)), (S, r)
+                _check_rung_one(S, r, sigma)
 
-    def test_round_two_after_a_rejected_round_one(self, rungs):
-        # found by a seeded search: a 4-cycle 0-1-2-3 with a pendant edge
-        # 3-4, rooted at 1; round 1 misses the tau pair (23, 34) and leaves
-        # two classes, delta* has one
+    def test_old_round_two_inputs_take_rung_one(self, rungs):
+        # a 4-cycle 0-1-2-3 with a pendant edge 3-4, rooted at 1: the square
+        # closure of the old round 1 left two classes; the degree test at the
+        # root joins 10 and 12 at once
         S = ShadowGraph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)])
         F = factor_shadow(S, 1)
-        assert rungs == [2]
+        assert rungs == [1]
         assert F.colors == naive_factor_shadow(S, 1).colors
         assert set(F.colors.values()) == {0}
         # on a generated product, root 0
         G, _ = gen_product_instance(2, (2, 6), 0.3, seed=381)
         rungs.clear()
         F = factor_shadow(shadow(G), 0)
-        assert rungs == [2]
+        assert rungs == [1]
         want = naive_factor_shadow(shadow(G), 0)
         assert F.colors == want.colors
         assert F.coordin.coords == want.coordin.coords
         assert len(F.factors) == 2
+
+
+# One input per root test and per merge rule of rung 1, as (n, edges, root).
+# Each graph is prime, and without its rule rung 1 leaves it two or more
+# classes, which the check rejects.
+RULE_INPUTS = {
+    # K_{2,3} from {1, 2} to {0, 3, 4}, and 5 and 6 both joined to 3 and 4:
+    # 1 and 2 have the common neighbours 0, 3 and 4
+    "root-common": (
+        7,
+        [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5), (3, 6), (4, 6)],
+        0,
+    ),
+    # 0 and 4 have the common neighbours 1 and 2, and 2 has the third
+    # down-neighbour 3
+    "root-down": (
+        6,
+        [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (4, 5)],
+        1,
+    ),
+    # a 4-cycle 0-1-2-4 with a pendant edge 1-3: deg 2 + deg 0 = 4, and
+    # deg 1 + deg 4 = 5
+    "root-degree": (5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 4)], 0),
+    # found by a seeded search over small products with one to three edits
+    "square-merge": (
+        8,
+        [(0, 1), (0, 2), (0, 7), (1, 3), (2, 3), (2, 4), (2, 6), (3, 5), (4, 5), (4, 7),
+         (5, 6)],
+        0,
+    ),
+    # a 4-cycle 1-0-2-3 with pendant edges 0-4 and 2-5: the root pair 10, 13
+    # passes, and only the unit-layer vertex 5 joins 20 and 23
+    "unit-merge": (6, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 5)], 1),
+    # a 4-cycle 0-1-3-2 and a triangle 1-3-4
+    "cross-triangle-merge": (5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 0),
+    # found by a seeded search over small products with one to three edits
+    "cross-square-merge": (
+        8,
+        [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (3, 7),
+         (4, 5), (4, 7), (5, 6)],
+        0,
+    ),
+}
+
+
+class TestPropagation:
+    """Rung 1 of the ladder, colour propagation, on inputs that need each of
+    its rules, on products that weaker rules left to rung 2, and the inputs
+    that still climb to delta* and Theta."""
+
+    @pytest.mark.parametrize("rule", PROPAGATION_RULES)
+    def test_each_rule_is_needed(self, rule, rungs):
+        n, edges, r = RULE_INPUTS[rule]
+        S = ShadowGraph(n, edges)
+        B = bfs(S, r)
+        sigma = _sigma(S)
+        assert _partition(shadow_factor._propagate(S, B)) == sigma
+        assert _partition(naive_propagate(S, B)) == sigma
+        for other in PROPAGATION_RULES:
+            # only this input's own rule is needed here
+            without = _partition(naive_propagate(S, B, drop=(other,)))
+            assert (without != sigma) == (other == rule), other
+        F = factor_shadow(S, r)
+        assert rungs == [1]
+        assert F.colors == naive_factor_shadow(S, r).colors
+
+    @pytest.mark.parametrize(
+        "seed, root",
+        [(1037, 90), (1040, 126), (1072, 0), (1079, 0), (1079, 147), (1097, 147),
+         (1114, 0), (1123, 0)],
+    )
+    def test_three_factor_products_at_rung_one(self, seed, root, rungs):
+        # products of three primes on 5 to 7 vertices that need the last two
+        # root tests or the unit-layer merge
+        G, truth = gen_product_instance(3, (5, 7), 0.3, seed=seed)
+        S = shadow(G)
+        F = factor_shadow(S, root)
+        assert rungs == [1]
+        want = naive_factor_shadow(S, root)
+        assert F.colors == want.colors
+        assert F.coordin.coords == want.coordin.coords
+        assert len(F.factors) >= len(truth)
+
+    def test_rejected_rung_one_accepted_by_delta_star(self, rungs):
+        # found in the seed-20261020 random corpus: squares 0-2-3-4 and
+        # 3-4-5-6 share the edge 3-4, with a pendant edge 0-1; from root 5
+        # rung 1 leaves two classes, delta* has one
+        S = ShadowGraph(
+            7, [(0, 1), (0, 2), (0, 4), (2, 3), (3, 4), (3, 6), (4, 5), (5, 6)]
+        )
+        assert len(set(shadow_factor._propagate(S, bfs(S, 5)))) == 2
+        F = factor_shadow(S, 5)
+        assert rungs == [2]
+        assert F.colors == naive_factor_shadow(S, 5).colors
+        assert set(F.colors.values()) == {0}
+
+    def test_moebius_ladder_climbs_to_theta(self, rungs, theta_steps):
+        # rung 1 and delta* each leave two different classes; the first
+        # Theta step joins them
+        S = shadow(mobius_ladder(6))
+        F = factor_shadow(S, 0)
+        assert rungs == [3]
+        assert len(theta_steps) == 1
+        assert F.colors == naive_factor_shadow(S, 0).colors
+        assert set(F.colors.values()) == {0}
 
 
 class TestAgainstNaiveCoordinates:
@@ -570,7 +697,7 @@ class TestProductRecovery:
 
 class TestLargeInstance:
     def test_long_grid_takes_no_theta_step(self, monkeypatch):
-        # a product is factored by the square closure alone
+        # a product is factored without Theta
         def no_theta(*args):
             raise AssertionError("Theta added for a product")
 
