@@ -7,11 +7,11 @@ of the edge's current class and compares arc directions. A disagreement means
 those coordinates cannot be separated: the classes of all down-edges at the
 current vertex (plus the edge's own class) are merged, and the scan continues
 with the next vertex under the coarser coloring. Each edge is inspected once
-or, when it joins two vertices of one level, twice. Every live class keeps a
-column of projection codes (`Coordinatization.projection_codes`), built in
-O(n*k) and rebuilt only for the survivor of a merge, so each inspection is
-O(1): the scan costs O(n*k) per column build plus O(m), once the shadow
-factorization and the BFS structure are given.
+or, when it joins two vertices of one level, twice. The partition keeps a
+column of projection codes per live class: the k single-position columns
+are built once, in O(n*k), and a merge adds its classes' columns in O(n)
+(`ColorPartition.merge`), so each inspection is O(1) and the scan costs
+O(n*k + m), once the shadow factorization and the BFS structure are given.
 """
 
 from __future__ import annotations
@@ -30,15 +30,27 @@ class ColorPartition:
     so merging relabels only the smaller side. Class ids are drawn from the
     original color indices; no output reads them. `classes()` lists the
     live classes by their smallest member, which is the canonical order.
+
+    Given the coordinatization C whose positions the colors are, the
+    partition also keeps `columns`: for each live class id, the code of
+    every vertex's projection into the layer through C.root spanned by the
+    class, as `C.projection_codes(members)` gives it. The k single-position
+    columns are built here, in O(n*k); `merge` keeps them up to date, and a
+    reader may pop them once it is the last.
     """
 
-    __slots__ = ("_table", "_members")
+    __slots__ = ("_table", "_members", "columns", "_base")
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, C: Coordinatization | None = None):
         if k < 0:
             raise ValueError("color count must be nonnegative")
         self._table = list(range(k))
         self._members: dict[int, list[int]] = {i: [i] for i in range(k)}
+        self.columns: dict[int, list[int]] = {}
+        self._base = 0
+        if C is not None:
+            self.columns = {i: C.projection_codes((i,)) for i in range(k)}
+            self._base = C.codes[C.root]
 
     @property
     def k(self) -> int:
@@ -63,6 +75,11 @@ class ColorPartition:
 
         The largest class keeps its id (ties: smallest id); repointing the
         rest keeps the total work quadratic in k over any merge sequence.
+        The merged class's column is the sum of the merged columns less the
+        root's code once per extra class, element by element:
+        col[A | B] = col[A] + col[B] - code(root), which holds because the
+        classes' positions are disjoint. That is O(n) per class merged away,
+        whatever the class sizes, and O(n*k) over any merge sequence.
         """
         ids = set(class_ids)
         for i in ids:
@@ -78,6 +95,14 @@ class ColorPartition:
                 self._table[c] = survivor
             self._members[survivor].extend(self._members[i])
             del self._members[i]
+        cols = self.columns
+        if cols:
+            base = self._base
+            col = cols[survivor]
+            for i in ids:
+                if i != survivor:
+                    col = [a + b - base for a, b in zip(col, cols.pop(i))]
+            cols[survivor] = col
         return survivor
 
 
@@ -210,16 +235,16 @@ def _inconsistent_edges(vertices, B, C, info, colof):
 
 def _direction_scan(C, B: BfsOrder, info, P: ColorPartition) -> int:
     """The direction scan over the coordinatization C, in B's order: merge
-    classes of the fresh partition P, in place, at each vertex with an
-    inconsistent down or cross edge, and resume after that vertex. `info`
-    holds, keyed min*n + max for every edge of color c, 4*c plus its arcs
-    (1 for min -> max, 2 for max -> min). Returns the number of merges.
+    classes of the fresh partition P, built over C, in place, at each vertex
+    with an inconsistent down or cross edge, and resume after that vertex.
+    `info` holds, keyed min*n + max for every edge of color c, 4*c plus its
+    arcs (1 for min -> max, 2 for max -> min). Returns the number of merges.
     """
     n = len(C.coords)
     table = P.table
-    # colof[c]: projection codes into the live class of color c; a merge
-    # rebuilds only the survivor's column
-    colof = [C.projection_codes((c,)) for c in range(P.k)]
+    columns = P.columns
+    # colof[c]: projection codes into the live class of color c
+    colof = [columns[table[c]] for c in range(P.k)]
     merges = 0
     rest = B.order
     # a merge ends the vertex: the scan resumes after it, under the new classes
@@ -228,9 +253,8 @@ def _direction_scan(C, B: BfsOrder, info, P: ColorPartition) -> int:
         ids = {table[info[v * n + u if v < u else u * n + v] >> 2] for u in B.down[v]}
         ids.add(table[c])
         survivor = P.merge(ids)
-        col = C.projection_codes(P.members(survivor))
         for cc in P.members(survivor):
-            colof[cc] = col
+            colof[cc] = columns[survivor]
         merges += 1
         rest = B.order[B.bfsnum[v] + 1 :]
     return merges

@@ -12,6 +12,9 @@ prime factorization of the graph with loops.
 `_shadow_stage` factors the shadow and builds the direction table;
 `_merge_scans` then runs the directed scan, and the loop scan when needed,
 in one partition of the shadow's colors and regroups the coordinates once.
+The partition's projection-code columns (O(n*k) to build, O(n) per merge)
+feed both scans and the regrouping, which hands out each layer's arcs from
+its own BFS edges in O(n*k + the sum of the layer degrees).
 `bench` sets up through the same two functions, and `factor_directed`
 checks a caller's shadow factorization before it calls `_merge_scans`. The
 result's `stages` hold each pass's time and merge count, which the `factor`
@@ -26,7 +29,7 @@ from time import perf_counter
 from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
 from .directed_factor import ColorPartition, DirectedFactorization, _direction_scan
 from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
-from .product import Coordinatization, group_coordinates
+from .product import Coordinatization, regroup_columns
 from .shadow_factor import factor_shadow
 
 
@@ -77,7 +80,8 @@ def factor_with_loops(
     G: DiGraph, NF: DirectedFactorization, B: BfsOrder | None = None
 ) -> DirectedFactorization:
     """Prime factorization of G from the factorization NF of G minus loops:
-    NF and B are checked against G, then the loop scan runs on NF."""
+    NF and B are checked against G, then the loop scan runs on NF in a
+    fresh partition of its factors, which builds their columns."""
     coordin = NF.coordin
     if len(coordin.coords) != G.n:
         raise ValueError("factorization does not match the graph size")
@@ -91,10 +95,25 @@ def factor_with_loops(
         B = bfs(shadow(G), root)
     elif B.root != root:
         raise ValueError("BFS root differs from the factorization root")
-    P = ColorPartition(k)
+    P = ColorPartition(k, coordin)
     merges = _loop_scan(G, coordin, P, B)
-    coordin2 = _regroup_looped(G, coordin, P)
+    coordin2 = _regroup_looped(G, coordin, P, B)
     return DirectedFactorization(P, coordin2, merges)
+
+
+def _loops_by_code(G: DiGraph, C: Coordinatization) -> bytearray:
+    """One byte per code: 1 when the vertex with that code is looped."""
+    at_loop = bytearray(G.n)
+    codes = C.codes
+    for v in G.loops:
+        at_loop[codes[v]] = 1
+    return at_loop
+
+
+def _flag_bits(at_loop: bytearray, codes) -> int:
+    """One byte per code in `codes`, packed in an int: 1 when the vertex
+    with that code is looped (`at_loop` as `_loops_by_code` gives it)."""
+    return int.from_bytes(bytes(map(at_loop.__getitem__, codes)), "big")
 
 
 def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) -> int:
@@ -102,35 +121,37 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
     classes of P, in place, at each vertex whose loop state disagrees with
     its projections into the live classes. Returns the number of merges.
 
-    P may hold the classes the direction scan left: the scan reads only
-    their members, so it merges as a fresh partition over those classes
-    would.
+    P must be built over C, and it may hold the classes the direction scan
+    left: the scan reads only their columns, so it merges as a fresh
+    partition over those classes would. Each live class's loop flags (is
+    the projection looped) are one int with a byte per BFS number; the next
+    disagreement is one search of their OR against the loop states.
     """
-    n = G.n
     table = P.table
     coords = C.coords
     looped = G.loops
     kk = range(C.k)
-    # at_loop[code]: is the vertex with that code looped; flags[i][v]: is v's
-    # projection into live class i looped. A merge rebuilds only the
-    # survivor's column.
-    at_loop = bytearray(n)
-    codes = C.codes
-    for v in looped:
-        at_loop[codes[v]] = 1
+    order = B.order
+    at_loop = _loops_by_code(G, C)
 
-    def flag_column(members):
-        return bytes([at_loop[c] for c in C.projection_codes(members)])
+    def flag(col):
+        return _flag_bits(at_loop, map(col.__getitem__, order))
 
-    flags = {i: flag_column(P.members(i)) for i in P.live_ids()}
-    anyloop = bytes(map(any, zip(*flags.values())))
+    flags = {i: flag(col) for i, col in P.columns.items()}
+    state = int.from_bytes(bytes(map(looped.__contains__, order)), "big")
 
     merges = 0
-    for v in B.order:
-        if (v in looped) == anyloop[v]:
-            continue
+    b = 0
+    while True:
+        anyloop = 0
+        for f in flags.values():
+            anyloop |= f
+        b = (anyloop ^ state).to_bytes(len(order), "big").find(1, b)
+        if b < 0:
+            return merges
         # disagreement: an unlooped vertex with a looped projection, or a
         # looped vertex none of whose projections is looped
+        v = order[b]
         cv = coords[v]
         ids = set()
         for u in B.down[v]:
@@ -145,35 +166,47 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
         survivor = P.merge(ids)
         for i in ids:
             del flags[i]
-        flags[survivor] = flag_column(P.members(survivor))
-        anyloop = bytes(map(any, zip(*flags.values())))
+        flags[survivor] = flag(P.columns[survivor])
         merges += 1
-    return merges
+        b += 1
 
 
 def _regroup_looped(
-    G: DiGraph, C: Coordinatization, P: ColorPartition
+    G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder
 ) -> Coordinatization:
-    """C regrouped into the classes of P, checked to place every loop of G.
+    """C regrouped into the classes of P, built over C, checked to place
+    every loop of G. The columns of P are let go as they are read.
 
     The regrouped coordinates are a bijection onto the grid, so the product
     of the factors has n minus the product of their unlooped counts looped
     vertices: it has G's loops exactly when it has that many and each loop
-    of G sits at a looped coordinate. Each factor's arcs recur once per
-    vertex of the others, which a C made for another graph fails to match.
+    of G sits at a looped coordinate, that is, a looped projection into its
+    class, which the classes' loop flags ORed tell. Each factor's arcs recur
+    once per vertex of the others, which a C made for another graph fails
+    to match.
     """
-    coordin = group_coordinates(G, C, P.classes())
-    made = sum(len(F.arcs) * (G.n // F.n) for F in coordin.factors)
+    n = G.n
+    ids = [P.table[m[0]] for m in P.classes()]
+    has_looped = 0  # byte v: does v have a looped coordinate
+    if G.loops:
+        at_loop = _loops_by_code(G, C)
+        for i in ids:
+            has_looped |= _flag_bits(at_loop, P.columns[i])
+    cols = (P.columns.pop(i) for i in ids)
+    coordin = regroup_columns(G, C, cols, B.down, B.cross)
+    made = sum(len(F.arcs) * (n // F.n) for F in coordin.factors)
     if made != len(G.arcs):
         raise FactorizationError(f"the factors make {made} arcs, the graph has {len(G.arcs)}")
-    loops = [F.loops for F in coordin.factors]
-    coords = coordin.coords
+    looped = bytearray(n)  # byte v: is v looped
     for v in G.loops:
-        if not any(c in lp for c, lp in zip(coords[v], loops)):
-            raise FactorizationError(
-                f"loop placement of vertex {v} does not match the factorization"
-            )
-    placed = G.n - prod(F.n - len(F.loops) for F in coordin.factors)
+        looped[v] = 1
+    if int.from_bytes(looped, "big") & ~has_looped:
+        has_looped = has_looped.to_bytes(n, "big")
+        v = next(v for v in G.loops if not has_looped[v])
+        raise FactorizationError(
+            f"loop placement of vertex {v} does not match the factorization"
+        )
+    placed = n - prod(F.n - len(F.loops) for F in coordin.factors)
     if placed != len(G.loops):
         raise FactorizationError(
             f"the factors place {placed} loops, the graph has {len(G.loops)}"
@@ -234,7 +267,7 @@ def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder, info):
     row per scan; the last row's time includes the regrouping.
     """
     t0 = perf_counter()
-    P = ColorPartition(C.k)
+    P = ColorPartition(C.k, C)
     merges = _direction_scan(C, B, info, P)
     rows = []
     if G.loops:
@@ -242,6 +275,6 @@ def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder, info):
         rows.append(("directed", t1 - t0, merges))
         t0 = t1
         merges = _loop_scan(G, C, P, B)
-    coordin = _regroup_looped(G, C, P)
+    coordin = _regroup_looped(G, C, P, B)
     rows.append(("loops" if G.loops else "directed", perf_counter() - t0, merges))
     return P, coordin, rows

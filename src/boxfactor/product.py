@@ -14,7 +14,7 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .core import DiGraph
+from .core import DiGraph, shadow
 from .errors import FactorizationError
 
 CoordVector = tuple[int, ...]
@@ -92,8 +92,12 @@ class Coordinatization:
         st = self.strides
         keep = set(positions)
         base = sum(rc[j] * st[j] for j in range(self.k) if j not in keep)
-        col = [base] * len(self.coords)
-        for j in keep:
+        if not keep:
+            return [base] * len(self.coords)
+        first, *rest = keep
+        s = st[first]
+        col = [base + cv[first] * s for cv in self.coords]
+        for j in rest:
             s = st[j]
             col = [c + cv[j] * s for c, cv in zip(col, self.coords)]
         return col
@@ -229,11 +233,11 @@ def group_coordinates(
     every position into one block yields the factorization {G}; singleton
     blocks reproduce C up to relabeling.
 
-    One sweep over the vertices projects each into every block; the images
-    are the block's layer, whose vertices are tagged with the block (the root
-    is in every layer, any other vertex in at most one). One sweep over the
-    arcs hands each arc to the layer that holds both endpoints. O(n*k + m),
-    plus sorting each layer's vertices.
+    Hands each block's `projection_codes` and the shadow's adjacency lists
+    to `regroup_columns`, which hands out each layer's arcs from the
+    layer's own edges. The shadow makes this O(n*k + m); the merge stage,
+    which already holds the columns and a BFS structure, pays
+    O(n*k + the sum of the layer degrees).
     """
     k = C.k
     blocks = [tuple(b) for b in classes]
@@ -244,55 +248,47 @@ def group_coordinates(
         seen.update(b)
     if seen != set(range(k)) or sum(len(b) for b in blocks) != k:
         raise ValueError("blocks must partition the coordinate positions")
-    n = G.n
-    root = C.root
+    cols = (C.projection_codes(b) for b in blocks)
+    return regroup_columns(G, C, cols, ((),) * G.n, shadow(G).adj)
+
+
+def regroup_columns(G: DiGraph, C: Coordinatization, cols, down, cross) -> Coordinatization:
+    """C regrouped into blocks given by their columns of projection codes.
+
+    `cols` yields, one per block in factor order, the code of every vertex's
+    projection into the block's layer through C.root; each is let go once
+    read. Every edge of G's shadow must be in `down[v]` at one end v or in
+    `cross` at both ends, as in a `BfsOrder` or the shadow's `adj`.
+
+    A layer is the set of codes in its column. Its arcs come from its own
+    edges: for each layer vertex v, the neighbours u in `down[v]`, and in
+    `cross[v]` when u < v, that are in the layer too, tested against
+    G.arcs both ways, so edges that are not G's only lose arcs. Every
+    vertex but the root is in at most one layer: O(n*k + the sum of the
+    layer degrees), plus sorting each layer's vertices.
+    """
+    codes = C.codes
     at = C.vertex_at
-
-    def layer(b):
-        """Block b's layer as host -> local id (ascending by host id), and
-        the local id of every vertex's projection into it."""
-        proj = [at[c] for c in C.projection_codes(b)]
-        lid = {h: j for j, h in enumerate(sorted(set(proj)))}
-        return lid, [lid[p] for p in proj]
-
-    lids = []
-    cols = []  # cols[i][v]: local id of v's projection into layer i
-    for b in blocks:
-        lid, col = layer(b)
-        lids.append(lid)
-        cols.append(col)
-    new_coords = tuple(zip(*cols)) if cols else ((),) * n
-    del cols  # n ids per block; not kept while the arcs are handed out
-
-    sizes = [len(lid) for lid in lids]
-    root_loc = [lid[root] for lid in lids]
-    host = [-1] * n  # the one layer holding v; unused for the root
-    loc = [0] * n  # v's local id in that layer
-    for i, lid in enumerate(lids):
-        for h, j in lid.items():
-            host[h] = i
-            loc[h] = j
-
-    arcs: list[list[tuple[int, int]]] = [[] for _ in blocks]
-    for a, c in G.arcs:
-        i = host[c] if a == root else host[a]
-        if i < 0:
-            continue
-        if a == root:
-            arcs[i].append((root_loc[i], loc[c]))
-        elif c == root:
-            arcs[i].append((loc[a], root_loc[i]))
-        elif host[c] == i:
-            arcs[i].append((loc[a], loc[c]))
-    loops: list[list[int]] = [[] for _ in blocks]
-    for v in G.loops:
-        if v == root:
-            for i, lp in enumerate(loops):
-                lp.append(root_loc[i])
-        elif host[v] >= 0:
-            loops[host[v]].append(loc[v])
-
-    new_factors = tuple(
-        DiGraph(sizes[i], arcs[i], loops[i]) for i in range(len(blocks))
-    )
-    return Coordinatization(new_factors, new_coords, root)
+    arcs = G.arcs
+    looped = G.loops
+    factors = []
+    new_cols = []
+    for col in cols:
+        hosts = sorted(map(at.__getitem__, set(col)))
+        lid = {codes[h]: j for j, h in enumerate(hosts)}  # by code, ascending host id
+        new_cols.append(list(map(lid.__getitem__, col)))
+        del col  # the last reader of the column
+        layer_arcs = []
+        for j, h in enumerate(hosts):
+            for u in itertools.chain(down[h], [u for u in cross[h] if u < h]):
+                ju = lid.get(codes[u])
+                if ju is None:
+                    continue
+                if (h, u) in arcs:
+                    layer_arcs.append((j, ju))
+                if (u, h) in arcs:
+                    layer_arcs.append((ju, j))
+        layer_loops = [j for j, h in enumerate(hosts) if h in looped]
+        factors.append(DiGraph._unchecked(len(hosts), layer_arcs, layer_loops))
+    new_coords = tuple(zip(*new_cols)) if new_cols else ((),) * G.n
+    return Coordinatization(tuple(factors), new_coords, C.root)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from boxfactor import (
     ColorPartition,
+    Coordinatization,
     DiGraph,
     DirectedFactorization,
     DisconnectedGraphError,
@@ -36,8 +37,24 @@ from helpers import (
     loop_product,
     looped_far_corner,
     multiset_iso,
+    naive_group_coordinates,
     relabel,
+    undirected_cycle,
 )
+
+
+K2 = DiGraph(2, {(0, 1), (1, 0)}, set())
+K2_LOOPED = DiGraph(2, {(0, 1), (1, 0)}, {1})
+
+
+def scrambled(factors, rng):
+    """The product of `factors` with its vertices relabeled at random, and a
+    random unlooped root."""
+    P, _ = cartesian_product(factors)
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    G = relabel(P, perm)
+    return G, rng.choice([v for v in range(G.n) if v not in G.loops])
 
 
 def frozen(F):
@@ -171,7 +188,7 @@ class TestFactorWithLoops:
         C = factor_shadow(shadow(G), 0).coordin
         assert C.coords == ((0, 0), (1, 0), (0, 1), (1, 1))
         with pytest.raises(FactorizationError, match=message):
-            loop_factor._regroup_looped(G, C, ColorPartition(2))
+            loop_factor._regroup_looped(G, C, ColorPartition(2, C), bfs(shadow(G), 0))
 
     def test_factorization_of_another_graph_raises(self):
         # NF factors the both-ways square 0-1-3-2; H is the both-ways cycle
@@ -242,7 +259,7 @@ class TestFactorFullContract:
             factor_full(G, root=1)
 
     def test_one_bfs_and_one_regroup_per_run(self, monkeypatch):
-        calls = {"bfs": 0, "group_coordinates": 0, "_edge_info": 0}
+        calls = {"bfs": 0, "regroup_columns": 0, "_edge_info": 0}
         for name in calls:
             for mod in [m for k, m in sys.modules.items() if k.startswith("boxfactor.")]:
                 fn = getattr(mod, name, None)
@@ -258,7 +275,25 @@ class TestFactorFullContract:
         P, _ = cartesian_product([inconsistent_square(), looped_far_corner()])
         F = factor_full(P)
         assert [m for _, _, m in F.stages] == [0, 0, 0, 1, 1]
-        assert calls == {"bfs": 1, "group_coordinates": 1, "_edge_info": 0}
+        assert calls == {"bfs": 1, "regroup_columns": 1, "_edge_info": 0}
+
+    def test_no_projection_column_beyond_the_single_positions(self, monkeypatch):
+        # the merge stage adds columns; only the k single-position columns
+        # and the codes (all positions) are projected
+        P, _ = cartesian_product([inconsistent_square(), looped_far_corner(), K2_LOOPED])
+        built = []
+        project = Coordinatization.projection_codes
+
+        def recorded(self, positions):
+            built.append(tuple(positions))
+            return project(self, positions)
+
+        monkeypatch.setattr(Coordinatization, "projection_codes", recorded)
+        F = factor_full(P)
+        assert [m for _, _, m in F.stages] == [0, 0, 0, 1, 1]
+        k = len(F.partition.table)
+        assert k == 5
+        assert sorted(built) == sorted([(i,) for i in range(k)] + [tuple(range(k))])
 
     def test_loopless_graph_skips_loop_stage(self):
         G = DiGraph(4, {(0, 2), (1, 3), (0, 1), (2, 3)}, set())
@@ -349,7 +384,7 @@ class TestLoopScanOnMergedClasses:
             B = bfs(shadow(G), root)
             C = factor_shadow(shadow(G), root, B).coordin
             # group the colors at random, as the direction scan might
-            groups = ColorPartition(C.k)
+            groups = ColorPartition(C.k, C)
             for _ in range(rng.randint(0, C.k - 1)):
                 groups.merge(rng.sample(groups.live_ids(), min(2, class_count(groups))))
             regrouped = group_coordinates(G, C, groups.classes())
@@ -357,7 +392,7 @@ class TestLoopScanOnMergedClasses:
 
             def shared():
                 merges = loop_factor._loop_scan(G, C, groups, B)
-                return merges, loop_factor._regroup_looped(G, C, groups)
+                return merges, loop_factor._regroup_looped(G, C, groups, B)
 
             try:
                 want = factor_with_loops(G, NF, B)
@@ -371,3 +406,94 @@ class TestLoopScanOnMergedClasses:
             assert got.coords == want.coordin.coords
             merged += merges > 0
         assert merged > 20
+
+
+class TestRegroupFromColumns:
+    """The merge stage regroups from its class columns and each layer's own
+    edges; `naive_group_coordinates`, one arc scan per block, must agree."""
+
+    def test_products_that_merge_in_both_scans(self):
+        rng = random.Random(17)
+        seen_k = set()
+        for t in range(12):
+            dcycles = 1 + (t % 2)
+            # a triangle gives the BFS cross edges inside a layer
+            triangles = t % 3 == 0
+            plain = rng.randint(0, 9 - 2 * dcycles - triangles)
+            factors = [inconsistent_square()] * dcycles + [looped_far_corner(), K2_LOOPED]
+            factors += [undirected_cycle(3)] * triangles + [K2] * plain
+            rng.shuffle(factors)
+            G, root = scrambled(factors, rng)
+            B = bfs(shadow(G), root)
+            C = factor_shadow(shadow(G), root, B).coordin
+            F = factor_full(G, root)
+            directed, loops = [m for _, _, m in F.stages[3:]]
+            assert directed == dcycles and loops == 1
+            assert C.k == 2 * dcycles + 3 + triangles + plain <= 12
+            seen_k.add(C.k)
+            want = naive_group_coordinates(G, C, F.partition.classes())
+            assert F.factors == want.factors
+            assert F.coordin.coords == want.coords
+            assert reconstruct_check(G, F)
+        assert max(seen_k) >= 11
+
+    @pytest.mark.parametrize(
+        "G, k0",
+        [
+            (DiGraph(6, undirected_cycle(6).arcs, {3}), 1),  # a prime shadow
+            (inconsistent_square(), 2),  # the direction scan merges its sides
+            (looped_far_corner(), 2),  # the loop scan merges its sides
+        ],
+    )
+    def test_prime_graph_is_one_layer(self, G, k0):
+        F = factor_full(G)
+        assert F.k == 1
+        assert F.factors == (G,)
+        C = factor_shadow(shadow(G), 0).coordin
+        assert C.k == k0
+        want = naive_group_coordinates(G, C, F.partition.classes())
+        assert F.factors == want.factors and F.coordin.coords == want.coords
+
+    @pytest.mark.parametrize("classes", [[(0,), (1,), (2,)], [(0, 2), (1,)], [(0,), (1, 2)]])
+    def test_one_vertex_block(self, classes):
+        # position 1 is a one-vertex factor: alone, its layer is the root
+        point = DiGraph(1, set(), set())
+        P0, C0 = cartesian_product([looped_far_corner(), point, K2_LOOPED])
+        perm = list(range(P0.n))
+        random.Random(5).shuffle(perm)
+        G = relabel(P0, perm)
+        coords = [()] * G.n
+        for v, cv in enumerate(C0.coords):
+            coords[perm[v]] = cv
+        C = Coordinatization(C0.factors, coords, perm[0])
+        P = ColorPartition(3, C)
+        for block in classes:
+            P.merge({P.table[j] for j in block})
+        got = loop_factor._regroup_looped(G, C, P, bfs(shadow(G), C.root))
+        want = naive_group_coordinates(G, C, classes)
+        assert got.factors == want.factors and got.coords == want.coords
+        assert (point in got.factors) == ((1,) in classes)
+        assert P.columns == {}
+
+
+@st.composite
+def merge_sequences(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    factors = [DiGraph(s, {(i, i + 1) for i in range(s - 1)}, set()) for s in sizes]
+    _, C = cartesian_product(factors)
+    C = Coordinatization(C.factors, C.coords, draw(st.integers(0, len(C.coords) - 1)))
+    merges = draw(st.lists(st.sets(st.integers(0, len(sizes) - 1), max_size=4), max_size=6))
+    return C, merges
+
+
+class TestMergedColumns:
+    @settings(deadline=None, max_examples=60)
+    @given(merge_sequences())
+    def test_merged_column_is_the_projection(self, case):
+        C, merges = case
+        P = ColorPartition(C.k, C)
+        for colors in merges:
+            P.merge({P.table[c] for c in colors})
+            for i in P.live_ids():
+                assert P.columns[i] == C.projection_codes(P.members(i))
+        assert sorted(P.columns) == P.live_ids()
