@@ -3,8 +3,8 @@
 Subcommands: `factor` (prime factorization of a graph file), `product`
 (multiply graph files), `generate` (seeded random product instances),
 `verify` (check a claimed factorization against a graph), and `bench`
-(empirical scaling of `factor_full`'s merge entry, timed on the inputs that
-`factor_full`'s own shadow stage builds in set-up). `factor` runs
+(empirical scaling of `factor_full`'s merge entry, timed on the shadow
+coordinates and BFS that set-up builds as `factor_full` does). `factor` runs
 `factor_full` once and prints its report from the result: the root from
 the coordinates, the merge count and the per-pass times from `stages`.
 `product` writes the canonical text straight from the factors
@@ -40,9 +40,10 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .loop_factor import _merge_scans, _shadow_stage, factor_full, rooted_bfs
+from .loop_factor import _merge_scans, factor_full, rooted_bfs
 from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, product_text
+from .shadow_factor import factor_shadow
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -120,7 +121,7 @@ def cmd_factor(args) -> int:
 
     t_total = time.perf_counter() - t_start
     print(f"time_parse: {t_parse:.6f}")
-    for name in ("prepare", "shadow", "table", "directed", "loops"):
+    for name in ("prepare", "shadow", "directed", "loops"):
         print(f"time_{name}: {times.get(name, 0.0):.6f}")
     print(f"time_total: {t_total:.6f}")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -260,11 +261,11 @@ def cmd_bench(args) -> int:
         # set up as `factor_full` does; the reps time its merge entry
         S = shadow(G)
         B = rooted_bfs(G, S)
-        C, info, _ = _shadow_stage(S, B)
+        C = factor_shadow(S, B.root, B).coordin
         del S
 
         def run():
-            return _merge_scans(G, C, B, info)
+            return _merge_scans(G, C, B)
 
         run()  # warmup: caches, lazy tables
         times = []
@@ -282,7 +283,7 @@ def cmd_bench(args) -> int:
         arcs = len(G.arcs)
         rows.append((arcs, sec, sec / arcs))
         print(f"{arcs},{sec:.6f},{sec / arcs:.6e}", flush=True)
-        del G, C, B, info
+        del G, C, B
         gc.collect()
 
     if args.emit_csv:

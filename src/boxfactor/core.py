@@ -55,33 +55,23 @@ class DiGraph:
         object.__setattr__(G, "loops", frozenset(loops))
         return G
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-    def is_looped(self, v: int) -> bool:
-        return v in self.loops
-
     def __repr__(self):
         return f"DiGraph(n={self.n}, arcs={len(self.arcs)}, loops={len(self.loops)})"
 
 
 class ShadowGraph:
-    """Undirected simple view of a DiGraph: its edges, with the arcs behind
-    each kept only as two direction bits.
+    """Undirected simple view of a DiGraph: its edges, without directions.
 
     `adj[v]` lists the neighbours of v in ascending order, so every
     traversal of this structure is deterministic, and `edges` holds each
     edge once as a (min, max) pair. The edges are numbered once, on first
     use, in ascending (min, max) order: `ends[i]` is edge i, `inc[v]` lists
     the ids of the edges to `adj[v]`, aligned with it (so the id of edge vw
-    is `inc[v][bisect_left(adj[v], w)]`). `dirs[i]` holds the arcs behind
-    edge i as two bits, 1 for min -> max and 2 for max -> min, when `shadow`
-    took the edges from a digraph's arcs; it is None for a shadow built from
-    bare edges. A caller that only walks `adj`, such as `bfs`, pays for none
-    of the numbering.
+    is `inc[v][bisect_left(adj[v], w)]`). A caller that only walks `adj`,
+    such as `bfs`, pays for none of the numbering.
     """
 
-    __slots__ = ("n", "adj", "_edges", "_arcs", "_ids")
+    __slots__ = ("n", "adj", "_edges", "_ids")
 
     def __init__(self, n: int, edges):
         self.n = n
@@ -93,7 +83,6 @@ class ShadowGraph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(b)) for b in nbrs)
-        self._arcs: frozenset[tuple[int, int]] | None = None
         self._ids = None
 
     @classmethod
@@ -108,12 +97,11 @@ class ShadowGraph:
         S.n = n
         S.adj = tuple(map(tuple, map(sorted, map(set, nbrs))))
         S._edges = None
-        S._arcs = arcs
         S._ids = None
         return S
 
     def _numbered(self):
-        """(ends, inc, dirs), built on first use in one sweep over the
+        """(ends, inc), built on first use in one sweep over the
         sorted adjacency lists: the edges to larger neighbours of 0, 1, ...
         come in ascending (min, max) order, and every vertex meets the edges
         to its smaller neighbours, in ascending order, before its own."""
@@ -127,11 +115,7 @@ class ShadowGraph:
                     iu.append(i)
                     inc[v].append(i)
                     ends.append((u, v))
-            arcs = self._arcs
-            dirs = None
-            if arcs is not None:
-                dirs = bytes([((u, v) in arcs) + 2 * ((v, u) in arcs) for u, v in ends])
-            self._ids = (ends, inc, dirs)
+            self._ids = (ends, inc)
         return self._ids
 
     @property
@@ -147,13 +131,6 @@ class ShadowGraph:
     @property
     def inc(self) -> list[list[int]]:
         return self._numbered()[1]
-
-    @property
-    def dirs(self) -> bytes | None:
-        return self._numbered()[2]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
 
     @property
     def edge_count(self) -> int:
@@ -192,8 +169,7 @@ class BfsOrder:
 
 
 def shadow(G: DiGraph) -> ShadowGraph:
-    """Forget directions and loops: the undirected support of G. Its edges
-    carry the direction bits of G's arcs once they are numbered."""
+    """Forget directions and loops: the undirected support of G."""
     return ShadowGraph._of_arcs(G.n, G.arcs)
 
 

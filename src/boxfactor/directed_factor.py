@@ -64,9 +64,6 @@ class ColorPartition:
     def members(self, class_id: int) -> tuple[int, ...]:
         return tuple(self._members[class_id])
 
-    def live_ids(self) -> list[int]:
-        return sorted(self._members)
-
     def classes(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(m)) for m in self._members.values())
 
@@ -117,11 +114,10 @@ class DirectedFactorization:
 
     `stages` is filled in only by `factor_full`: one `(name, seconds,
     merges)` row for each stage it ran, in the order `"prepare"` (the
-    arc-count check, the shadow and the BFS), `"shadow"`, `"table"` (the
-    direction table), all three with 0 merges, then `"directed"` and
-    `"loops"`, timed with `perf_counter`. The last row's time includes the
-    one regrouping of the coordinates. It is `()` for the one-vertex unit
-    and for a pass called directly.
+    arc-count check, the shadow and the BFS) and `"shadow"`, both with 0
+    merges, then `"directed"` and `"loops"`, timed with `perf_counter`. The
+    last row's time includes the one regrouping of the coordinates. It is
+    `()` for the one-vertex unit and for a pass called directly.
     """
 
     partition: ColorPartition
@@ -138,119 +134,120 @@ class DirectedFactorization:
         return len(self.factors)
 
 
-# the arc bits of an edge seen from its other end: 1 and 2 trade places
-_FLIP = (0, 2, 1, 3)
+def _step_colors(C: Coordinatization) -> dict[int, int]:
+    """The position c of every code step j*strides[c], 0 < |j| < the size of
+    factor c: the code difference across an edge that changes coordinate c
+    only. The keys of two positions never meet, since
+    (size - 1)*strides[c] < strides[c - 1]."""
+    return {
+        j * s: c
+        for c, (F, s) in enumerate(zip(C.factors, C.strides))
+        for j in range(1 - F.n, F.n)
+        if j
+    }
 
 
-def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None):
+def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOrder:
     """Validate caller-supplied direction scan inputs in one sweep over the
-    colored edges.
+    colored edges, and return the BFS structure (computed when omitted).
 
-    Returns the BFS structure (computed when omitted) and, keyed
-    min*n + max for every edge of color c, 4*c plus its arcs: 1 for
-    min -> max, 2 for max -> min. The colored edges are the graph's edges
-    exactly when each carries an arc and, together, they carry every arc.
-    `factor_full` needs no such check: it builds the same table from the
-    direction bits of its own shadow and the colors factored from it.
+    The colored edges are the graph's edges exactly when each carries an
+    arc, none is keyed both ways, and together they carry every arc. Each
+    must change its color's coordinate only, as the scan reads the color
+    from the code difference; a one-digit difference does not show that
+    (over K2 x K2, (0, 1) -> (1, 0) adds 1 to the code). `factor_full`
+    needs no such check: `factor_shadow` makes it.
     """
     if G.loops:
         raise ValueError("graph must be loopless here; strip loops first")
-    n = G.n
-    if len(SF.coordin.coords) != n:
+    C = SF.coordin
+    if len(C.coords) != G.n:
         raise ValueError("shadow factorization does not match the graph size")
     arcs = G.arcs
-    info = {}
+    colors = SF.colors
+    codes = C.codes
+    coords = C.coords
+    st = C.strides
+    step = _step_colors(C)
     carried = 0
     bare = None
-    for e, c in SF.colors.items():
+    twice = False
+    for e, c in colors.items():
         u, v = e
         f = e in arcs
         r = (v, u) in arcs
-        if not (f or r) and bare is None:
-            bare = e
+        if not (f or r):
+            bare = bare or e
+            continue
         carried += f + r
-        if u < v:
-            info[u * n + v] = 4 * c + f + 2 * r
-        else:
-            info[v * n + u] = 4 * c + r + 2 * f
-    if bare is not None or carried != len(arcs) or len(info) != len(SF.colors):
+        twice = twice or (u > v and (v, u) in colors)
+        d = codes[v] - codes[u]
+        if step.get(d) != c or d != (coords[v][c] - coords[u][c]) * st[c]:
+            raise ValueError(f"edge {e} of color {c} changes other coordinates than {c}")
+    if bare is not None or carried != len(arcs) or twice:
         edges = {(u, v) if u < v else (v, u) for u, v in arcs}
-        if bare is None or len(edges) != len(SF.colors):
+        if bare is None or len(edges) != len(colors):
             raise ValueError("shadow factorization does not match the graph's edges")
         raise ValueError(f"colored edge {bare} is not an edge of the graph")
     if B is None:
         B = bfs(shadow(G), SF.root)
     elif B.root != SF.root:
         raise ValueError("BFS root differs from the factorization root")
-    return B, info
+    return B
 
 
-def _inconsistent_edges(vertices, B, C, info, colof):
-    """Yield (v, u, c) for each down or cross edge vu of color c whose arc
-    directions differ from those of its projection into the class whose
-    projection codes colof[c] holds. Vertices come in the given order, each
-    with its down edges before its cross edges.
+def _inconsistent_edges(vertices, arcs, C, B, step, colof):
+    """Yield (v, u, c) for each down or cross edge vu of color c whose arcs
+    differ from those of its projection into the class whose projection
+    codes colof[c] holds. Vertices come in the given order, each with its
+    down edges before its cross edges.
 
-    O(1) per edge: v's projection code is read from the column, and u's is
-    v's shifted by codes[u] - codes[v], which holds because the edge is
-    checked to change exactly coordinate c.
+    The edge changes coordinate c only, so c is `step` (as `_step_colors`
+    gives it) at the code difference d, and u's projection code is v's
+    plus d. O(1) per edge: the projection's ends are found by code, and the
+    arcs of both edges are looked up in `arcs`. Both are shadow edges, so
+    each carries an arc: when neither has its arc out of v's end, both have
+    the other.
     """
-    n = len(C.coords)
     codes = C.codes
-    coords = C.coords
-    st = C.strides
     at = C.vertex_at
     down = B.down
     cross = B.cross
     for v in vertices:
-        vn = v * n
         cv = codes[v]
-        xv = coords[v]
         for u in down[v] + cross[v]:
-            # e: color and arcs of the edge; arcs: its arcs seen from v
-            if v < u:
-                e = info[vn + u]
-                arcs = e & 3
-            else:
-                e = info[u * n + v]
-                arcs = _FLIP[e & 3]
-            c = e >> 2
             d = codes[u] - cv
-            if d != (coords[u][c] - xv[c]) * st[c] or not d:
-                raise ValueError(
-                    f"edge ({v}, {u}) of color {c} changes other coordinates than {c}"
-                )
+            c = step[d]
             p = colof[c][v]
             if p == cv:
                 continue  # the edge is its own projection
             pv = at[p]
             pu = at[p + d]
-            if pv < pu:
-                parcs = info.get(pv * n + pu, 0) & 3
-            else:
-                parcs = _FLIP[info.get(pu * n + pv, 0) & 3]
-            if parcs != arcs:
+            out = (v, u) in arcs
+            if out != ((pv, pu) in arcs) or out and ((u, v) in arcs) != ((pu, pv) in arcs):
                 yield v, u, c
 
 
-def _direction_scan(C, B: BfsOrder, info, P: ColorPartition) -> int:
-    """The direction scan over the coordinatization C, in B's order: merge
-    classes of the fresh partition P, built over C, in place, at each vertex
-    with an inconsistent down or cross edge, and resume after that vertex.
-    `info` holds, keyed min*n + max for every edge of color c, 4*c plus its
-    arcs (1 for min -> max, 2 for max -> min). Returns the number of merges.
+def _direction_scan(G: DiGraph, C, P: ColorPartition, B: BfsOrder) -> int:
+    """The direction scan over the coordinatization C of G's shadow, in B's
+    order: merge classes of the fresh partition P, built over C, in place,
+    at each vertex with an inconsistent down or cross edge, and resume after
+    that vertex. Every edge must change one coordinate only. Returns the
+    number of merges.
     """
-    n = len(C.coords)
     table = P.table
     columns = P.columns
+    codes = C.codes
+    step = _step_colors(C)
     # colof[c]: projection codes into the live class of color c
     colof = [columns[table[c]] for c in range(P.k)]
     merges = 0
     rest = B.order
     # a merge ends the vertex: the scan resumes after it, under the new classes
-    while hit := next(_inconsistent_edges(rest, B, C, info, colof), None):
+    while hit := next(_inconsistent_edges(rest, G.arcs, C, B, step, colof), None):
         v, _, c = hit
-        ids = {table[info[v * n + u if v < u else u * n + v] >> 2] for u in B.down[v]}
+        cv = codes[v]
+        ids = {table[step[codes[u] - cv]] for u in B.down[v]}
         ids.add(table[c])
         survivor = P.merge(ids)
         for cc in P.members(survivor):
@@ -270,6 +267,6 @@ def factor_directed(
     `factor_full`'s merge entry.
     """
     from .loop_factor import _merge_scans  # loop_factor imports this module
-    B, info = _edge_info(G, SF, B)
-    P, coordin, rows = _merge_scans(G, SF.coordin, B, info)
+    B = _edge_info(G, SF, B)
+    P, coordin, rows = _merge_scans(G, SF.coordin, B)
     return DirectedFactorization(P, coordin, rows[-1][2])

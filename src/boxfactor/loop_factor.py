@@ -8,14 +8,15 @@ into the current classes: if the vertex's loop state disagrees with all of
 its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
-`factor_full` is the package's front door: it validates the input, and
-`_shadow_stage` factors the shadow and builds the direction table;
-`_merge_scans` then runs the directed scan, and the loop scan when needed,
-in one partition of the shadow's colors and regroups the coordinates once.
-The partition's projection-code columns (O(n*k) to build, O(n) per merge)
-feed both scans and the regrouping, which hands out each layer's arcs from
-its own BFS edges in O(n*k + the sum of the layer degrees).
-`bench` sets up through the same two functions, and `factor_directed`
+`factor_full` is the package's front door: it validates the input and
+factors the shadow; `_merge_scans` then runs the directed scan, and the loop
+scan when needed, in one partition of the shadow's colors, and regroups the
+coordinates once. The direction scan reads an edge's color from its code
+difference and its arcs from the graph, so the scans take only the shadow's
+coordinates and the BFS. The partition's projection-code columns (O(n*k) to
+build, O(n) per merge) feed both scans and the regrouping, which hands out
+each layer's arcs from its own BFS edges in O(n*k + the sum of the layer
+degrees). `bench` sets up as `factor_full` does, and `factor_directed`
 checks a caller's shadow factorization before it calls `_merge_scans`. The
 result's `stages` hold each pass's time and merge count, which the `factor`
 command reports.
@@ -222,9 +223,9 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     unlooped. Factors come out with the root at local id of the root's
     coordinate, ordered canonically by their smallest original shadow color.
     The result's `stages` holds the wall time and merge count of each stage:
-    `prepare` (the arc-count check, the shadow and the BFS), `shadow`,
-    `table` (the direction table), then the scans. Its `partition` groups
-    the shadow colors into the factors.
+    `prepare` (the arc-count check, the shadow and the BFS), `shadow` (its
+    factorization), then the scans. Its `partition` groups the shadow colors
+    into the factors.
     """
     t0 = perf_counter()
     check_arc_count(G)
@@ -232,43 +233,26 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     B = rooted_bfs(G, S, root)
     if G.n == 1:
         return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
-    prepare_row = ("prepare", perf_counter() - t0, 0)
-    C, info, shadow_rows = _shadow_stage(S, B)
-    del S  # the scans read only C, B and info: free the edge numbering
-    P, coordin, rows = _merge_scans(G, C, B, info)
-    return DirectedFactorization(
-        P, coordin, rows[-1][2], (prepare_row, *shadow_rows, *rows)
-    )
-
-
-def _shadow_stage(S: ShadowGraph, B: BfsOrder):
-    """Factor the shadow S from B's root and build the merge scans' inputs:
-    the coordinatization, the direction table (`info` as in
-    `_direction_scan`) and the stage rows `("shadow", seconds, 0)` and
-    `("table", seconds, 0)`. `factor_full` and `bench` both set up the scans
-    here.
-    """
-    t0 = perf_counter()
-    SF = factor_shadow(S, B.root, B)
     t1 = perf_counter()
-    n = S.n
-    # the colors come in edge-id order, aligned with the direction bits
-    info = {
-        u * n + v: 4 * c + d for (u, v), c, d in zip(S.ends, SF.colors.values(), S.dirs)
-    }
-    return SF.coordin, info, (("shadow", t1 - t0, 0), ("table", perf_counter() - t1, 0))
+    C = factor_shadow(S, B.root, B).coordin
+    t2 = perf_counter()
+    del S  # the scans read only G, C and B: free the edge numbering
+    P, coordin, rows = _merge_scans(G, C, B)
+    stages = (("prepare", t1 - t0, 0), ("shadow", t2 - t1, 0), *rows)
+    return DirectedFactorization(P, coordin, rows[-1][2], stages)
 
 
-def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder, info):
-    """The direction scan over the shadow coordinates C of G (`info` as in
-    `_direction_scan`), then the loop scan when G has loops, in one fresh
-    partition of C's colors, then one regrouping. Inputs are trusted.
-    Returns the partition, the coordinates and a `(name, seconds, merges)`
-    row per scan; the last row's time includes the regrouping.
+def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder):
+    """The direction scan over the shadow coordinates C of G, then the loop
+    scan when G has loops, in one fresh partition of C's colors, then one
+    regrouping. Inputs are trusted: every edge of G's shadow changes one
+    coordinate of C only. Returns the partition, the coordinates and a
+    `(name, seconds, merges)` row per scan; the last row's time includes the
+    regrouping.
     """
     t0 = perf_counter()
     P = ColorPartition(C.k, C)
-    merges = _direction_scan(C, B, info, P)
+    merges = _direction_scan(G, C, P, B)
     rows = []
     if G.loops:
         t1 = perf_counter()

@@ -154,10 +154,10 @@ def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
 
     def on_chordless_square(p, a, b):
         # edges pa, pb: is there x with p-a-x-b-p a square without chords?
-        if S.has_edge(a, b):
+        if has_edge(S, a, b):
             return False
         return any(
-            x != p and S.has_edge(x, b) and not S.has_edge(x, p) for x in S.adj[a]
+            x != p and has_edge(S, x, b) and not has_edge(S, x, p) for x in S.adj[a]
         )
 
     edges = sorted(S.edges)
@@ -448,7 +448,7 @@ def naive_coordinates_from_colors(
                 f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
             )
         a, b = cu[c], cv[c]
-        if not factors[c].has_edge(a, b):
+        if not has_edge(factors[c], a, b):
             raise FactorizationError(
                 f"edge ({u}, {v}) does not project to an edge of factor {c}"
             )
@@ -477,19 +477,19 @@ def product_square(
         return (a, b) if a < b else (b, a)
 
     for a, b in ((v, u), (v, w)):
-        if not S.has_edge(a, b):
+        if not has_edge(S, a, b):
             raise ValueError(f"({a}, {b}) is not an edge")
     cvu = colors[key(v, u)]
     cvw = colors[key(v, w)]
     if cvu == cvw:
         raise ValueError("the two edges at v must have different colors")
-    if S.has_edge(u, w):
+    if has_edge(S, u, w):
         raise FactorizationError(
             f"no chordless square on ({v},{u}) and ({v},{w}): u and w are adjacent"
         )
     cands = []
     for x in S.adj[u]:
-        if x == v or not S.has_edge(x, w) or S.has_edge(v, x):
+        if x == v or not has_edge(S, x, w) or has_edge(S, v, x):
             continue
         if colors[key(u, x)] == cvw and colors[key(w, x)] == cvu:
             cands.append(x)
@@ -511,9 +511,19 @@ def class_of(P: ColorPartition, color: int) -> int:
     return P.table[color]
 
 
+def live_ids(P: ColorPartition) -> list[int]:
+    """The ids of the live classes of P, ascending."""
+    return sorted(set(P.table))
+
+
 def class_count(P: ColorPartition) -> int:
     """Number of live classes of P."""
-    return len(P.live_ids())
+    return len(P.classes())
+
+
+def has_edge(S: ShadowGraph, u: int, v: int) -> bool:
+    """Is uv an edge of S, in either order."""
+    return ((u, v) if u < v else (v, u)) in S.edges
 
 
 def project_vertex(v: CoordVector, keep, root: CoordVector) -> CoordVector:
@@ -667,7 +677,7 @@ def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:
     A factorization is a fixpoint of the direction scan exactly when this is
     zero for its final assignment; used to re-check the single scan's output.
     """
-    B, info = directed_factor._edge_info(G, SF, B)
+    B = directed_factor._edge_info(G, SF, B)
     k = len(SF.factors)
     if len(assignment) != k:
         raise ValueError("assignment must label every original color")
@@ -677,7 +687,9 @@ def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:
     C = SF.coordin
     cols = {label: C.projection_codes(members) for label, members in groups.items()}
     colof = [cols[label] for label in assignment]
-    return sum(1 for _ in directed_factor._inconsistent_edges(B.order, B, C, info, colof))
+    step = directed_factor._step_colors(C)
+    edges = directed_factor._inconsistent_edges(B.order, G.arcs, C, B, step, colof)
+    return sum(1 for _ in edges)
 
 
 # --- references for breadth-first search ------------------------------------

@@ -188,8 +188,8 @@ def test_c5_invariant_suite(capsys):
         for u, v in P.arcs:
             cu, cv = C.coords[u], C.coords[v]
             diffs = [i for i in range(2) if cu[i] != cv[i]]
-            if len(diffs) != 1 or not (A, B)[diffs[0]].has_arc(
-                cu[diffs[0]], cv[diffs[0]]
+            if len(diffs) != 1 or (
+                (cu[diffs[0]], cv[diffs[0]]) not in (A, B)[diffs[0]].arcs
             ):
                 good = False
                 break

@@ -82,7 +82,6 @@ class TestFactorCommand:
             "time_parse",
             "time_prepare",
             "time_shadow",
-            "time_table",
             "time_directed",
             "time_loops",
             "time_total",
@@ -146,7 +145,7 @@ class TestFactorMatchesLibrary:
         F = factor_full(P)
         assert F.merges == 1
         assert [(name, m) for name, _, m in F.stages] == [
-            ("prepare", 0), ("shadow", 0), ("table", 0), ("directed", 1), ("loops", 1)
+            ("prepare", 0), ("shadow", 0), ("directed", 1), ("loops", 1)
         ]
         g = write_graph(tmp_path / "p.dg", P)
         assert main(["factor", "--input", g]) == 0
@@ -580,8 +579,8 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("family", ["grid", "cube", "randprod"])
     def test_times_the_inputs_factor_builds(self, family, monkeypatch):
-        # bench's timed call gets the coordinates, BFS and direction table
-        # that factor_full hands its merge entry, and returns its result
+        # bench's timed call gets the coordinates and BFS that factor_full
+        # hands its merge entry, and returns its result
         def recorder(calls, scans):
             def record(*args):
                 calls.append((args, scans(*args)))
@@ -593,13 +592,13 @@ class TestBenchCommand:
         assert main(["bench", "--family", family, "--min-arcs", "300",
                      "--max-arcs", "300", "--reps", "1"]) == 0
         assert len(timed) == 2  # the warm-up and one rep
-        (G, C, B, info), (_, coordin, _) = timed[-1]
+        (G, C, B), (_, coordin, _) = timed[-1]
         assert 150 <= len(G.arcs) <= 300
         monkeypatch.setattr(loop_factor, "_merge_scans", recorder(staged, loop_factor._merge_scans))
         F = factor_full(G)
-        [((_, C_full, B_full, info_full), _)] = staged
+        [((_, C_full, B_full), _)] = staged
         assert C.coords == C_full.coords
-        assert B.order == B_full.order and info == info_full
+        assert B.order == B_full.order
         assert coordin.factors == F.factors
         assert coordin.coords == F.coordin.coords
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from boxfactor import (
     ColorPartition,
+    Coordinatization,
     DiGraph,
+    ShadowFactorization,
+    ShadowGraph,
     cartesian_product,
     factor_directed,
     factor_full,
@@ -27,6 +30,7 @@ from helpers import (
     consistent_square,
     count_inconsistencies,
     inconsistent_square,
+    live_ids,
     merge_classes,
     naive_factor_directed,
     naive_factor_with_loops,
@@ -45,7 +49,7 @@ class TestColorPartition:
         assert class_count(P) == 3
         assert P.table == [0, 1, 2]
         assert P.classes() == [(0,), (1,), (2,)]
-        assert P.live_ids() == [0, 1, 2]
+        assert live_ids(P) == [0, 1, 2]
 
     def test_zero_colors(self):
         P = ColorPartition(0)
@@ -84,7 +88,7 @@ class TestColorPartition:
     def test_largest_class_keeps_its_id(self):
         P = ColorPartition(4)
         P.merge({2, 3})  # tie, smallest id 2 survives
-        assert P.live_ids() == [0, 1, 2]
+        assert live_ids(P) == [0, 1, 2]
         s = P.merge({0, 2})  # class 2 has two members, wins over 0
         assert s == 2
         assert class_of(P, 0) == 2
@@ -93,7 +97,7 @@ class TestColorPartition:
 
     def test_merge_to_single_class(self):
         P = ColorPartition(5)
-        P.merge(set(P.live_ids()))
+        P.merge(set(live_ids(P)))
         assert class_count(P) == 1
         assert len(set(P.table)) == 1
 
@@ -276,6 +280,10 @@ class TestInputValidation:
         R = factor_directed(G, SF)
         assert F.merges == R.merges == 0
         assert F.factors == R.factors and F.coordin.coords == R.coordin.coords
+        # keyed both ways, in place of an edge with as many arcs, it is refused
+        colors[(0, 1)] = colors.pop((2, 3))
+        with pytest.raises(ValueError, match="edges"):
+            factor_directed(G, dataclasses.replace(SF, colors=colors))
 
     def test_assignment_length_checked(self):
         G = consistent_square()
@@ -346,7 +354,7 @@ class TestAgainstNaiveScans:
             assert F.coordin.coords == R.coordin.coords
             assert F.merges == R.merges
             merges = [m for _, _, m in F.stages]
-            assert merges == [0, 0, 0, NF.merges] + ([R.merges] if G.loops else [])
+            assert merges == [0, 0, NF.merges] + ([R.merges] if G.loops else [])
             # F groups the shadow colors; a loop pass groups NF's classes
             classes = NF.partition.classes()
             if G.loops:
@@ -369,6 +377,19 @@ class TestAgainstNaiveScans:
             factor_directed(G, SF)
         with pytest.raises(ValueError, match="changes other coordinates"):
             count_inconsistencies(G, SF, [0, 1])
+
+    def test_two_digit_change_with_a_one_digit_step_raises(self):
+        # over K2 x K2 with each vertex at its code, every edge's code
+        # difference is a step of its color, but edge (1, 2) goes from
+        # (0, 1) to (1, 0): both coordinates change, and the code by +1
+        K2 = DiGraph(2, {(0, 1), (1, 0)}, set())
+        colors = {(0, 1): 1, (0, 2): 0, (1, 2): 1, (1, 3): 0, (2, 3): 1}
+        G = DiGraph(4, colors, set())
+        layer = ShadowGraph(2, [(0, 1)])
+        coordin = Coordinatization((K2, K2), [(0, 0), (0, 1), (1, 0), (1, 1)], 0)
+        SF = ShadowFactorization(0, colors, (layer, layer), coordin)
+        with pytest.raises(ValueError, match="changes other coordinates"):
+            factor_directed(G, SF)
 
 
 class TestFactorOrder:
@@ -412,7 +433,7 @@ class TestFactorOrder:
             F = factor_full(G, root)
             P = F.partition
             assert P.classes() == sorted(P.classes())
-            if [tuple(sorted(P.members(i))) for i in P.live_ids()] != P.classes():
+            if [tuple(sorted(P.members(i))) for i in live_ids(P)] != P.classes():
                 by_id.append(seed)
             B = bfs(shadow(G), root)
             NF = factor_directed(G, factor_shadow(shadow(G), root, B), B)

@@ -34,6 +34,7 @@ from helpers import (
     class_count,
     connected_digraphs,
     inconsistent_square,
+    live_ids,
     loop_product,
     looped_far_corner,
     multiset_iso,
@@ -274,7 +275,7 @@ class TestFactorFullContract:
         # a direction merge, then a loop merge
         P, _ = cartesian_product([inconsistent_square(), looped_far_corner()])
         F = factor_full(P)
-        assert [m for _, _, m in F.stages] == [0, 0, 0, 1, 1]
+        assert [m for _, _, m in F.stages] == [0, 0, 1, 1]
         assert calls == {"bfs": 1, "regroup_columns": 1, "_edge_info": 0}
 
     def test_no_projection_column_beyond_the_single_positions(self, monkeypatch):
@@ -290,7 +291,7 @@ class TestFactorFullContract:
 
         monkeypatch.setattr(Coordinatization, "projection_codes", recorded)
         F = factor_full(P)
-        assert [m for _, _, m in F.stages] == [0, 0, 0, 1, 1]
+        assert [m for _, _, m in F.stages] == [0, 0, 1, 1]
         k = len(F.partition.table)
         assert k == 5
         assert sorted(built) == sorted([(i,) for i in range(k)] + [tuple(range(k))])
@@ -301,14 +302,14 @@ class TestFactorFullContract:
         SF = factor_shadow(shadow(G), 0)
         N = factor_directed(G, SF)
         assert frozen(F) == frozen(N)
-        assert [name for name, _, _ in F.stages] == ["prepare", "shadow", "table", "directed"]
+        assert [name for name, _, _ in F.stages] == ["prepare", "shadow", "directed"]
         assert N.stages == ()
 
     def test_stages_time_every_pass_that_ran(self):
         P, _, _, _ = loop_product()
         F = factor_full(P)
         assert [(name, m) for name, _, m in F.stages] == [
-            ("prepare", 0), ("shadow", 0), ("table", 0), ("directed", 0), ("loops", 0)
+            ("prepare", 0), ("shadow", 0), ("directed", 0), ("loops", 0)
         ]
         assert all(seconds >= 0.0 for _, seconds, _ in F.stages)
         assert factor_with_loops(P, factor_full(strip_loops(P))).stages == ()
@@ -386,7 +387,7 @@ class TestLoopScanOnMergedClasses:
             # group the colors at random, as the direction scan might
             groups = ColorPartition(C.k, C)
             for _ in range(rng.randint(0, C.k - 1)):
-                groups.merge(rng.sample(groups.live_ids(), min(2, class_count(groups))))
+                groups.merge(rng.sample(live_ids(groups), min(2, class_count(groups))))
             regrouped = group_coordinates(G, C, groups.classes())
             NF = DirectedFactorization(groups, regrouped, 0)
 
@@ -427,7 +428,7 @@ class TestRegroupFromColumns:
             B = bfs(shadow(G), root)
             C = factor_shadow(shadow(G), root, B).coordin
             F = factor_full(G, root)
-            directed, loops = [m for _, _, m in F.stages[3:]]
+            directed, loops = [m for _, _, m in F.stages[2:]]
             assert directed == dcycles and loops == 1
             assert C.k == 2 * dcycles + 3 + triangles + plain <= 12
             seen_k.add(C.k)
@@ -494,6 +495,6 @@ class TestMergedColumns:
         P = ColorPartition(C.k, C)
         for colors in merges:
             P.merge({P.table[c] for c in colors})
-            for i in P.live_ids():
+            for i in live_ids(P):
                 assert P.columns[i] == C.projection_codes(P.members(i))
-        assert sorted(P.columns) == P.live_ids()
+        assert sorted(P.columns) == live_ids(P)

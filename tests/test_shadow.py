@@ -20,7 +20,7 @@ from boxfactor import (
     gen_product_instance,
     shadow,
 )
-from boxfactor import shadow_factor
+from boxfactor import directed_factor, shadow_factor
 from boxfactor.cli import _bench_instance
 from boxfactor.core import bfs
 from helpers import (
@@ -672,6 +672,9 @@ class TestProductRecovery:
         P, _ = cartesian_product([A, B])
         F = factor_shadow(shadow(P), 0)
         assert len(F.factors) >= 2
+        # every edge's code difference is a step of its own color's position
+        step, codes = directed_factor._step_colors(F.coordin), F.coordin.codes
+        assert all(step.get(codes[v] - codes[u]) == c for (u, v), c in F.colors.items())
 
     @settings(deadline=None, max_examples=40)
     @given(connected_digraphs(min_n=2, max_n=6))
