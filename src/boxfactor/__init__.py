@@ -19,11 +19,7 @@ from .core import (
     strip_loops,
     to_text,
 )
-from .directed_factor import (
-    ColorPartition,
-    DirectedFactorization,
-    factor_directed,
-)
+from .directed_factor import DirectedFactorization, factor_directed
 from .errors import (
     DisconnectedGraphError,
     FactorizationError,
@@ -41,6 +37,7 @@ from .oracle import (
     reconstruct_check_parts,
 )
 from .product import (
+    ColorPartition,
     Coordinatization,
     CoordVector,
     cartesian_product,

@@ -28,9 +28,9 @@ from math import prod
 from time import perf_counter
 
 from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
-from .directed_factor import ColorPartition, DirectedFactorization, _direction_scan
+from .directed_factor import DirectedFactorization, _direction_scan, _step_colors
 from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
-from .product import Coordinatization, regroup_columns
+from .product import ColorPartition, Coordinatization, regroup_columns
 from .shadow_factor import factor_shadow
 
 
@@ -126,12 +126,13 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
     left: the scan reads only their columns, so it merges as a fresh
     partition over those classes would. Each live class's loop flags (is
     the projection looped) are one int with a byte per BFS number; the next
-    disagreement is one search of their OR against the loop states.
+    disagreement is one search of their OR against the loop states. A
+    down-edge's coordinate is read off its code difference.
     """
     table = P.table
-    coords = C.coords
+    codes = C.codes
+    step = _step_colors(C)
     looped = G.loops
-    kk = range(C.k)
     order = B.order
     at_loop = _loops_by_code(G, C)
 
@@ -153,12 +154,12 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
         # disagreement: an unlooped vertex with a looped projection, or a
         # looped vertex none of whose projections is looped
         v = order[b]
-        cv = coords[v]
+        cv = codes[v]
         ids = set()
         for u in B.down[v]:
-            cu = coords[u]
-            dj = next(j for j in kk if cv[j] != cu[j])
-            ids.add(table[dj])
+            if (c := step.get(codes[u] - cv)) is None:
+                raise FactorizationError(f"edge ({v}, {u}) changes more than one coordinate")
+            ids.add(table[c])
         if len(ids) < 2:
             raise FactorizationError(
                 "loop mismatch with nothing to merge: the loopless "

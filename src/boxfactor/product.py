@@ -107,6 +107,88 @@ class Coordinatization:
         return len(self.factors)
 
 
+class ColorPartition:
+    """Partition of color indices 0..k-1 supporting merges.
+
+    Lookup goes through a pointer table (original color to current class id),
+    so merging relabels only the smaller side. Class ids are drawn from the
+    original color indices; no output reads them. `classes()` lists the
+    live classes by their smallest member, which is the canonical order.
+    The shadow factorization merges the colors of the root's edges in one,
+    and the merge scans merge the shadow's factor colors in another.
+
+    Given the coordinatization C whose positions the colors are, the
+    partition also keeps `columns`: for each live class id, the code of
+    every vertex's projection into the layer through C.root spanned by the
+    class, as `C.projection_codes(members)` gives it. The k single-position
+    columns are built here, in O(n*k); `merge` keeps them up to date, and a
+    reader may pop them once it is the last.
+    """
+
+    __slots__ = ("_table", "_members", "columns", "_base")
+
+    def __init__(self, k: int, C: Coordinatization | None = None):
+        if k < 0:
+            raise ValueError("color count must be nonnegative")
+        self._table = list(range(k))
+        self._members: dict[int, list[int]] = {i: [i] for i in range(k)}
+        self.columns: dict[int, list[int]] = {}
+        self._base = 0
+        if C is not None:
+            self.columns = {i: C.projection_codes((i,)) for i in range(k)}
+            self._base = C.codes[C.root]
+
+    @property
+    def k(self) -> int:
+        return len(self._table)
+
+    @property
+    def table(self):
+        """Live pointer table, indexed by original color. Read only."""
+        return self._table
+
+    def members(self, class_id: int) -> tuple[int, ...]:
+        return tuple(self._members[class_id])
+
+    def classes(self) -> list[tuple[int, ...]]:
+        return sorted(tuple(sorted(m)) for m in self._members.values())
+
+    def merge(self, class_ids) -> int:
+        """Merge the given live classes; returns the surviving id.
+
+        The largest class keeps its id (ties: smallest id); repointing the
+        rest keeps the total work quadratic in k over any merge sequence.
+        The merged class's column is the sum of the merged columns less the
+        root's code once per extra class, element by element:
+        col[A | B] = col[A] + col[B] - code(root), which holds because the
+        classes' positions are disjoint. That is O(n) per class merged away,
+        whatever the class sizes, and O(n*k) over any merge sequence.
+        """
+        ids = set(class_ids)
+        for i in ids:
+            if i not in self._members:
+                raise ValueError(f"{i} is not a live class id")
+        if len(ids) <= 1:
+            return next(iter(ids)) if ids else -1
+        survivor = min(ids, key=lambda i: (-len(self._members[i]), i))
+        for i in ids:
+            if i == survivor:
+                continue
+            for c in self._members[i]:
+                self._table[c] = survivor
+            self._members[survivor].extend(self._members[i])
+            del self._members[i]
+        cols = self.columns
+        if cols:
+            base = self._base
+            col = cols[survivor]
+            for i in ids:
+                if i != survivor:
+                    col = [a + b - base for a, b in zip(col, cols.pop(i))]
+            cols[survivor] = col
+        return survivor
+
+
 def product_graph(C: Coordinatization) -> DiGraph:
     """The product of `C.factors` with vertex v placed at `C.coords[v]`.
 

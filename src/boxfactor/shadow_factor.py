@@ -11,16 +11,16 @@ Instead, `factor_shadow` climbs a ladder of edge colourings and checks each
 rung exactly with `coordinates_from_colors`, which accepts only a product
 colouring. The factor classes of any product decomposition are unions of
 sigma classes, so an accepted colouring is sigma whenever it refines sigma:
-the first rung accepted is the factorization, whichever rung that is. The
-rungs, each checked only when it differs from the one before:
+the first rung accepted is the factorization, whichever rung that is. All
+rungs merge one `ColorPartition` of the root colours, one per root edge, and
+a rung is checked only when it merged classes of the one before:
 
 1. Colour propagation (`_propagate`), after Imrich and Peterin's linear
    recognition of Cartesian products: one sweep over the BFS order gives
-   every edge one colour, copied from an edge one level lower, and a small
-   union-find over the colours (one per root edge) merges two colours when
-   two squares disagree. A down-edge is coloured at its upper end, a
-   cross-edge at its later end in BFS order. With u the first
-   down-neighbour of v:
+   every edge one root colour, copied from an edge one level lower, and
+   merges two colours' classes when two squares disagree. A down-edge is
+   coloured at its upper end, a cross-edge at its later end in BFS order.
+   With u the first down-neighbour of v:
    - two root edges ra, rw merge unless the common neighbours of a and w
      are r and one x off N(r), x's down-neighbours are a and w only, and
      deg x + deg r = deg a + deg w (adjacent a and w need no test: the
@@ -50,25 +50,28 @@ rungs, each checked only when it differs from the one before:
    accepted; nothing rests on that. The sweep does O(1) bisections of the
    sorted adjacency lists per pair of a down- or cross-edge and a
    down-neighbour, O(m) on bounded down-degrees.
-2. delta* (`_close_pairs`), for a rejected rung 1. At every vertex v each
-   pair of edges va, vw is tested: a pair on no chordless square is tau
-   and joined, otherwise each chordless square v-a-x-w joins its opposite
-   edges, at the square's smallest corner only. This closes delta: tau
-   plus the opposite edges of every chordless square, in O(sum over v of
-   deg(v)^2 times the degree of a neighbour).
+2. delta* (`_close_pairs`), for a rejected rung 1, joins rung 1's classes.
+   At every vertex v each pair of edges va, vw is tested: a pair on no
+   chordless square is tau and joins the classes of its colours, otherwise
+   each chordless square v-a-x-w joins those of its opposite edges, at the
+   square's smallest corner only. This closes delta: tau plus the opposite
+   edges of every chordless square, in O(sum over v of deg(v)^2 times the
+   degree of a neighbour).
 3. Theta, one edge at a time, for graphs that are locally but not globally
    a product, such as a Moebius ladder: BFS-tree edges first, then the
    rest. An edge xy is Theta-related to uv exactly when
    d(u,x) - d(v,x) != d(u,y) - d(v,y), so two BFS distance rows, from u and
-   from v, give all of them in one sweep over the edges. Once every edge is
-   used the classes are sigma itself. This takes O(n + m) memory, at most
-   k0 - 1 re-checks for the k0 classes of delta*, and O(m*(n + m)) time in
-   the worst case.
+   from v, give all of them in one sweep over the edges, whose classes are
+   joined. Once every edge is used the classes contain delta* and Theta, so
+   they are sigma itself. This takes O(n + m) memory and O(m*(n + m)) time
+   in the worst case.
 
 Each rung refines sigma, so no input costs more than rung 1, the delta*
-closure and Theta plus their failed checks. The rungs work on the edge ids
-of the shadow and look an edge up by its ids' alignment with the sorted
-adjacency lists. The classes are numbered in BFS order from the root, and
+closure and Theta plus their failed checks; every check after the first
+follows a merge of root colours, so there are at most deg(root) checks. The
+rungs work on the edge ids of the shadow and look an edge up by its ids'
+alignment with the sorted adjacency lists. The classes are numbered by
+their smallest root colour, which is BFS order from the root, and
 `coordinates_from_colors` turns them into unit-layer factors and vertex
 coordinates.
 """
@@ -81,7 +84,7 @@ from dataclasses import dataclass
 
 from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs
 from .errors import FactorizationError
-from .product import Coordinatization
+from .product import ColorPartition, Coordinatization
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,37 +136,47 @@ def factor_shadow(
 
 def _ladder(S: ShadowGraph, B: BfsOrder) -> Iterator[list[int]]:
     """The colourings of the edges of S that `factor_shadow` checks, by edge
-    id and numbered as `_number_classes` numbers them, each refining sigma:
-    colour propagation, then delta* in a fresh union-find, then delta* plus
-    the Theta relations of one edge after another. A rung is yielded only
-    when it differs from the rung before.
+    id, each refining sigma: colour propagation, then its classes joined by
+    delta*, then by the Theta relations of one edge after another. All three
+    merge one partition of the root colours, so a rung is yielded only when
+    it merged classes of the rung before.
     """
-    colors = _propagate(S, B)
-    yield colors
-    parent = list(range(len(S.ends)))
-    _close_pairs(S, parent)
-    labels = []
-    for a in range(len(parent)):
-        while parent[a] != a:
-            a = parent[a]
-        labels.append(a)
-    closed = _number_classes(S.ends, labels, B.bfsnum)
-    if closed != colors:
-        yield closed
+    P = ColorPartition(len(S.adj[B.root]))
+    col = _propagate(S, B, P)
+    yield _numbered(col, P)
+    if _close_pairs(S, col, P):
+        yield _numbered(col, P)
     for e in _theta_order(B, S.ends):
-        if _join_theta(S, S.ends, labels, e):
-            yield _number_classes(S.ends, labels, B.bfsnum)
+        if _join_theta(S, col, P, e):
+            yield _numbered(col, P)
 
 
-def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
-    """Rung 1: the colour of every edge of S by edge id, propagated from the
-    root's edges along B under the rules of the module docstring.
+def _numbered(col: list[int], P: ColorPartition) -> list[int]:
+    """The colour of every edge: the number of the class in P of its root
+    colour, classes numbered by their smallest root colour. That is their
+    smallest (bfsnum, bfsnum) pair, as every class holds a root edge."""
+    number = [0] * P.k
+    for i, members in enumerate(P.classes()):
+        for c in members:
+            number[c] = i
+    return [number[c] for c in col]
 
-    The root edge to the i-th neighbour of the root starts with colour i;
-    the BFS numbers those neighbours 1, 2, ... in the same order. Every
-    class holds a root edge, and a root edge's (bfsnum, bfsnum) pair is
-    smaller than any other edge's, so numbering the classes by their
-    smallest colour numbers them as `_number_classes` does.
+
+def _join(P: ColorPartition, a: int, b: int) -> bool:
+    """Merge the classes of the colours a and b of P; report if they differed."""
+    table = P.table
+    if table[a] == table[b]:
+        return False
+    P.merge((table[a], table[b]))
+    return True
+
+
+def _propagate(S: ShadowGraph, B: BfsOrder, P: ColorPartition) -> list[int]:
+    """Rung 1: the root colour of every edge of S by edge id, propagated
+    from the root's edges along B under the rules of the module docstring,
+    merging root colours in P, a fresh partition of the root's deg colours.
+
+    The root edge to the i-th neighbour of the root starts with colour i.
     """
     adj = S.adj
     inc = S.inc
@@ -173,18 +186,6 @@ def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
     col = [-1] * len(S.ends)
     rn = adj[root]
     k = len(rn)
-    parent = list(range(k))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    def union(a: int, b: int) -> None:
-        a = find(a)
-        b = find(b)
-        if a != b:
-            parent[b] = a
 
     for c, e in enumerate(inc[root]):
         col[e] = c
@@ -218,10 +219,9 @@ def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
         todo = [s]
         for i in todo:
             keep = rest.intersection(passes[i])
-            for j in rest - keep:
-                parent[j] = s
-                todo.append(j)
+            todo += rest - keep
             rest = keep
+        P.merge(todo)
 
     # the down-edges below level 1, at their upper ends; u is the tree
     # neighbour of v, and cu becomes the colour of vu
@@ -248,10 +248,9 @@ def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
                 continue
             col[e] = col[inc[u][bisect_left(adj[u], x)]]
             c = col[inc[w][bisect_left(adj[w], x)]]
-            if cu < 0:
-                cu = c
-            else:
-                union(cu, c)
+            if cu >= 0:
+                _join(P, cu, c)
+            cu = c
         if cu < 0:  # v and u lie in one unit layer
             au = adj[u]
             iu = inc[u]
@@ -259,7 +258,7 @@ def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
             if not merged[u]:
                 merged[u] = 1
                 for x in du[1:]:
-                    union(cu, col[iu[bisect_left(au, x)]])
+                    _join(P, cu, col[iu[bisect_left(au, x)]])
         for e in same:
             col[e] = cu
     # the cross-edges, at their later ends in BFS order
@@ -285,7 +284,7 @@ def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
             e = ids[bisect_left(nb, y)]
             if u in dy:  # a triangle
                 col[e] = cu
-                union(cu, col[iy[bisect_left(ay, u)]])
+                _join(P, cu, col[iy[bisect_left(ay, u)]])
                 continue
             c = -1  # the colour of vy, from the far edges ux of squares v-u-x-y
             for x in dy:
@@ -294,38 +293,25 @@ def _propagate(S: ShadowGraph, B: BfsOrder) -> list[int]:
                 i = bisect_left(au, x)
                 if i == len(au) or au[i] != x:
                     continue
-                cx = col[iu[i]]
-                if c < 0:
-                    c = cx
-                else:
-                    union(c, cx)
-                union(cu, col[iy[bisect_left(ay, x)]])
+                if c >= 0:
+                    _join(P, c, col[iu[i]])
+                c = col[iu[i]]
+                _join(P, cu, col[iy[bisect_left(ay, x)]])
             col[e] = cu if c < 0 else c
-    number = [0] * k
-    seen: dict[int, int] = {}
-    for c in range(k):
-        number[c] = seen.setdefault(find(c), len(seen))
-    return [number[c] for c in col]
+    return col
 
 
-def _close_pairs(S: ShadowGraph, parent: list[int]) -> None:
-    """Close delta in the union-find `parent` over the edge ids of S: at
-    every vertex v, join each pair of edges va, vw on no chordless square,
-    and join the opposite edges of each chordless square v-a-x-w whose
-    smallest corner is v.
+def _close_pairs(S: ShadowGraph, col: list[int], P: ColorPartition) -> bool:
+    """Close delta in P, a partition of the colours `col` of S's edges by
+    edge id: at every vertex v, join the classes of each pair of edges va,
+    vw on no chordless square, and of the opposite edges of each chordless
+    square v-a-x-w whose smallest corner is v. Reports whether any two
+    classes merged.
     """
     adj = S.adj
     inc = S.inc
     nbrs = list(map(set, adj))
-
-    def union(a: int, b: int) -> None:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[b] = a
-
+    merged = False
     for v, nb in enumerate(adj):
         nv = nbrs[v]
         ids = inc[v]
@@ -333,31 +319,18 @@ def _close_pairs(S: ShadowGraph, parent: list[int]) -> None:
             na = nbrs[a]
             off = na - nv  # with v dropped: the far corners of squares on va
             off.discard(v)
-            ia = ids[i]
+            ca = col[ids[i]]
             for w, iw in zip(nb[i + 1 :], ids[i + 1 :]):
                 # a, w adjacent: every square on va, vw has a chord
                 far = () if w in na else off & nbrs[w]
                 if not far:
-                    union(ia, iw)
+                    merged |= _join(P, ca, col[iw])
                 elif v < a:  # the lists are sorted, so a < w
                     for x in far:
                         if v < x:
-                            union(ia, inc[w][bisect_left(adj[w], x)])
-                            union(iw, inc[a][bisect_left(adj[a], x)])
-
-
-def _number_classes(
-    edges: list[tuple[int, int]], labels: list[int], bn: tuple[int, ...]
-) -> list[int]:
-    """The color of every edge by class, numbering classes by their smallest
-    (bfsnum, bfsnum) endpoint pair."""
-    best: dict[int, tuple[int, int]] = {}
-    for (u, v), c in zip(edges, labels):
-        p = (bn[u], bn[v]) if bn[u] < bn[v] else (bn[v], bn[u])
-        if c not in best or p < best[c]:
-            best[c] = p
-    number = {c: i for i, c in enumerate(sorted(best, key=best.__getitem__))}
-    return [number[c] for c in labels]
+                            merged |= _join(P, ca, col[inc[w][bisect_left(adj[w], x)]])
+                            merged |= _join(P, col[iw], col[inc[a][bisect_left(adj[a], x)]])
+    return merged
 
 
 def _theta_order(
@@ -372,20 +345,20 @@ def _theta_order(
 
 
 def _join_theta(
-    S: ShadowGraph, edges: list[tuple[int, int]], labels: list[int], e: tuple[int, int]
+    S: ShadowGraph, col: list[int], P: ColorPartition, e: tuple[int, int]
 ) -> bool:
-    """Join the classes of all edges Theta-related to e in `labels`, in
-    place; report whether any two classes merged.
+    """Join in P the classes of the colours `col` (by edge id) of all edges
+    Theta-related to e; report whether any two classes merged.
 
     For e = uv, xy is Theta-related exactly when d(u,x) - d(v,x) differs
     from d(u,y) - d(v,y); e itself is. O(n + m) time and memory.
     """
     g = [a - b for a, b in zip(_sweep(S, e[0])[1], _sweep(S, e[1])[1])]
-    joined = {labels[i] for i, (x, y) in enumerate(edges) if g[x] != g[y]}
+    table = P.table
+    joined = {table[c] for (x, y), c in zip(S.ends, col) if g[x] != g[y]}
     if len(joined) == 1:
         return False
-    c = min(joined)
-    labels[:] = [c if a in joined else a for a in labels]
+    P.merge(joined)
     return True
 
 

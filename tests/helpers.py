@@ -29,7 +29,7 @@ from boxfactor import (
     shadow,
     unit_layer,
 )
-from boxfactor import core, directed_factor, shadow_factor
+from boxfactor import core, directed_factor
 
 
 def consistent_square() -> DiGraph:
@@ -318,22 +318,59 @@ def naive_propagate(S: ShadowGraph, B: BfsOrder, drop=()) -> list[int]:
 def naive_factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     """Reference for `factor_shadow`: the delta* classes of
     `naive_square_closure`, then the Theta relations of one edge after
-    another in `shadow_factor._theta_order`, checked after each edge that
-    merges classes."""
+    another in `theta_order`, checked after each edge that merges classes."""
     if S.n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
     B = bfs(S, root)
     edges = sorted(S.edges)
     labels = naive_square_closure(S, edges)
-    steps = shadow_factor._theta_order(B, edges)
+    steps = theta_order(B, edges)
     while True:
-        colors = dict(zip(edges, shadow_factor._number_classes(edges, labels, B.bfsnum)))
+        colors = dict(zip(edges, number_classes(edges, labels, B.bfsnum)))
         try:
             factors, coordin = coordinates_from_colors(S, root, colors, B)
             return ShadowFactorization(root, colors, factors, coordin)
         except FactorizationError:
-            if not any(shadow_factor._join_theta(S, edges, labels, e) for e in steps):
+            if not any(join_theta(S, edges, labels, e) for e in steps):
                 raise
+
+
+def number_classes(
+    edges: list[tuple[int, int]], labels: list[int], bn: tuple[int, ...]
+) -> list[int]:
+    """The color of every edge by class, numbering classes by their smallest
+    (bfsnum, bfsnum) endpoint pair."""
+    best: dict[int, tuple[int, int]] = {}
+    for (u, v), c in zip(edges, labels):
+        p = (bn[u], bn[v]) if bn[u] < bn[v] else (bn[v], bn[u])
+        if c not in best or p < best[c]:
+            best[c] = p
+    number = {c: i for i, c in enumerate(sorted(best, key=best.__getitem__))}
+    return [number[c] for c in labels]
+
+
+def theta_order(B: BfsOrder, edges: list[tuple[int, int]]):
+    """The edges whose Theta relations are added, in order: the BFS-tree
+    edges in BFS order, then the others in `edges` order."""
+    tree = [(u, v) if u < v else (v, u) for v in B.order[1:] for u in B.down[v][:1]]
+    yield from tree
+    in_tree = set(tree)
+    yield from (e for e in edges if e not in in_tree)
+
+
+def join_theta(
+    S: ShadowGraph, edges: list[tuple[int, int]], labels: list[int], e: tuple[int, int]
+) -> bool:
+    """Join the classes of all edges Theta-related to e = uv in `labels`,
+    in place, from BFS distance rows; report whether two classes merged."""
+    du = naive_bfs(S, e[0]).level
+    dv = naive_bfs(S, e[1]).level
+    joined = {labels[i] for i, (x, y) in enumerate(edges) if du[x] - dv[x] != du[y] - dv[y]}
+    if len(joined) == 1:
+        return False
+    c = min(joined)
+    labels[:] = [c if a in joined else a for a in labels]
+    return True
 
 
 def naive_coordinates_from_colors(

@@ -688,7 +688,7 @@ def _golden_inputs():
     out.append(("cube6", scrambled(cartesian_product([k2_looped] + [k2] * 5)[0]), []))
     k5 = DiGraph(5, {(a, b) for a in range(5) for b in range(5) if a != b}, set())
     out.append(("k5xk5", cartesian_product([k5, k5])[0], []))
-    out.append(("moebius9", mobius_ladder(9), []))  # factored only after Theta
+    out.append(("moebius9", mobius_ladder(9), []))  # rung 1 rejected, delta* accepted
     G, _ = gen_product_instance(2, (3, 5), 0.3, 7)
     root = max(v for v in range(G.n) if v not in G.loops)
     out.append(("gen7root", G, ["--root", str(root)]))

@@ -201,6 +201,15 @@ class TestFactorWithLoops:
         with pytest.raises(FactorizationError, match="make 4 arcs, the graph has 8"):
             factor_with_loops(H, NF)
 
+    def test_edge_changing_two_coordinates_raises_in_the_loop_scan(self):
+        # the same NF and cycle, with a loop at 3: the loop scan reaches 3,
+        # whose down-edge 3-0 steps from (1, 1) to (0, 0)
+        NF = factor_full(both_ways(ShadowGraph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])))
+        H = both_ways(ShadowGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        H = DiGraph(4, H.arcs, {3})
+        with pytest.raises(FactorizationError, match=r"edge \(3, 0\) changes more than one"):
+            factor_with_loops(H, NF)
+
 
 class TestFactorFullContract:
     def test_empty_rejected(self):

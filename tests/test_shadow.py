@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from boxfactor import (
+    ColorPartition,
     DiGraph,
     FactorizationError,
     ShadowGraph,
@@ -36,6 +38,7 @@ from helpers import (
     naive_propagate,
     naive_shadow_classes,
     naive_square_closure,
+    number_classes,
     random_digraph,
     relabel,
     undirected_cycle,
@@ -272,17 +275,23 @@ class TestAgainstNaiveClosure:
 
     def test_moebius_ladders_take_theta_steps(self, theta_steps):
         calls = theta_steps
-        for r in range(4, 14):
+        for r in range(5, 14, 2):
+            # from these two roots of a Moebius ladder with odd r, rung 1
+            # leaves two classes that delta* does not join; vertex (v, i) of
+            # the product with P_q has the id v*q + i
+            roots = (3 * (r - 1) // 2, 3 * (r - 1) // 2 + 1)
             M = mobius_ladder(r)
-            inputs = [(M, 1)]
+            inputs = [(M, 1, roots)]
             for q in (2, 3):
                 if 2 * r * q <= 40:
-                    inputs.append((cartesian_product([M, undirected_path(q)])[0], 2))
-            for G, k in inputs:
-                for root in (0, G.n - 1):
+                    P, _ = cartesian_product([M, undirected_path(q)])
+                    inputs.append((P, 2, (roots[0] * q, roots[1] * q + q - 1)))
+            for G, k, rs in inputs:
+                for root in rs:
                     calls.clear()
                     assert self._agree(G, [root]) == k
-                    # rung 1 and delta* are rejected, so Theta is added
+                    # rung 1 is rejected and delta* merges nothing, so Theta
+                    # is added
                     assert calls, (G, root)
         # prisms are products: rung 1 is accepted at once
         calls.clear()
@@ -293,8 +302,8 @@ class TestAgainstNaiveClosure:
 
     def test_theta_is_added_tree_edges_first(self, theta_steps):
         S = shadow(mobius_ladder(5))
-        B = bfs(S, 3)
-        factor_shadow(S, 3, B)
+        B = bfs(S, 6)
+        factor_shadow(S, 6, B)
         # the first BFS-tree edge in BFS order joins every class at once
         v = B.order[1]
         assert theta_steps == [edge_key(B.down[v][0], v)]
@@ -347,12 +356,6 @@ def _scrambled_product(family, size):
     return shadow(H), [perm[corner], perm[middle]], C.k
 
 
-def _find(parent, a):
-    while parent[a] != a:
-        a = parent[a]
-    return a
-
-
 def _partition(labels):
     """The classes of a labeling of edge ids, as a set of id sets."""
     classes = {}
@@ -370,11 +373,17 @@ def _sigma(S):
     return _partition(list(naive_factor_shadow(S, 0).colors.values()))
 
 
+def _rung_one(S, B):
+    """Rung 1's colouring of the edges of S from B's root, by edge id."""
+    P = ColorPartition(len(S.adj[B.root]))
+    return shadow_factor._numbered(shadow_factor._propagate(S, B, P), P)
+
+
 def _check_rung_one(S, r, sigma):
     """Rung 1 from root r refines sigma, and equals it when the check
     accepts it; returns whether it was accepted."""
     B = bfs(S, r)
-    colors = shadow_factor._propagate(S, B)
+    colors = _rung_one(S, B)
     classes = _partition(colors)
     where = {i: j for j, c in enumerate(sigma) for i in c}
     for c in classes:
@@ -404,6 +413,50 @@ class TestLadder:
                 assert F.coordin.coords == want.coordin.coords, (G, r)
                 runs += 1
         assert runs > 10_000
+
+    def test_checks_at_most_root_degree(self, monkeypatch):
+        # every rung after the first merges root colours, so a run checks
+        # at most deg(root) colourings, and one when rung 1 is accepted; the
+        # Moebius roots are those from which Theta is reached
+        check = shadow_factor._coordinates
+        outcomes = []
+
+        def spy(*args):
+            try:
+                got = check(*args)
+            except FactorizationError:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+            return got
+
+        monkeypatch.setattr(shadow_factor, "_coordinates", spy)
+        theta_roots = [
+            (mobius_ladder(r), (3 * (r - 1) // 2, 3 * (r - 1) // 2 + 1))
+            for r in range(5, 30, 2)
+        ]
+        climbed = 0
+        for G, roots in _differential_corpus() + theta_roots:
+            S = shadow(G)
+            for r in roots:
+                outcomes.clear()
+                F = factor_shadow(S, r)
+                assert len(outcomes) <= len(S.adj[r]), (G, r)
+                if S.n == 1:
+                    continue
+                assert outcomes == [False] * (len(outcomes) - 1) + [True], (G, r)
+                B = bfs(S, r)
+                first = _rung_one(S, B)
+                try:
+                    check(S, r, first, B)
+                    accepted = True
+                except FactorizationError:
+                    accepted = False
+                assert (len(outcomes) == 1) == accepted, (G, r)
+                # each later check follows a merge of rung 1's classes
+                assert len(outcomes) - 1 <= len(set(first)) - len(F.factors), (G, r)
+                climbed += not accepted
+        assert climbed > 20
 
     def test_rung_one_refines_sigma(self):
         for G, roots in _differential_corpus():
@@ -457,14 +510,16 @@ class TestLadder:
         else:
             inputs = [_scrambled_product(family, 3000 if family != "randprod" else 5000)[:2]]
         for S, roots in inputs:
-            parent = list(range(len(S.ends)))
-            shadow_factor._close_pairs(S, parent)
-            delta = [_find(parent, a) for a in range(len(parent))]
+            # delta* over one colour per edge
+            m = len(S.ends)
+            P = ColorPartition(m)
+            shadow_factor._close_pairs(S, list(range(m)), P)
+            delta = shadow_factor._numbered(list(range(m)), P)
             assert _partition(delta) == _partition(naive_square_closure(S, S.ends))
             sigma = _sigma(S)
             for r in roots:
                 B = bfs(S, r)
-                colors = shadow_factor._propagate(S, B)
+                colors = _rung_one(S, B)
                 assert _partition(colors) == _partition(naive_propagate(S, B)), (S, r)
                 _check_rung_one(S, r, sigma)
 
@@ -542,7 +597,7 @@ class TestPropagation:
         S = ShadowGraph(n, edges)
         B = bfs(S, r)
         sigma = _sigma(S)
-        assert _partition(shadow_factor._propagate(S, B)) == sigma
+        assert _partition(_rung_one(S, B)) == sigma
         assert _partition(naive_propagate(S, B)) == sigma
         for other in PROPAGATION_RULES:
             # only this input's own rule is needed here
@@ -569,27 +624,34 @@ class TestPropagation:
         assert F.coordin.coords == want.coordin.coords
         assert len(F.factors) >= len(truth)
 
-    def test_rejected_rung_one_accepted_by_delta_star(self, rungs):
+    def test_rejected_rung_one_accepted_by_delta_star(self, rungs, theta_steps):
         # found in the seed-20261020 random corpus: squares 0-2-3-4 and
         # 3-4-5-6 share the edge 3-4, with a pendant edge 0-1; from root 5
-        # rung 1 leaves two classes, delta* has one
+        # rung 1 leaves two classes, which delta* joins
         S = ShadowGraph(
             7, [(0, 1), (0, 2), (0, 4), (2, 3), (3, 4), (3, 6), (4, 5), (5, 6)]
         )
-        assert len(set(shadow_factor._propagate(S, bfs(S, 5)))) == 2
+        assert len(set(_rung_one(S, bfs(S, 5)))) == 2
         F = factor_shadow(S, 5)
         assert rungs == [2]
+        assert theta_steps == []
         assert F.colors == naive_factor_shadow(S, 5).colors
         assert set(F.colors.values()) == {0}
 
     def test_moebius_ladder_climbs_to_theta(self, rungs, theta_steps):
-        # rung 1 and delta* each leave two different classes; the first
-        # Theta step joins them
-        S = shadow(mobius_ladder(6))
-        F = factor_shadow(S, 0)
-        assert rungs == [3]
+        # from root 6, rung 1 leaves two classes and delta* joins neither to
+        # the other, so it is not checked again; the first Theta step joins
+        # them
+        S = shadow(mobius_ladder(5))
+        B = bfs(S, 6)
+        P = ColorPartition(len(S.adj[6]))
+        col = shadow_factor._propagate(S, B, P)
+        assert len(P.classes()) == 2
+        assert not shadow_factor._close_pairs(S, col, P)
+        F = factor_shadow(S, 6, B)
+        assert rungs == [2]
         assert len(theta_steps) == 1
-        assert F.colors == naive_factor_shadow(S, 0).colors
+        assert F.colors == naive_factor_shadow(S, 6).colors
         assert set(F.colors.values()) == {0}
 
 
@@ -613,9 +675,7 @@ class TestAgainstNaiveCoordinates:
         edges = sorted(S.edges)
         for r in roots:
             bn = bfs(S, r).bfsnum
-            delta = dict(zip(edges, shadow_factor._number_classes(
-                edges, naive_square_closure(S, edges), bn
-            )))
+            delta = dict(zip(edges, number_classes(edges, naive_square_closure(S, edges), bn)))
             final = factor_shadow(S, r).colors
             colorings = [delta, final]
             labels = [final[e] for e in edges]
@@ -709,6 +769,16 @@ class TestLargeInstance:
         P, _ = cartesian_product([p18, p18])
         F = factor_shadow(shadow(P), 0)
         assert sorted(f.n for f in F.factors) == [18, 18]
+
+    def test_star_root_colours_merge_in_linear_time(self):
+        # rung 1 merges the star's 100,000 root colours into one class; a
+        # step quadratic in deg(root) would take minutes
+        n = 100_000
+        S = ShadowGraph(n + 1, [(0, i) for i in range(1, n + 1)])
+        t = time.perf_counter()
+        F = factor_shadow(S, 0)
+        assert time.perf_counter() - t < 15
+        assert [f.n for f in F.factors] == [n + 1]
 
     def test_large_moebius_ladder_in_bounded_memory(self):
         # 320 vertices and 480 edges: Theta from BFS rows needs O(n + m)
