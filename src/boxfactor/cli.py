@@ -8,11 +8,12 @@ coordinates and BFS that set-up builds as `factor_full` does). `factor` runs
 `factor_full` once and prints its report from the result: the root from
 the coordinates, the merge count and the per-pass times from `stages`.
 `product` writes the canonical text straight from the factors
-(`product_text`). `verify` compares the graph file's text with that text
-for the claimed factors and table; canonical text is unique, so equal text
-proves equal graphs. Any other file, and any error while building the text,
-goes to the parse-and-compare path, which alone prints `false` and reports
-errors, the graph file's first.
+(`product_text`), laid out by a coordinate table read into one mixed-radix
+code per vertex (`_claim`). `verify` compares the graph file's text with
+that text for the claimed factors and table; canonical text is unique, so
+equal text proves equal graphs. Any other file, and any error while
+building the text, goes to the parse-and-compare path, which alone prints
+`false` and reports errors, the graph file's first.
 
 Exit codes: 0 ok, 2 unreadable or malformed input (or bad arguments),
 3 disconnected graph, 4 no unlooped vertex, 5 verification failure,
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import math
 import random
 import statistics
@@ -33,7 +33,15 @@ import sys
 import time
 from pathlib import Path
 
-from .core import DiGraph, coords_to_text, parse_coords, parse_graph, shadow, to_text
+from .core import (
+    DiGraph,
+    coords_codes,
+    coords_to_text,
+    parse_coords,
+    parse_graph,
+    shadow,
+    to_text,
+)
 from .errors import (
     DisconnectedGraphError,
     FactorizationError,
@@ -43,7 +51,7 @@ from .errors import (
 from .loop_factor import _merge_scans, factor_full, rooted_bfs
 from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, product_text
-from .shadow_factor import factor_shadow
+from .shadow_factor import _factored
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,14 +66,46 @@ def _load_graph(path: str) -> DiGraph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_rows(path: str, n: int) -> list[tuple[int, ...]]:
-    """The rows of a coordinate table file, in vertex order; the table must
+def _load_table(path: str) -> str:
+    """The text of a coordinate table file, read once per command."""
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _table_rows(table: str, n: int) -> list[tuple[int, ...]]:
+    """The rows of a coordinate table text, in vertex order; the table must
     cover vertices 0..n-1 exactly."""
-    table = parse_coords(Path(path).read_text(encoding="utf-8"))
+    rows = parse_coords(table)
     # the keys are distinct nonnegative ids, so these two checks pin them down
-    if len(table) != n or max(table, default=-1) != n - 1:
+    if len(rows) != n or max(rows, default=-1) != n - 1:
         raise GraphFormatError(f"coordinate table must cover vertices 0..{n - 1}")
-    return [table[v] for v in range(n)]
+    return [rows[v] for v in range(n)]
+
+
+def _claim(factors: list[DiGraph], table: str | None) -> Coordinatization:
+    """The coordinates that lay out the product of `factors`: those of the
+    coordinate table text `table`, or row-major when it is None. A table
+    that `coords_codes` reads and whose codes are a bijection is used as
+    codes; any other goes through `_table_rows` and the tuple constructor,
+    which alone raise, a GraphFormatError naming the first fault."""
+    sizes = [F.n for F in factors]
+    if table is None:
+        return Coordinatization._of_codes(factors, range(math.prod(sizes)), 0)
+    codes = coords_codes(table, sizes)
+    if codes is not None:
+        C = Coordinatization._of_codes(factors, codes, 0)
+        try:
+            C.vertex_at
+        except FactorizationError:
+            pass  # a code assigned twice: the rows path names it
+        else:
+            return C
+    rows = _table_rows(table, math.prod(sizes))
+    try:
+        C = Coordinatization(factors, rows, 0)
+        C.vertex_at
+    except FactorizationError as exc:  # wrong width, off the grid, assigned twice
+        raise GraphFormatError(f"coordinate table: {exc}") from exc
+    return C
 
 
 def _final_edge_colors(G: DiGraph, coords) -> dict[tuple[int, int], int]:
@@ -127,27 +167,10 @@ def cmd_factor(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _product_of_files(paths, coords: str | None) -> str:
-    """The canonical text of the product of the graph files `paths`, laid
-    out by the coordinate table file `coords`, or row-major without one."""
-    factors = [_load_graph(p) for p in paths]
-    rows = None if coords is None else _load_rows(coords, math.prod(F.n for F in factors))
-    return _claim_text(factors, rows)
-
-
-def _claim_text(factors: list[DiGraph], rows) -> str:
-    """The canonical text of the product of `factors`, laid out by the
-    coordinate `rows`, or row-major when they are None."""
-    if rows is None:
-        rows = itertools.product(*(range(F.n) for F in factors))
-    try:
-        return product_text(Coordinatization(factors, rows, 0))
-    except FactorizationError as exc:  # wrong width, off the grid, assigned twice
-        raise GraphFormatError(f"coordinate table: {exc}") from exc
-
-
 def cmd_product(args) -> int:
-    text = _product_of_files(args.inputs, args.coords)
+    factors = [_load_graph(p) for p in args.inputs]
+    table = None if args.coords is None else _load_table(args.coords)
+    text = product_text(_claim(factors, table))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -173,20 +196,25 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     text = Path(args.graph).read_text(encoding="utf-8")
-    factors = rows = None
+    factors = table = C = None
     try:
         factors = [_load_graph(p) for p in args.factors]
-        rows = _load_rows(args.coords, math.prod(F.n for F in factors))
+        table = _load_table(args.coords)
+        C = _claim(factors, table)
         # canonical text is unique, so equal text proves equal graphs
-        ok = _claim_text(factors, rows) == text
+        ok = product_text(C) == text
     except (ValueError, OSError, FactorizationError, MemoryError):
         ok = False  # the path below reports the error, the graph file's first
     if not ok:
         G = parse_graph(text)
         if factors is None:
             factors = [_load_graph(p) for p in args.factors]
-        if rows is None or len(rows) != G.n:
-            rows = _load_rows(args.coords, G.n)
+        if table is None:
+            table = _load_table(args.coords)
+        if C is not None and len(C.codes) == G.n:
+            rows = C.coords
+        else:
+            rows = _table_rows(table, G.n)
         ok = reconstruct_check_parts(G, factors, rows)
     print(f"verified: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -261,7 +289,7 @@ def cmd_bench(args) -> int:
         # set up as `factor_full` does; the reps time its merge entry
         S = shadow(G)
         B = rooted_bfs(G, S)
-        C = factor_shadow(S, B.root, B).coordin
+        C = _factored(S, B)[2]
         del S
 
         def run():

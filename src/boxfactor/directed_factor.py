@@ -81,7 +81,7 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
     if G.loops:
         raise ValueError("graph must be loopless here; strip loops first")
     C = SF.coordin
-    if len(C.coords) != G.n:
+    if len(C.codes) != G.n:
         raise ValueError("shadow factorization does not match the graph size")
     arcs = G.arcs
     colors = SF.colors

@@ -31,7 +31,7 @@ from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
 from .directed_factor import DirectedFactorization, _direction_scan, _step_colors
 from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
 from .product import ColorPartition, Coordinatization, regroup_columns
-from .shadow_factor import factor_shadow
+from .shadow_factor import _factored
 
 
 def pick_root(G: DiGraph) -> int:
@@ -84,7 +84,7 @@ def factor_with_loops(
     NF and B are checked against G, then the loop scan runs on NF in a
     fresh partition of its factors, which builds their columns."""
     coordin = NF.coordin
-    if len(coordin.coords) != G.n:
+    if len(coordin.codes) != G.n:
         raise ValueError("factorization does not match the graph size")
     root = coordin.root
     if root in G.loops:
@@ -235,7 +235,7 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     if G.n == 1:
         return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
     t1 = perf_counter()
-    C = factor_shadow(S, B.root, B).coordin
+    C = _factored(S, B)[2]
     t2 = perf_counter()
     del S  # the scans read only G, C and B: free the edge numbering
     P, coordin, rows = _merge_scans(G, C, B)

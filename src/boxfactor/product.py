@@ -9,7 +9,6 @@ A product vertex is looped when at least one of its coordinates is looped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import Sequence
@@ -20,29 +19,26 @@ from .errors import FactorizationError
 CoordVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Coordinatization:
     """A labeling of a graph's vertices by coordinate tuples over factor graphs.
 
     `coords[v]` is the coordinate vector of vertex v; the map must be a
     bijection onto the full grid of factor vertex sets. `root` is the vertex
     whose coordinates are used to fill dropped positions when projecting.
+
+    Each vertex also has a mixed-radix code, `codes[v]` (place values
+    `strides`, position 0 slowest), and codes come first:
+    `Coordinatization(factors, coords, root)` checks the tuples and derives
+    the codes on first use, while `_of_codes(factors, codes, root)`, for a
+    producer that already holds the codes, derives `coords` on first use.
+    Immutable; two are equal when their factors, codes and root are.
     """
 
-    factors: tuple[DiGraph, ...]
-    coords: tuple[CoordVector, ...]
-    root: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "coords", tuple(map(tuple, self.coords)))
-        k = len(self.factors)
+    def __init__(self, factors, coords, root: int):
+        coords = tuple(map(tuple, coords))
+        self._hold(factors, root, "coords", coords)
+        k = self.k
         sizes = [F.n for F in self.factors]
-        coords = self.coords
-        if prod(sizes) != len(coords):
-            raise FactorizationError(
-                f"grid size {prod(sizes)} does not match vertex count {len(coords)}"
-            )
         # one sweep per position; the loop below only names the first offender
         if set(map(len, coords)) != {k} or any(
             min(col) < 0 or max(col) >= size
@@ -56,8 +52,54 @@ class Coordinatization:
                 for i, c in enumerate(cv):
                     if not 0 <= c < sizes[i]:
                         raise FactorizationError(f"vertex {v} coordinate {i} out of range")
-        if not 0 <= self.root < len(coords):
-            raise ValueError(f"root {self.root} out of range")
+        if not 0 <= root < len(coords):
+            raise ValueError(f"root {root} out of range")
+
+    @classmethod
+    def _of_codes(cls, factors, codes, root: int) -> Coordinatization:
+        """The Coordinatization whose vertex v has the code `codes[v]`, each
+        on the grid (0 <= code < its size). The grid size and the root are
+        checked as the constructor checks them; injectivity is left to
+        `vertex_at`, as there."""
+        C = object.__new__(cls)
+        codes = tuple(codes)
+        C._hold(factors, root, "codes", codes)
+        if not 0 <= root < len(codes):
+            raise ValueError(f"root {root} out of range")
+        return C
+
+    def _hold(self, factors, root: int, name: str, values: tuple) -> None:
+        """Set the fields, and `values` as the cached `coords` or `codes`;
+        check that the grid has one point per vertex."""
+        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "root", root)
+        vars(self)[name] = values
+        size = prod(F.n for F in self.factors)
+        if size != len(values):
+            raise FactorizationError(
+                f"grid size {size} does not match vertex count {len(values)}"
+            )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Coordinatization is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Coordinatization):
+            return NotImplemented
+        return (self.root, self.factors, self.codes) == (other.root, other.factors, other.codes)
+
+    def __hash__(self):
+        return hash((self.root, self.factors, self.codes))
+
+    def __repr__(self):
+        return f"Coordinatization(k={self.k}, n={len(self.codes)}, root={self.root})"
+
+    @cached_property
+    def coords(self) -> tuple[CoordVector, ...]:
+        """The digits of every vertex's code, one tuple per vertex."""
+        codes = self.codes
+        cols = [[c // s % F.n for c in codes] for F, s in zip(self.factors, self.strides)]
+        return tuple(zip(*cols)) if cols else ((),) * len(codes)
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -70,14 +112,20 @@ class Coordinatization:
 
     @cached_property
     def codes(self) -> tuple[int, ...]:
-        """Mixed-radix integer code of every vertex's coordinates."""
-        return tuple(self.projection_codes(range(self.k)))
+        """Mixed-radix integer code of every vertex's coordinates, folded
+        from the `coords` columns (Horner) when they came first."""
+        coords = self.coords
+        codes = [0] * len(coords)
+        for j, F in enumerate(self.factors):
+            size = F.n
+            codes = [c * size + cv[j] for c, cv in zip(codes, coords)]
+        return tuple(codes)
 
     @cached_property
     def vertex_at(self) -> list[int]:
         """Inverse of `codes`, indexed by code; raises if the labeling is not
         injective."""
-        table = [-1] * len(self.coords)
+        table = [-1] * len(self.codes)
         for v, code in enumerate(self.codes):
             if table[code] >= 0:
                 raise FactorizationError("coordinate labeling is not injective")
@@ -87,19 +135,22 @@ class Coordinatization:
     def projection_codes(self, positions) -> list[int]:
         """The code of every vertex's projection into the layer through
         `root` spanned by `positions`: v's digits there, the root's
-        everywhere else. One sweep over the vertices per position."""
-        rc = self.coords[self.root]
+        everywhere else. One sweep over the codes per position; digit j of
+        code c is c // strides[j] % (the size of factor j)."""
         st = self.strides
+        sizes = [F.n for F in self.factors]
         keep = set(positions)
-        base = sum(rc[j] * st[j] for j in range(self.k) if j not in keep)
+        codes = self.codes
+        r = codes[self.root]
+        base = r - sum(r // st[j] % sizes[j] * st[j] for j in keep)
         if not keep:
-            return [base] * len(self.coords)
+            return [base] * len(codes)
         first, *rest = keep
-        s = st[first]
-        col = [base + cv[first] * s for cv in self.coords]
+        s, size = st[first], sizes[first]
+        col = [base + c // s % size * s for c in codes]
         for j in rest:
-            s = st[j]
-            col = [c + cv[j] * s for c, cv in zip(col, self.coords)]
+            s, size = st[j], sizes[j]
+            col = [x + c // s % size * s for x, c in zip(col, codes)]
         return col
 
     @property
@@ -141,6 +192,10 @@ class ColorPartition:
     @property
     def k(self) -> int:
         return len(self._table)
+
+    def __len__(self) -> int:
+        """The number of live classes."""
+        return len(self._members)
 
     @property
     def table(self):
@@ -261,7 +316,8 @@ def cartesian_product(factors: Sequence[DiGraph]) -> tuple[DiGraph, Coordinatiza
 
     Row-major: the first factor varies slowest, so vertex ids follow
     itertools.product of the factor vertex ranges. The returned
-    Coordinatization has root 0, the all-zeros tuple.
+    Coordinatization has root 0, the all-zeros tuple, and holds the codes
+    0..n-1.
     """
     factors = tuple(factors)
     if not factors:
@@ -269,8 +325,7 @@ def cartesian_product(factors: Sequence[DiGraph]) -> tuple[DiGraph, Coordinatiza
     for F in factors:
         if F.n < 1:
             raise ValueError("factors must have at least one vertex")
-    coords = tuple(itertools.product(*(range(F.n) for F in factors)))
-    C = Coordinatization(factors, coords, 0)
+    C = Coordinatization._of_codes(factors, range(prod(F.n for F in factors)), 0)
     return product_graph(C), C
 
 
@@ -347,18 +402,23 @@ def regroup_columns(G: DiGraph, C: Coordinatization, cols, down, cross) -> Coord
     `cross[v]` when u < v, that are in the layer too, tested against
     G.arcs both ways, so edges that are not G's only lose arcs. Every
     vertex but the root is in at most one layer: O(n*k + the sum of the
-    layer degrees), plus sorting each layer's vertices.
+    layer degrees), plus sorting each layer's vertices. A vertex's local
+    ids in the layers are the digits of its new code, folded in as each
+    layer is found; the result holds those codes, and derives the tuples
+    only when they are read.
     """
     codes = C.codes
     at = C.vertex_at
     arcs = G.arcs
     looped = G.loops
     factors = []
-    new_cols = []
+    new_codes = [0] * G.n
     for col in cols:
         hosts = sorted(map(at.__getitem__, set(col)))
         lid = {codes[h]: j for j, h in enumerate(hosts)}  # by code, ascending host id
-        new_cols.append(list(map(lid.__getitem__, col)))
+        size = len(hosts)
+        # Horner: the local id is the next digit of the new code
+        new_codes = [c * size + j for c, j in zip(new_codes, map(lid.__getitem__, col))]
         del col  # the last reader of the column
         layer_arcs = []
         for j, h in enumerate(hosts):
@@ -371,6 +431,5 @@ def regroup_columns(G: DiGraph, C: Coordinatization, cols, down, cross) -> Coord
                 if (u, h) in arcs:
                     layer_arcs.append((ju, j))
         layer_loops = [j for j, h in enumerate(hosts) if h in looped]
-        factors.append(DiGraph._unchecked(len(hosts), layer_arcs, layer_loops))
-    new_coords = tuple(zip(*new_cols)) if new_cols else ((),) * G.n
-    return Coordinatization(tuple(factors), new_coords, C.root)
+        factors.append(DiGraph._unchecked(size, layer_arcs, layer_loops))
+    return Coordinatization._of_codes(factors, new_codes, C.root)

@@ -56,7 +56,7 @@ a rung is checked only when it merged classes of the one before:
    each chordless square v-a-x-w joins those of its opposite edges, at the
    square's smallest corner only. This closes delta: tau plus the opposite
    edges of every chordless square, in O(sum over v of deg(v)^2 times the
-   degree of a neighbour).
+   degree of a neighbour). It stops once one class is left.
 3. Theta, one edge at a time, for graphs that are locally but not globally
    a product, such as a Moebius ladder: BFS-tree edges first, then the
    rest. An edge xy is Theta-related to uv exactly when
@@ -124,13 +124,22 @@ def factor_shadow(
         raise ValueError("BFS root differs from the factorization root")
     if n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
+    colors, factors, coordin = _factored(S, B)
+    return ShadowFactorization(root, dict(zip(S.ends, colors)), factors, coordin)
+
+
+def _factored(S: ShadowGraph, B: BfsOrder):
+    """`factor_shadow` on S, of two or more vertices, from the root of its
+    BFS order B, trusted: the colour of every edge by edge id, the factors
+    and the coordinates. `factor_full` reads only the coordinates, so it
+    calls this and never builds the colour dict."""
     for colors in _ladder(S, B):
         try:
-            factors, coordin = _coordinates(S, root, colors, B)
+            factors, coordin = _coordinates(S, B.root, colors, B)
         except FactorizationError as exc:
             rejected = exc  # strictly finer than sigma: take the next rung
             continue
-        return ShadowFactorization(root, dict(zip(S.ends, colors)), factors, coordin)
+        return colors, factors, coordin
     raise rejected
 
 
@@ -306,13 +315,16 @@ def _close_pairs(S: ShadowGraph, col: list[int], P: ColorPartition) -> bool:
     edge id: at every vertex v, join the classes of each pair of edges va,
     vw on no chordless square, and of the opposite edges of each chordless
     square v-a-x-w whose smallest corner is v. Reports whether any two
-    classes merged.
+    classes merged. Stops at the first vertex that finds one class left,
+    as nothing can merge any more.
     """
     adj = S.adj
     inc = S.inc
     nbrs = list(map(set, adj))
-    merged = False
+    start = live = len(P)  # each join that merges leaves one class fewer
     for v, nb in enumerate(adj):
+        if live == 1:
+            break
         nv = nbrs[v]
         ids = inc[v]
         for i, a in enumerate(nb):
@@ -324,13 +336,13 @@ def _close_pairs(S: ShadowGraph, col: list[int], P: ColorPartition) -> bool:
                 # a, w adjacent: every square on va, vw has a chord
                 far = () if w in na else off & nbrs[w]
                 if not far:
-                    merged |= _join(P, ca, col[iw])
+                    live -= _join(P, ca, col[iw])
                 elif v < a:  # the lists are sorted, so a < w
                     for x in far:
                         if v < x:
-                            merged |= _join(P, ca, col[inc[w][bisect_left(adj[w], x)]])
-                            merged |= _join(P, col[iw], col[inc[a][bisect_left(adj[a], x)]])
-    return merged
+                            live -= _join(P, ca, col[inc[w][bisect_left(adj[w], x)]])
+                            live -= _join(P, col[iw], col[inc[a][bisect_left(adj[a], x)]])
+    return live < start
 
 
 def _theta_order(

@@ -338,7 +338,7 @@ class TestVerifyPaths:
         g, parts, table = factored(tmp_path, capsys, G)
         write_graph(tmp_path / "g.dg", DiGraph(G.n, set(G.arcs) - {min(G.arcs)}, G.loops))
         loads = []
-        for name in ("_load_graph", "_load_rows"):
+        for name in ("_load_graph", "_load_table"):
 
             def counted(path, *rest, _fn=getattr(cli, name), _name=name):
                 loads.append((_name, path))
@@ -347,7 +347,7 @@ class TestVerifyPaths:
             monkeypatch.setattr(cli, name, counted)
         assert main(["verify", g, *parts, "--coords", table]) == 5
         assert capsys.readouterr().out == "verified: false\n"
-        assert loads == [("_load_graph", p) for p in parts] + [("_load_rows", table)]
+        assert loads == [("_load_graph", p) for p in parts] + [("_load_table", table)]
 
     @pytest.mark.parametrize(
         "rows",
@@ -408,6 +408,133 @@ class TestVerifyPaths:
         assert back.read_bytes() == Path(g).read_bytes()
         assert main(["verify", g, *parts, "--coords", table]) == 0
         assert capsys.readouterr().out.endswith("verified: true\n")
+
+
+class TestTableCodes:
+    """`product --coords` and `verify` fold a canonical coordinate table
+    into codes (`core.coords_codes`); any other table, and any table that fails
+    a check, takes the rows path (`_table_rows` and the tuple constructor).
+    Both paths give the same bytes, answers, exit codes and messages."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Whether each `coords_codes` call gave codes."""
+        seen = []
+        table_codes = cli.coords_codes
+
+        def spy(table, sizes):
+            codes = table_codes(table, sizes)
+            seen.append(codes is not None)
+            return codes
+
+        monkeypatch.setattr(cli, "coords_codes", spy)
+        return seen
+
+    @staticmethod
+    def both_paths(argv, capsys, monkeypatch, out=None):
+        """(exit code, stdout, stderr, output bytes) with the codes path and
+        with the rows path alone; asserts that they agree."""
+        results = []
+        for rows_only in (False, True):
+            with monkeypatch.context() as m:
+                if rows_only:
+                    m.setattr(cli, "coords_codes", lambda table, sizes: None)
+                if out is not None:
+                    out.unlink(missing_ok=True)
+                rc = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out is not None and out.exists() else None
+            results.append((rc, captured.out, captured.err, written))
+        assert results[0] == results[1]
+        return results[0]
+
+    @staticmethod
+    def scrambled_instance(tmp_path, seed):
+        """A random labeled product of 2 or 3 factors, its factor files and
+        the coordinate row of every vertex."""
+        rng = random.Random(seed)
+        factors = gen_product_instance(rng.choice([2, 3]), (2, 5), 0.3, seed)[1]
+        P, C = cartesian_product(factors)
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        rows = [None] * P.n
+        for v, cv in enumerate(C.coords):
+            rows[perm[v]] = cv
+        parts = [write_graph(tmp_path / f"f{i}.dg", F) for i, F in enumerate(factors)]
+        return relabel(P, perm), parts, rows, rng
+
+    @pytest.mark.parametrize("layout", ["vertex-order", "shuffled", "hand-written"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tables_agree(self, layout, seed, tmp_path, capsys, monkeypatch, taken):
+        G, parts, rows, rng = self.scrambled_instance(tmp_path, seed)
+        lines = [f"c {v} " + " ".join(map(str, cv)) for v, cv in enumerate(rows)]
+        if layout != "vertex-order":
+            rng.shuffle(lines)
+        if layout == "hand-written":  # the line parser reads it
+            text = "# table\r\n" + "".join(f"{line}  \r\n" for line in lines)
+        else:
+            text = "".join(f"{line}\n" for line in lines)
+        table = tmp_path / "t.coords"
+        table.write_text(text, encoding="utf-8", newline="")
+        out = tmp_path / "p.dg"
+        argv = ["product", *parts, "--coords", str(table), "-o", str(out)]
+        rc, _, err, written = self.both_paths(argv, capsys, monkeypatch, out)
+        assert (rc, err, written) == (0, "", to_text(G).encode())
+        g = write_graph(tmp_path / "g.dg", G)
+        rc, stdout, _, _ = self.both_paths(
+            ["verify", g, *parts, "--coords", str(table)], capsys, monkeypatch
+        )
+        assert (rc, stdout) == (0, "verified: true\n")
+        # one arc away: the graph file is parsed and compared, a false answer
+        write_graph(tmp_path / "g.dg", DiGraph(G.n, set(G.arcs) - {min(G.arcs)}, G.loops))
+        rc, stdout, _, _ = self.both_paths(
+            ["verify", g, *parts, "--coords", str(table)], capsys, monkeypatch
+        )
+        assert (rc, stdout) == (5, "verified: false\n")
+        # the spy sees the codes-path runs only: product, verify, verify
+        assert taken == [layout != "hand-written"] * 3
+
+    @pytest.mark.parametrize(
+        "table, product_err, verify_rc",
+        [
+            ("c 0 0 0\nc 1 0 1\nc 1 0 1\nc 2 1 0\nc 3 1 1\n",
+             "line 3: duplicate coordinates for vertex 1", 2),
+            ("c 0 0 0 0\nc 1 0 1 0\nc 2 1 0 0\nc 3 1 1 0\n",
+             "coordinate table: vertex 0 has 3 coordinates, expected 2", 5),
+            ("c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 1 1 0\n",
+             "line 4: coordinate width 3 differs from earlier width 2", 2),
+            ("c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 1 2\n",
+             "coordinate table: vertex 3 coordinate 1 out of range", 5),
+            ("c 0 0 0\nc 1 0 1\nc 3 1 1\n", "coordinate table must cover vertices 0..3", 2),
+            ("c 0 0 0\nc 1 0 1\nc 2 1 0\nc 3 0 1\n",
+             "coordinate table: coordinate labeling is not injective", 5),
+            ("c 3 1 1\nc 1 0 1\nc 0 1 1\nc 2 1 0\n",
+             "coordinate table: coordinate labeling is not injective", 5),
+        ],
+        ids=["duplicate-row", "wrong-width", "mixed-width", "off-grid", "missing-vertex",
+             "not-a-bijection", "not-a-bijection-shuffled"],
+    )
+    def test_malformed_tables_keep_their_errors(
+        self, table, product_err, verify_rc, tmp_path, capsys, monkeypatch
+    ):
+        P, C, A, B = loop_product()
+        g = write_graph(tmp_path / "prod.dg", P)
+        fa = write_graph(tmp_path / "fa.dg", A)
+        fb = write_graph(tmp_path / "fb.dg", B)
+        t = tmp_path / "t.coords"
+        t.write_text(table)
+        out = tmp_path / "p.dg"
+        argv = ["product", fa, fb, "--coords", str(t), "-o", str(out)]
+        rc, stdout, err, written = self.both_paths(argv, capsys, monkeypatch, out)
+        assert (rc, stdout, err, written) == (2, "", f"error: {product_err}\n", None)
+        rc, stdout, err, _ = self.both_paths(
+            ["verify", g, fa, fb, "--coords", str(t)], capsys, monkeypatch
+        )
+        assert rc == verify_rc
+        if verify_rc == 2:
+            assert (stdout, err) == ("", f"error: {product_err}\n")
+        else:
+            assert (stdout, err) == ("verified: false\n", "")
 
 
 class TestGenerateCommand:
@@ -522,7 +649,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise FactorizationError("coloring is not a product coloring")
 
-        monkeypatch.setattr(loop_factor, "factor_shadow", broken)
+        monkeypatch.setattr(loop_factor, "_factored", broken)
         g = write_graph(tmp_path / "sq.dg", consistent_square())
         assert main(["factor", "--input", g]) == 6
         err = capsys.readouterr().err

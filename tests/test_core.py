@@ -369,6 +369,44 @@ class TestBulkReader:
         with pytest.raises(GraphFormatError, match="line 2: duplicate coordinates"):
             parse_coords(f"c 0 1\nc 0 2\nc 1 {huge}\n")
 
+    @pytest.mark.parametrize("slice_chars", [16, core._SLICE])
+    def test_bulk_table_reads_columns(self, monkeypatch, slice_chars):
+        # ids in row order and one digit list per position; a repeated id is
+        # the caller's to find
+        monkeypatch.setattr(core, "_SLICE", slice_chars)
+        text = "n 2\na 0 1\nc 2 0 5\nc 0 1 1\nc 1 0 3\n"
+        assert core._bulk_coords(text) == ([2, 0, 1], [[0, 1, 0], [5, 1, 3]])
+        assert core._bulk_coords("c 0\nc 1\n") == ([0, 1], [])
+        assert core._bulk_coords("n 2\n") == ([], [])
+        assert core._bulk_coords("c 0 1\nc 0 2\n") == ([0, 0], [[1, 2]])
+        # digits past the small-int table and with leading zeros, also in a
+        # later slice than the first
+        text = "c 0 255 3\nc 1 7 300\nc 2 007 1\nc 3 1 0\n"
+        assert core._bulk_coords(text) == ([0, 1, 2, 3], [[255, 7, 7, 1], [3, 300, 1, 0]])
+        for bad in ("c 0 1\nc 1 2 3\n", "c 0 1\r\n", "c 0  1\n", "# t\nc 0 1\n"):
+            with pytest.raises(core._NotCanonical):
+                core._bulk_coords(bad)
+
+    def test_table_codes(self):
+        # codes listed by vertex, position 0 slowest; rows in any order
+        text = "c 0 1 0\nc 1 0 2\nc 2 1 1\nc 3 0 0\nc 4 0 1\nc 5 1 2\n"
+        assert core.coords_codes(text, [2, 3]) == [3, 2, 4, 0, 1, 5]
+        shuffled = "".join(sorted(text.splitlines(keepends=True), key=lambda r: r[4:]))
+        assert core.coords_codes(shuffled, [2, 3]) == [3, 2, 4, 0, 1, 5]
+        assert core.coords_codes("c 0\n", []) == [0]
+        # None for text the line parser must read, and for a table that
+        # fails a check: row count, width, digit off the grid, id out of
+        # range, repeated id
+        for bad in (
+            "c 0 1\r\nc 1 0\r\n",
+            "c 0 1\n",
+            "c 0 1 0\nc 1 0 0\n",
+            "c 0 2\nc 1 0\n",
+            "c 0 1\nc 2 0\n",
+            "c 1 1\nc 1 0\n",
+        ):
+            assert core.coords_codes(bad, [2]) is None, bad
+
     @pytest.mark.parametrize("slice_chars", [40, core._SLICE])
     def test_written_text_never_reaches_the_line_parser(self, monkeypatch, slice_chars):
         def refuse(text):

@@ -289,7 +289,7 @@ class TestFactorFullContract:
 
     def test_no_projection_column_beyond_the_single_positions(self, monkeypatch):
         # the merge stage adds columns; only the k single-position columns
-        # and the codes (all positions) are projected
+        # are projected (the codes are folded from the coordinates)
         P, _ = cartesian_product([inconsistent_square(), looped_far_corner(), K2_LOOPED])
         built = []
         project = Coordinatization.projection_codes
@@ -303,7 +303,7 @@ class TestFactorFullContract:
         assert [m for _, _, m in F.stages] == [0, 0, 1, 1]
         k = len(F.partition.table)
         assert k == 5
-        assert sorted(built) == sorted([(i,) for i in range(k)] + [tuple(range(k))])
+        assert sorted(built) == [(i,) for i in range(k)]
 
     def test_loopless_graph_skips_loop_stage(self):
         G = DiGraph(4, {(0, 2), (1, 3), (0, 1), (2, 3)}, set())

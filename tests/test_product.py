@@ -234,6 +234,67 @@ class TestCoordinatization:
                 assert D.vertex_at[D.projection_codes(keep)[v]] == expect
 
 
+class TestCodesFirst:
+    """`Coordinatization._of_codes` holds the codes and derives `coords` on
+    first use; it equals the tuple-built labeling in every view."""
+
+    def test_codes_built_equals_coords_built(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            A = scrambled_layout(rng)
+            B = Coordinatization._of_codes(A.factors, list(A.codes), A.root)
+            assert "coords" not in vars(B)
+            for keep in itertools.chain.from_iterable(
+                itertools.combinations(range(A.k), r) for r in range(A.k + 1)
+            ):  # from the digits of the codes
+                assert B.projection_codes(keep) == A.projection_codes(keep)
+            assert "coords" not in vars(B)
+            assert B == A and hash(B) == hash(A)
+            assert B.codes == A.codes
+            assert B.coords == A.coords
+            assert B.vertex_at == A.vertex_at
+            assert B.strides == A.strides
+            assert product_text(B) == product_text(A)
+            other = Coordinatization._of_codes(A.factors, A.codes, (A.root + 1) % len(A.codes))
+            assert (other == A) == (len(A.codes) == 1)
+
+    def test_row_major_codes(self):
+        factors = [arc01(), both_k2(), DiGraph(3, {(0, 1), (1, 2)})]
+        _, C = cartesian_product(factors)
+        assert vars(C)["codes"] == tuple(range(12))
+        assert C == Coordinatization(factors, itertools.product(range(2), range(2), range(3)), 0)
+
+    def test_regroup_holds_codes(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            factors, coords, G = random_labeled_product(rng)
+            C = Coordinatization(factors, coords, rng.randrange(G.n))
+            order = list(range(C.k))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, C.k), rng.randint(0, C.k - 1))) if C.k > 1 else []
+            blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, C.k])]
+            R = group_coordinates(G, C, blocks)
+            assert "coords" not in vars(R)
+            want = naive_group_coordinates(G, C, blocks)
+            assert R == want
+            assert (R.coords, R.factors) == (want.coords, want.factors)
+
+    def test_checks_match_the_constructor(self):
+        with pytest.raises(FactorizationError, match="grid size 2 does not match vertex count 1"):
+            Coordinatization._of_codes((arc01(),), [0], 0)
+        with pytest.raises(ValueError, match="root 2 out of range"):
+            Coordinatization._of_codes((arc01(),), [0, 1], 2)
+        C = Coordinatization._of_codes((arc01(), arc01()), [0, 1, 3, 1], 0)
+        with pytest.raises(FactorizationError, match="not injective"):
+            C.vertex_at
+        assert C.coords == ((0, 0), (0, 1), (1, 1), (0, 1))
+
+    def test_immutable(self):
+        _, C = cartesian_product([arc01()])
+        with pytest.raises(AttributeError):
+            C.root = 1
+
+
 class TestProjectVertex:
     def test_identity_at_root(self):
         assert project_vertex((0, 0), {1}, (0, 0)) == (0, 0)

@@ -18,11 +18,12 @@ from boxfactor import (
     canonical_small_graphs,
     cartesian_product,
     coordinates_from_colors,
+    factor_full,
     factor_shadow,
     gen_product_instance,
     shadow,
 )
-from boxfactor import directed_factor, shadow_factor
+from boxfactor import directed_factor, loop_factor, shadow_factor
 from boxfactor.cli import _bench_instance
 from boxfactor.core import bfs
 from helpers import (
@@ -756,6 +757,83 @@ class TestProductRecovery:
         lhs = {edge_key(m[u], m[v]) for (u, v) in S.edges}
         rhs = shadow(P).edges
         assert lhs == rhs
+
+
+class TestDeltaStarStopsAtOneClass:
+    """delta* stops at the first vertex that finds one class of root colours
+    left, with the same result."""
+
+    @pytest.mark.parametrize("r", [7, 20, 41])
+    def test_moebius_ladders_unchanged(self, r):
+        S = shadow(mobius_ladder(r))
+        for root in (0, r, 2 * r - 1):
+            F = factor_shadow(S, root)
+            want = naive_factor_shadow(S, root)
+            assert F.colors == want.colors
+            assert F.coordin == want.coordin
+
+    def test_moebius_ladder_joins_drop(self, monkeypatch):
+        # from root 0, rung 1 leaves two classes and delta* merges them early
+        r = 2000
+        S = shadow(mobius_ladder(r))
+        B = bfs(S, 0)
+        live = []  # the live class count before each join
+        join = shadow_factor._join
+
+        def spy(P, a, b):
+            live.append(len(P))
+            return join(P, a, b)
+
+        P = ColorPartition(len(S.adj[0]))
+        col = shadow_factor._propagate(S, B, P)
+        assert len(P) == 2
+        monkeypatch.setattr(shadow_factor, "_join", spy)
+        # a scan that cannot end early (one colour per edge leaves two
+        # delta* classes) makes the joins of a full scan, whatever the colours
+        m = len(S.ends)
+        Q = ColorPartition(m)
+        shadow_factor._close_pairs(S, list(range(m)), Q)
+        assert len(Q) > 1
+        full = len(live)
+        live.clear()
+        assert shadow_factor._close_pairs(S, col, P)
+        assert len(P) == 1
+        # past the last merge, only the rest of that vertex's pairs (degree 3)
+        assert live.count(1) <= 6
+        assert len(live) < full / 2
+
+
+class TestCoordinatesWithoutTheColourDict:
+    def test_factor_full_reads_the_coordinates_of_factor_shadow(self, monkeypatch):
+        # factor_full hands _merge_scans the coordinates factor_shadow
+        # gives, and builds no ShadowFactorization (so no colour dict)
+        built = []
+        seen = []
+        made = shadow_factor.ShadowFactorization
+        scans = loop_factor._merge_scans
+
+        def spy_made(*args):
+            built.append(True)
+            return made(*args)
+
+        def spy_scans(G, C, B):
+            seen.append(C)
+            return scans(G, C, B)
+
+        monkeypatch.setattr(shadow_factor, "ShadowFactorization", spy_made)
+        monkeypatch.setattr(loop_factor, "_merge_scans", spy_scans)
+        for seed in range(6):
+            G, _ = gen_product_instance(2 + seed % 2, (2, 4), 0.3, seed)
+            factor_full(G)
+            assert not built
+            (C,) = seen
+            S = shadow(G)
+            SF = factor_shadow(S, C.root)
+            assert SF.coordin == C
+            assert SF.coordin.coords == C.coords
+            assert SF.colors == naive_factor_shadow(S, C.root).colors
+            built.clear()
+            seen.clear()
 
 
 class TestLargeInstance:
