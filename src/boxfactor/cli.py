@@ -48,6 +48,7 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
+from .directed_factor import _step_colors
 from .loop_factor import _merge_scans, factor_full, rooted_bfs
 from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, product_text
@@ -108,15 +109,22 @@ def _claim(factors: list[DiGraph], table: str | None) -> Coordinatization:
     return C
 
 
-def _final_edge_colors(G: DiGraph, coords) -> dict[tuple[int, int], int]:
-    # the color of a shadow edge is the one coordinate position it changes
+def _final_edge_colors(G: DiGraph, C: Coordinatization) -> dict[tuple[int, int], int]:
+    # the color of a shadow edge is the one coordinate position c it
+    # changes: its code difference is a step of digit c that does not
+    # borrow, keeping u's code modulo the span st*size of digit c in range
+    codes = C.codes
+    digits = list(zip(C.strides, (F.n for F in C.factors)))
+    span = [s * size for s, size in digits]
+    step = _step_colors(C)
     out = {}
     for u, v in sorted({(u, v) if u < v else (v, u) for u, v in G.arcs}):
-        cu, cv = coords[u], coords[v]
-        diffs = [i for i in range(len(cu)) if cu[i] != cv[i]]
-        if len(diffs) != 1:
-            raise FactorizationError(f"edge ({u}, {v}) changes {len(diffs)} coordinates")
-        out[(u, v)] = diffs[0]
+        d = codes[v] - codes[u]
+        c = step.get(d)
+        if c is None or not 0 <= codes[u] % span[c] + d < span[c]:
+            changed = sum(codes[u] // s % size != codes[v] // s % size for s, size in digits)
+            raise FactorizationError(f"edge ({u}, {v}) changes {changed} coordinates")
+        out[(u, v)] = c
     return out
 
 
@@ -149,7 +157,7 @@ def cmd_factor(args) -> int:
     if args.emit_colors:
         path = f"{args.input}.colors"
         lines = [
-            f"e {u} {v} {c}" for (u, v), c in _final_edge_colors(G, F.coordin.coords).items()
+            f"e {u} {v} {c}" for (u, v), c in _final_edge_colors(G, F.coordin).items()
         ]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         print(f"colors_file: {path}")
@@ -289,7 +297,7 @@ def cmd_bench(args) -> int:
         # set up as `factor_full` does; the reps time its merge entry
         S = shadow(G)
         B = rooted_bfs(G, S)
-        C = _factored(S, B)[2]
+        C = _factored(S, B)[1]
         del S
 
         def run():

@@ -555,12 +555,11 @@ def coords_to_text(coords) -> str:
     )
 
 
-def to_text(G: DiGraph, coords=None) -> str:
+def to_text(G: DiGraph) -> str:
     """Canonical serialization: n line, sorted arcs, sorted loops.
 
-    When `coords` (a sequence indexed by vertex) is given, coordinate rows are
-    appended in vertex order. Arcs are grouped by tail and each group's heads
-    sorted, which orders them as sorting the arc pairs would: O(n + m) memory.
+    Arcs are grouped by tail and each group's heads sorted, which orders
+    them as sorting the arc pairs would: O(n + m) memory.
     """
     heads: list[list[int]] = [[] for _ in range(G.n)]
     for u, v in G.arcs:
@@ -571,5 +570,4 @@ def to_text(G: DiGraph, coords=None) -> str:
             hs.sort()
             lines += [f"a {u} {v}" for v in hs]
     lines += [f"l {v}" for v in sorted(G.loops)]
-    text = "\n".join(lines) + "\n"
-    return text if coords is None else text + coords_to_text(coords)
+    return "\n".join(lines) + "\n"

@@ -74,9 +74,10 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
     The colored edges are the graph's edges exactly when each carries an
     arc, none is keyed both ways, and together they carry every arc. Each
     must change its color's coordinate only, as the scan reads the color
-    from the code difference; a one-digit difference does not show that
-    (over K2 x K2, (0, 1) -> (1, 0) adds 1 to the code). `factor_full`
-    needs no such check: `factor_shadow` makes it.
+    from the code difference; a step of one digit does not show that (over
+    K2 x K2, (0, 1) -> (1, 0) adds 1 to the code), so the step must also
+    not borrow: it keeps u's code modulo the span st*size of digit c in
+    range. `factor_full` needs no such check: `factor_shadow` makes it.
     """
     if G.loops:
         raise ValueError("graph must be loopless here; strip loops first")
@@ -86,8 +87,7 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
     arcs = G.arcs
     colors = SF.colors
     codes = C.codes
-    coords = C.coords
-    st = C.strides
+    span = [s * F.n for F, s in zip(C.factors, C.strides)]
     step = _step_colors(C)
     carried = 0
     bare = None
@@ -102,7 +102,7 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
         carried += f + r
         twice = twice or (u > v and (v, u) in colors)
         d = codes[v] - codes[u]
-        if step.get(d) != c or d != (coords[v][c] - coords[u][c]) * st[c]:
+        if step.get(d) != c or not 0 <= codes[u] % span[c] + d < span[c]:
             raise ValueError(f"edge {e} of color {c} changes other coordinates than {c}")
     if bare is not None or carried != len(arcs) or twice:
         edges = {(u, v) if u < v else (v, u) for u, v in arcs}

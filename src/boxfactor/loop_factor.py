@@ -235,7 +235,7 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     if G.n == 1:
         return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
     t1 = perf_counter()
-    C = _factored(S, B)[2]
+    C = _factored(S, B)[1]
     t2 = perf_counter()
     del S  # the scans read only G, C and B: free the edge numbering
     P, coordin, rows = _merge_scans(G, C, B)

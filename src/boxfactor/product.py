@@ -20,29 +20,29 @@ CoordVector = tuple[int, ...]
 
 
 class Coordinatization:
-    """A labeling of a graph's vertices by coordinate tuples over factor graphs.
+    """A labeling of a graph's vertices by coordinates over factor graphs.
 
-    `coords[v]` is the coordinate vector of vertex v; the map must be a
-    bijection onto the full grid of factor vertex sets. `root` is the vertex
-    whose coordinates are used to fill dropped positions when projecting.
-
-    Each vertex also has a mixed-radix code, `codes[v]` (place values
-    `strides`, position 0 slowest), and codes come first:
-    `Coordinatization(factors, coords, root)` checks the tuples and derives
-    the codes on first use, while `_of_codes(factors, codes, root)`, for a
-    producer that already holds the codes, derives `coords` on first use.
-    Immutable; two are equal when their factors, codes and root are.
+    Vertex v is stored as one mixed-radix code, `codes[v]` (place values
+    `strides`, position 0 slowest), and the map must be a bijection onto
+    the full grid of factor vertex sets; `coords[v]`, the tuple of v's
+    digits, is derived on first use. `root` is the vertex whose coordinates
+    are used to fill dropped positions when projecting.
+    `Coordinatization(factors, coords, root)` checks one tuple per vertex
+    and folds them into codes once; `_of_codes(factors, codes, root)` takes
+    the codes of a producer that already holds them. Immutable; two are
+    equal when their factors, codes and root are.
     """
 
     def __init__(self, factors, coords, root: int):
+        factors = tuple(factors)
         coords = tuple(map(tuple, coords))
-        self._hold(factors, root, "coords", coords)
-        k = self.k
-        sizes = [F.n for F in self.factors]
+        k = len(factors)
+        sizes = [F.n for F in factors]
         # one sweep per position; the loop below only names the first offender
-        if set(map(len, coords)) != {k} or any(
-            min(col) < 0 or max(col) >= size
-            for col, size in zip(([cv[i] for cv in coords] for i in range(k)), sizes)
+        same_width = set(map(len, coords)) == {k}
+        cols = [[cv[i] for cv in coords] for i in range(k)] if same_width else []
+        if not same_width or any(
+            min(col) < 0 or max(col) >= size for col, size in zip(cols, sizes)
         ):
             for v, cv in enumerate(coords):
                 if len(cv) != k:
@@ -52,8 +52,10 @@ class Coordinatization:
                 for i, c in enumerate(cv):
                     if not 0 <= c < sizes[i]:
                         raise FactorizationError(f"vertex {v} coordinate {i} out of range")
-        if not 0 <= root < len(coords):
-            raise ValueError(f"root {root} out of range")
+        codes = [0] * len(coords)
+        for col, size in zip(cols, sizes):
+            codes = [c * size + d for c, d in zip(codes, col)]
+        self._set(factors, tuple(codes), root)
 
     @classmethod
     def _of_codes(cls, factors, codes, root: int) -> Coordinatization:
@@ -62,23 +64,20 @@ class Coordinatization:
         checked as the constructor checks them; injectivity is left to
         `vertex_at`, as there."""
         C = object.__new__(cls)
-        codes = tuple(codes)
-        C._hold(factors, root, "codes", codes)
-        if not 0 <= root < len(codes):
-            raise ValueError(f"root {root} out of range")
+        C._set(tuple(factors), tuple(codes), root)
         return C
 
-    def _hold(self, factors, root: int, name: str, values: tuple) -> None:
-        """Set the fields, and `values` as the cached `coords` or `codes`;
-        check that the grid has one point per vertex."""
-        object.__setattr__(self, "factors", tuple(factors))
+    def _set(self, factors: tuple, codes: tuple, root: int) -> None:
+        """Set the three fields; check that the grid has one point per
+        vertex and that the root is a vertex."""
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "root", root)
-        vars(self)[name] = values
-        size = prod(F.n for F in self.factors)
-        if size != len(values):
-            raise FactorizationError(
-                f"grid size {size} does not match vertex count {len(values)}"
-            )
+        size = prod(F.n for F in factors)
+        if size != len(codes):
+            raise FactorizationError(f"grid size {size} does not match vertex count {len(codes)}")
+        if not 0 <= root < len(codes):
+            raise ValueError(f"root {root} out of range")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Coordinatization is immutable: cannot set {name!r}")
@@ -109,17 +108,6 @@ class Coordinatization:
         for i in range(self.k - 2, -1, -1):
             st[i] = st[i + 1] * self.factors[i + 1].n
         return tuple(st)
-
-    @cached_property
-    def codes(self) -> tuple[int, ...]:
-        """Mixed-radix integer code of every vertex's coordinates, folded
-        from the `coords` columns (Horner) when they came first."""
-        coords = self.coords
-        codes = [0] * len(coords)
-        for j, F in enumerate(self.factors):
-            size = F.n
-            codes = [c * size + cv[j] for c, cv in zip(codes, coords)]
-        return tuple(codes)
 
     @cached_property
     def vertex_at(self) -> list[int]:
@@ -245,7 +233,8 @@ class ColorPartition:
 
 
 def product_graph(C: Coordinatization) -> DiGraph:
-    """The product of `C.factors` with vertex v placed at `C.coords[v]`.
+    """The product of `C.factors` with vertex v placed at the grid point of
+    its code `C.codes[v]`.
 
     Built factor by factor on the grid codes: for factor i with place value
     st, every code x whose digit i is 0 starts one copy of the factor, so a
@@ -345,11 +334,10 @@ def unit_layer(
     for i in pos:
         if not 0 <= i < k:
             raise ValueError(f"position {i} out of range")
-    rc = C.coords[root]
-    drop = [i for i in range(k) if i not in pos]
-    hosts = [
-        v for v in range(G.n) if all(C.coords[v][i] == rc[i] for i in drop)
-    ]
+    # v is in the layer when it agrees with the root in every dropped digit,
+    # that is, when its projection into the dropped positions is the root's
+    proj = C.projection_codes([i for i in range(k) if i not in pos])
+    hosts = [v for v, p in enumerate(proj) if p == proj[root]]
     loc = {h: i for i, h in enumerate(hosts)}
     arcs = [
         (loc[a], loc[b]) for a, b in G.arcs if a in loc and b in loc

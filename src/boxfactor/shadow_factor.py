@@ -81,8 +81,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import prod
 
-from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs
+from .core import BfsOrder, DiGraph, ShadowGraph, _sweep, bfs, shadow
 from .errors import FactorizationError
 from .product import ColorPartition, Coordinatization
 
@@ -95,8 +96,9 @@ class ShadowFactorization:
     `factor_shadow` inserts the edges in the shadow's edge-id order, so the
     values, in order, are the color of edge 0, 1, ... The factor of color j
     is `factors[j]`, an undirected layer with local ids in ascending host id
-    order; `coordin` labels every vertex of the shadow with its tuple of
-    local factor ids. Color numbering follows the BFS order from
+    order: the shadow of `coordin.factors[j]`, the layer as a both-ways
+    DiGraph. `coordin` gives every vertex of the shadow the mixed-radix code
+    of its local factor ids. Color numbering follows the BFS order from
     `root`: classes are sorted by the smallest (bfsnum, bfsnum) endpoint pair
     among their edges.
     """
@@ -124,22 +126,21 @@ def factor_shadow(
         raise ValueError("BFS root differs from the factorization root")
     if n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
-    colors, factors, coordin = _factored(S, B)
+    colors, coordin = _factored(S, B)
+    factors = tuple(map(shadow, coordin.factors))
     return ShadowFactorization(root, dict(zip(S.ends, colors)), factors, coordin)
 
 
-def _factored(S: ShadowGraph, B: BfsOrder):
+def _factored(S: ShadowGraph, B: BfsOrder) -> tuple[list[int], Coordinatization]:
     """`factor_shadow` on S, of two or more vertices, from the root of its
-    BFS order B, trusted: the colour of every edge by edge id, the factors
-    and the coordinates. `factor_full` reads only the coordinates, so it
-    calls this and never builds the colour dict."""
+    BFS order B, trusted: the colour of every edge by edge id, and the
+    coordinates. `factor_full` reads only the coordinates, so it calls this
+    and never builds the colour dict."""
     for colors in _ladder(S, B):
         try:
-            factors, coordin = _coordinates(S, B.root, colors, B)
+            return colors, _coordinates(S, B.root, colors, B)
         except FactorizationError as exc:
             rejected = exc  # strictly finer than sigma: take the next rung
-            continue
-        return colors, factors, coordin
     raise rejected
 
 
@@ -384,11 +385,14 @@ def coordinates_from_colors(
 
     The unit layer of color a is the component of `root` in the color-a
     subgraph; it must induce no other color and meet the other layers only
-    in the root. Coordinates are filled in the BFS order `B` from the root
-    (computed when omitted): a vertex copies the coordinates of a
-    down-neighbour u, and takes coordinate a, the color of edge vu, from a
-    down-neighbour of another color, or, when it has none, as its own local
-    id in the unit layer of a. O(n*k + m) in all.
+    in the root. Each layer is built once, as a both-ways DiGraph, the
+    factor of the returned coordinates; the returned factors are their
+    shadows. Coordinates are filled as mixed-radix codes in the BFS order
+    `B` from the root (computed when omitted): a vertex takes the code of a
+    down-neighbour u with one digit replaced, in one stride step. That is
+    digit a, the color of edge vu, which it reads from a down-neighbour of
+    another color, or, when it has none, takes as its own local id in the
+    unit layer of a. O(m + k*deg(root)) in all, with no tuple per vertex.
 
     Raises FactorizationError when a vertex with down-edges of one color
     only is off that color's unit layer, or the labeling is not a bijection
@@ -408,14 +412,13 @@ def coordinates_from_colors(
         B = bfs(S, root)
     elif B.root != root:
         raise ValueError("BFS root differs from the factorization root")
-    return _coordinates(S, root, [colors[e] for e in S.ends], B)
+    coordin = _coordinates(S, root, [colors[e] for e in S.ends], B)
+    return tuple(map(shadow, coordin.factors)), coordin
 
 
-def _coordinates(
-    S: ShadowGraph, root: int, colors: list[int], B: BfsOrder
-) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
+def _coordinates(S: ShadowGraph, root: int, colors: list[int], B: BfsOrder) -> Coordinatization:
     """`coordinates_from_colors` on valid inputs, with the colors of S's
-    edges listed by edge id."""
+    edges listed by edge id, over the unit layers as both-ways DiGraphs."""
     n = S.n
     k = max(colors) + 1
     adj = S.adj
@@ -440,8 +443,8 @@ def _coordinates(
                     seen.add(w)
                     stack.append(w)
         loc = {h: i for i, h in enumerate(sorted(seen))}
-        zedges = []
-        for x in loc:
+        arcs = []
+        for x, i in loc.items():
             for w, e in zip(adj[x], inc[x]):
                 if x < w and w in loc:
                     c = colors[e]
@@ -449,21 +452,26 @@ def _coordinates(
                         raise FactorizationError(
                             f"unit layer of color {a} induces an edge of color {c}"
                         )
-                    zedges.append((loc[x], loc[w]))
-        factors.append(ShadowGraph(len(loc), zedges))
+                    arcs += ((i, loc[w]), (loc[w], i))
+        factors.append(DiGraph._unchecked(len(loc), arcs, ()))
         locs.append(loc)
 
-    coords: list[tuple[int, ...]] = [()] * n
-    coords[root] = tuple(loc[root] for loc in locs)
+    # codes in BFS order: v takes u's code with digit a, the colour of edge
+    # vu, replaced; digit a of code c is c // st[a] % sizes[a]
+    sizes = [len(loc) for loc in locs]
+    st = [prod(sizes[a + 1 :]) for a in range(k)]
+    codes = [0] * n
+    codes[root] = sum(loc[root] * s for loc, s in zip(locs, st))
     for v in B.order[1:]:
         down = B.down[v]
         nb = adj[v]
         ids = inc[v]
         u = down[0]
         a = colors[ids[bisect_left(nb, u)]]
+        s = st[a]
         for w in down[1:]:
             if colors[ids[bisect_left(nb, w)]] != a:
-                x = coords[w][a]
+                x = codes[w] // s % sizes[a]
                 break
         else:
             if owner[v] != a:
@@ -472,40 +480,34 @@ def _coordinates(
                     f"its unit layer"
                 )
             x = locs[a][v]
-        cu = coords[u]
-        coords[v] = cu[:a] + (x,) + cu[a + 1 :]
+        cu = codes[u]
+        codes[v] = cu + (x - cu // s % sizes[a]) * s
 
-    coordin = Coordinatization(tuple(_undirected(Z) for Z in factors), coords, root)
+    coordin = Coordinatization._of_codes(factors, codes, root)
     coordin.vertex_at  # force the injectivity check
 
     # every edge must step exactly its own coordinate along a factor edge;
-    # on codes, the step changes no other coordinate exactly when it shifts
-    # the code by the step times the coordinate's stride
-    codes = coordin.codes
-    st = coordin.strides
-    layer_edges = [Z.edges for Z in factors]
+    # it changes no other digit exactly when it shifts the code by the
+    # step in its own digit times that digit's place value
     for (u, v), c in zip(S.ends, colors):
-        a, b = coords[u][c], coords[v][c]
-        if codes[v] - codes[u] != (b - a) * st[c] or a == b:
-            diffs = [i for i in range(k) if coords[u][i] != coords[v][i]]
+        s, size = st[c], sizes[c]
+        a, b = codes[u] // s % size, codes[v] // s % size
+        if codes[v] - codes[u] != (b - a) * s:
+            diffs = [
+                i for i in range(k) if codes[u] // st[i] % sizes[i] != codes[v] // st[i] % sizes[i]
+            ]
             raise FactorizationError(
                 f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
             )
-        if ((a, b) if a < b else (b, a)) not in layer_edges[c]:
+        if (a, b) not in factors[c].arcs:
             raise FactorizationError(
                 f"edge ({u}, {v}) does not project to an edge of factor {c}"
             )
     # the labeling is a bijection onto the grid and maps edges to grid edges,
     # so S is the product of the layers exactly when the edge counts agree
-    grid_edges = sum(Z.edge_count * (n // Z.n) for Z in factors)
+    grid_edges = sum(len(F.arcs) // 2 * (n // F.n) for F in factors)
     if grid_edges != len(colors):
         raise FactorizationError(
             f"the layers multiply to {grid_edges} edges, the graph has {len(colors)}"
         )
-    return tuple(factors), coordin
-
-
-def _undirected(Z: ShadowGraph) -> DiGraph:
-    """Both-ways DiGraph carrying the undirected structure of Z."""
-    arcs = {a for u, v in Z.edges for a in ((u, v), (v, u))}
-    return DiGraph._unchecked(Z.n, arcs, ())
+    return coordin

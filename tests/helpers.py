@@ -126,6 +126,23 @@ def mobius_ladder(r: int) -> DiGraph:
     return DiGraph(n, arcs, set())
 
 
+def klein_bottle_grid(m: int, n: int) -> DiGraph:
+    """Both-ways m x n Klein-bottle grid: the torus grid C_m x P_n, vertex
+    (i, j) at i*n + j, with row n-1 joined to row 0 through i -> -i, that
+    is (i, n-1) -- (-i mod m, 0).
+
+    Locally it is a product of a cycle and a path; for m >= 3 it is prime.
+    """
+    arcs = set()
+    for i in range(m):
+        for j in range(n):
+            u = i * n + j
+            for v in ((i + 1) % m * n + j, u + 1 if j < n - 1 else -i % m * n):
+                arcs.add((u, v))
+                arcs.add((v, u))
+    return DiGraph(m * n, arcs, set())
+
+
 NAIVE_MAX_N = 40
 
 

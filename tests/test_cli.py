@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 from boxfactor import (
+    ColorPartition,
+    Coordinatization,
     DiGraph,
+    DirectedFactorization,
+    FactorizationError,
     canonical_small_graphs,
     cartesian_product,
     coords_to_text,
@@ -106,6 +110,21 @@ class TestFactorCommand:
         assert edges[(0, 1)] == edges[(2, 3)]
         assert edges[(0, 2)] == edges[(1, 3)]
         assert edges[(0, 1)] != edges[(0, 2)]
+
+    def test_emit_colors_rejects_a_two_digit_change(self, tmp_path, capsys, monkeypatch):
+        # over K2 x K2 with each vertex at its code, the edge (1, 2) goes
+        # from (0, 1) to (1, 0): its code difference, +1, is a step of
+        # coordinate 1, but both coordinates change
+        K2 = DiGraph(2, {(0, 1), (1, 0)}, set())
+        C = Coordinatization._of_codes((K2, K2), range(4), 0)
+        G = DiGraph(4, {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}, set())
+        with pytest.raises(FactorizationError, match=r"edge \(1, 2\) changes 2 coordinates"):
+            cli._final_edge_colors(G, C)
+        F = DirectedFactorization(ColorPartition(2), C, 0)
+        monkeypatch.setattr(cli, "factor_full", lambda G, root: F)
+        g = write_graph(tmp_path / "g.dg", G)
+        assert main(["factor", "--input", g, "--emit-colors"]) == 6
+        assert "changes 2 coordinates" in capsys.readouterr().err
 
 
 class TestFactorMatchesLibrary:

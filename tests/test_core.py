@@ -177,7 +177,7 @@ class TestSerialization:
     def test_with_coords(self):
         G = DiGraph(2, {(0, 1)}, set())
         assert (
-            to_text(G, [(0,), (1,)]) == "n 2\na 0 1\nc 0 0\nc 1 1\n"
+            to_text(G) + coords_to_text([(0,), (1,)]) == "n 2\na 0 1\nc 0 0\nc 1 1\n"
         )
 
     @settings(deadline=None)
@@ -269,7 +269,7 @@ class TestAgainstNaiveCodec:
             G = random_digraph(rng, n, extra_prob=rng.random() * 0.3, loop_prob=0.3, keep_unlooped=False)
             table = random_table(rng, n)
             assert to_text(G) == naive_to_text(G)
-            assert to_text(G, table) == naive_to_text(G, table)
+            assert to_text(G) + coords_to_text(table) == naive_to_text(G, table)
 
     def test_parse_mutated_texts(self):
         assert_mutated_corpus_agrees()
@@ -285,7 +285,7 @@ class TestAgainstNaiveCodec:
     def test_coords_round_trip(self, rows):
         text = coords_to_text(rows)
         assert parse_coords(text) == dict(enumerate(rows))
-        assert parse_coords(to_text(DiGraph(len(rows)), rows)) == dict(enumerate(rows))
+        assert parse_coords(to_text(DiGraph(len(rows))) + text) == dict(enumerate(rows))
 
 
 # each separator that str.splitlines honours besides '\n' and '\r\n'
@@ -423,8 +423,9 @@ class TestBulkReader:
             assert parse_coords(to_text(G)) == {}
             for width in range(5):
                 table = [tuple(rng.randrange(10**rng.randint(1, 6)) for _ in range(width)) for _ in range(G.n)]
-                assert parse_graph(to_text(G, table)) == G
-                assert parse_coords(to_text(G, table)) == dict(enumerate(table))
+                text = to_text(G) + coords_to_text(table)
+                assert parse_graph(text) == G
+                assert parse_coords(text) == dict(enumerate(table))
                 assert parse_coords(coords_to_text(table)) == dict(enumerate(table))
 
     @staticmethod

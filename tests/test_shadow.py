@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from boxfactor import (
     ColorPartition,
+    Coordinatization,
     DiGraph,
     FactorizationError,
     ShadowGraph,
@@ -32,6 +33,7 @@ from helpers import (
     both_k2,
     both_ways,
     connected_digraphs,
+    klein_bottle_grid,
     min_degree,
     mobius_ladder,
     naive_coordinates_from_colors,
@@ -310,11 +312,20 @@ class TestAgainstNaiveClosure:
         assert theta_steps == [edge_key(B.down[v][0], v)]
 
 
+def _pendant_grid(A):
+    """P_A x P_3, vertex (a, b) at 3a + b, with one pendant vertex, 3A,
+    joined to (A - 1, 0)."""
+    P, _ = cartesian_product([undirected_path(A), undirected_path(3)])
+    v = (A - 1) * 3
+    return DiGraph(P.n + 1, P.arcs | {(v, P.n), (P.n, v)}, set())
+
+
 @functools.cache
 def _differential_corpus():
     """(graph, roots) pairs: every c1 graph with every root, seeded random
     graphs, generated products with two random roots, Moebius ladders and
-    Moebius ladders times P3."""
+    Moebius ladders times P3, Klein-bottle grids, which need Theta from
+    some roots, and grids with a pendant vertex, which need delta*."""
     rng = random.Random(20261020)
     out = []
     for n in range(1, 5):
@@ -332,6 +343,13 @@ def _differential_corpus():
         M = mobius_ladder(r)
         P, _ = cartesian_product([M, undirected_path(3)])
         out += [(M, [0, r]), (P, [0, P.n - 1])]
+    for m in range(3, 8):
+        for n in range(3, 7):
+            K = klein_bottle_grid(m, n)
+            out.append((K, [0, 1, rng.randrange(K.n)]))
+    for A in range(2, 14):
+        G = _pendant_grid(A)
+        out.append((G, [0, G.n - 1]))
     return out
 
 
@@ -656,6 +674,48 @@ class TestPropagation:
         assert set(F.colors.values()) == {0}
 
 
+class TestFallbackRungsAreNeeded:
+    """Inputs on which rung 1 is rejected and only one of the fallback
+    rungs leads to sigma: Klein-bottle grids need Theta, as delta* merges
+    nothing, and a grid with a pendant vertex needs delta*, as its pendant
+    edge is Theta-related only to itself."""
+
+    @staticmethod
+    def _rung_one_rejected(S, B, match):
+        """The colours and partition of rung 1 from B's root, checked to be
+        rejected with a message matching `match`."""
+        P = ColorPartition(len(S.adj[B.root]))
+        col = shadow_factor._propagate(S, B, P)
+        with pytest.raises(FactorizationError, match=match):
+            shadow_factor._coordinates(S, B.root, shadow_factor._numbered(col, P), B)
+        return col, P
+
+    @pytest.mark.parametrize("m, n, root", [(6, 5, 0), (6, 5, 1), (6, 5, 17), (8, 8, 36)])
+    def test_klein_bottle_grid_takes_a_theta_step(self, m, n, root, theta_steps):
+        S = shadow(klein_bottle_grid(m, n))
+        B = bfs(S, root)
+        col, P = self._rung_one_rejected(S, B, "changes coordinates|not injective")
+        assert not shadow_factor._close_pairs(S, col, P)
+        F = factor_shadow(S, root, B)
+        assert theta_steps
+        assert F.colors == naive_factor_shadow(S, root).colors
+        assert set(F.colors.values()) == {0}
+
+    def test_pendant_grid_is_accepted_at_delta_star(self, rungs, theta_steps):
+        G = _pendant_grid(50)
+        S = shadow(G)
+        B = bfs(S, 0)
+        col, P = self._rung_one_rejected(
+            S, B, "grid size 153 does not match vertex count 151"
+        )
+        assert shadow_factor._close_pairs(S, col, P)
+        F = factor_shadow(S, 0, B)
+        assert rungs == [2]
+        assert theta_steps == []
+        assert F.colors == naive_factor_shadow(S, 0).colors
+        assert set(F.colors.values()) == {0}
+
+
 class TestAgainstNaiveCoordinates:
     """The BFS-order coordinatization gives the same factors and coordinates
     as the per-color component search, or both raise FactorizationError, on
@@ -834,6 +894,31 @@ class TestCoordinatesWithoutTheColourDict:
             assert SF.colors == naive_factor_shadow(S, C.root).colors
             built.clear()
             seen.clear()
+
+
+class TestCodesOnly:
+    """Coordinates are held as codes from the shadow check to the writer:
+    `factor_full` builds no coordinate tuple unless `coords` is read."""
+
+    def test_factor_full_builds_no_coordinate_tuples(self):
+        for seed in range(6):
+            G, _ = gen_product_instance(2 + seed % 2, (2, 4), 0.3, seed)
+            S = shadow(G)
+            _, C = shadow_factor._factored(S, bfs(S, 0))
+            assert "coords" not in vars(C)
+            F = factor_full(G)
+            assert "coords" not in vars(F.coordin)
+            rows = F.coordin.coords
+            assert "coords" in vars(F.coordin)
+            assert Coordinatization(F.factors, rows, 0).coords == rows
+            assert Coordinatization(F.factors, rows, F.coordin.root) == F.coordin
+
+    def test_tuple_constructor_folds_its_rows_once(self):
+        rows = ((0, 1), (1, 1), (1, 0), (0, 0))
+        C = Coordinatization((both_k2(), both_k2()), rows, 0)
+        assert vars(C)["codes"] == (1, 3, 2, 0)
+        assert "coords" not in vars(C)
+        assert C.coords == rows
 
 
 class TestLargeInstance:
