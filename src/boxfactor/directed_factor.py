@@ -8,10 +8,11 @@ those coordinates cannot be separated: the classes of all down-edges at the
 current vertex (plus the edge's own class) are merged, and the scan continues
 with the next vertex under the coarser coloring. Each edge is inspected once
 or, when it joins two vertices of one level, twice. The partition keeps a
-column of projection codes per live class: the k single-position columns
-are built once, in O(n*k), and a merge adds its classes' columns in O(n)
-(`ColorPartition.merge`), so each inspection is O(1) and the scan costs
-O(n*k + m), once the shadow factorization and the BFS structure are given.
+projection table per live class, indexed by code: the k single-position
+tables are built once by repetition, O(n*k) element copies in C, and a
+merge adds its classes' tables in O(n) (`ColorPartition.merge`). So each
+inspection is O(1), at most two arc lookups and a dict hit, and the scan
+costs O(n*k + m), given the shadow factorization and the BFS structure.
 """
 
 from __future__ import annotations
@@ -116,35 +117,41 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
     return B
 
 
-def _inconsistent_edges(vertices, arcs, C, B, step, colof):
+def _inconsistent_edges(vertices, arcs, C, B, step, colof, seen):
     """Yield (v, u, c) for each down or cross edge vu of color c whose arcs
     differ from those of its projection into the class whose projection
-    codes colof[c] holds. Vertices come in the given order, each with its
-    down edges before its cross edges.
+    table, by code, colof[c] holds. Vertices come in the given order, each
+    with its down edges before its cross edges.
 
     The edge changes coordinate c only, so c is `step` (as `_step_colors`
     gives it) at the code difference d, and u's projection code is v's
-    plus d. O(1) per edge: the projection's ends are found by code, and the
-    arcs of both edges are looked up in `arcs`. Both are shadow edges, so
-    each carries an arc: when neither has its arc out of v's end, both have
-    the other.
+    plus d. O(1) per edge: the edge's arcs are looked up in `arcs`, and its
+    projection's, whose ends are found by code, in `seen`, two bits (an arc
+    out of v's end, an arc into it) by p*2n + d (p the projection code of
+    v), filled from `arcs` on a miss. Those bits depend on G and C alone,
+    so `seen` holds across merges. Both are shadow edges, so each carries
+    an arc: when neither has its arc out of v's end, both have the other.
     """
     codes = C.codes
     at = C.vertex_at
     down = B.down
     cross = B.cross
+    n2 = 2 * len(codes)
     for v in vertices:
         cv = codes[v]
         for u in down[v] + cross[v]:
             d = codes[u] - cv
             c = step[d]
-            p = colof[c][v]
+            p = colof[c][cv]
             if p == cv:
                 continue  # the edge is its own projection
-            pv = at[p]
-            pu = at[p + d]
+            bits = seen.get(p * n2 + d)
+            if bits is None:
+                pv = at[p]
+                pu = at[p + d]
+                bits = seen[p * n2 + d] = ((pv, pu) in arcs) + 2 * ((pu, pv) in arcs)
             out = (v, u) in arcs
-            if out != ((pv, pu) in arcs) or out and ((u, v) in arcs) != ((pu, pv) in arcs):
+            if out != bits & 1 or out and ((u, v) in arcs) != bits >> 1:
                 yield v, u, c
 
 
@@ -159,12 +166,13 @@ def _direction_scan(G: DiGraph, C, P: ColorPartition, B: BfsOrder) -> int:
     columns = P.columns
     codes = C.codes
     step = _step_colors(C)
-    # colof[c]: projection codes into the live class of color c
+    # colof[c]: projection table, by code, into the live class of color c
     colof = [columns[table[c]] for c in range(P.k)]
+    seen: dict[int, int] = {}
     merges = 0
     rest = B.order
     # a merge ends the vertex: the scan resumes after it, under the new classes
-    while hit := next(_inconsistent_edges(rest, G.arcs, C, B, step, colof), None):
+    while hit := next(_inconsistent_edges(rest, G.arcs, C, B, step, colof, seen), None):
         v, _, c = hit
         cv = codes[v]
         ids = {table[step[codes[u] - cv]] for u in B.down[v]}

@@ -13,17 +13,20 @@ factors the shadow; `_merge_scans` then runs the directed scan, and the loop
 scan when needed, in one partition of the shadow's colors, and regroups the
 coordinates once. The direction scan reads an edge's color from its code
 difference and its arcs from the graph, so the scans take only the shadow's
-coordinates and the BFS. The partition's projection-code columns (O(n*k) to
-build, O(n) per merge) feed both scans and the regrouping, which hands out
-each layer's arcs from its own BFS edges in O(n*k + the sum of the layer
-degrees). `bench` sets up as `factor_full` does, and `factor_directed`
-checks a caller's shadow factorization before it calls `_merge_scans`. The
-result's `stages` hold each pass's time and merge count, which the `factor`
-command reports.
+coordinates and the BFS. The partition's projection tables, indexed by
+code (built by repetition in O(n*k) element copies, O(n) per merge), feed
+both scans and the regrouping. The loop scan keeps its flags in code
+order. The regrouping spreads one table of new codes over the grid, adds
+the merged classes' tables, and hands out each layer's arcs from its own
+BFS edges, in O(n*k + the sum of the layer degrees). `bench` sets up as
+`factor_full` does, and `factor_directed` checks a caller's shadow
+factorization before it calls `_merge_scans`. The result's `stages` hold
+each pass's time and merge count, which the `factor` command reports.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import prod
 from time import perf_counter
 
@@ -111,10 +114,11 @@ def _loops_by_code(G: DiGraph, C: Coordinatization) -> bytearray:
     return at_loop
 
 
-def _flag_bits(at_loop: bytearray, codes) -> int:
-    """One byte per code in `codes`, packed in an int: 1 when the vertex
-    with that code is looped (`at_loop` as `_loops_by_code` gives it)."""
-    return int.from_bytes(bytes(map(at_loop.__getitem__, codes)), "big")
+def _flag_bits(at_loop: bytearray, col) -> int:
+    """One byte per code, packed in an int: 1 when the projection that
+    `col` (a table of projection codes, indexed by code) holds for the code
+    is looped, by `at_loop` as `_loops_by_code` gives it."""
+    return int.from_bytes(bytes(map(at_loop.__getitem__, col)), "big")
 
 
 def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) -> int:
@@ -124,23 +128,20 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
 
     P must be built over C, and it may hold the classes the direction scan
     left: the scan reads only their columns, so it merges as a fresh
-    partition over those classes would. Each live class's loop flags (is
-    the projection looped) are one int with a byte per BFS number; the next
-    disagreement is one search of their OR against the loop states. A
-    down-edge's coordinate is read off its code difference.
+    partition over those classes would. Loop flags (is the projection
+    looped) and the loop state are ints with a byte per code; while the
+    flags ORed differ from the state, one pass over the codes in BFS order
+    finds the next disagreement. A down-edge's coordinate is read off its
+    code difference.
     """
     table = P.table
     codes = C.codes
     step = _step_colors(C)
-    looped = G.loops
     order = B.order
     at_loop = _loops_by_code(G, C)
-
-    def flag(col):
-        return _flag_bits(at_loop, map(col.__getitem__, order))
-
-    flags = {i: flag(col) for i, col in P.columns.items()}
-    state = int.from_bytes(bytes(map(looped.__contains__, order)), "big")
+    flags = {i: _flag_bits(at_loop, col) for i, col in P.columns.items()}
+    state = int.from_bytes(at_loop, "big")
+    bfs_codes = list(map(codes.__getitem__, order))
 
     merges = 0
     b = 0
@@ -148,9 +149,13 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
         anyloop = 0
         for f in flags.values():
             anyloop |= f
-        b = (anyloop ^ state).to_bytes(len(order), "big").find(1, b)
-        if b < 0:
+        if anyloop == state:
             return merges
+        differ = (anyloop ^ state).to_bytes(len(order), "big")
+        ahead = bytes(map(differ.__getitem__, itertools.islice(bfs_codes, b, None))).find(1)
+        if ahead < 0:
+            return merges
+        b += ahead
         # disagreement: an unlooped vertex with a looped projection, or a
         # looped vertex none of whose projections is looped
         v = order[b]
@@ -168,7 +173,7 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
         survivor = P.merge(ids)
         for i in ids:
             del flags[i]
-        flags[survivor] = flag(P.columns[survivor])
+        flags[survivor] = _flag_bits(at_loop, P.columns[survivor])
         merges += 1
         b += 1
 
@@ -177,7 +182,7 @@ def _regroup_looped(
     G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder
 ) -> Coordinatization:
     """C regrouped into the classes of P, built over C, checked to place
-    every loop of G. The columns of P are let go as they are read.
+    every loop of G. It lets go of the columns of P.
 
     The regrouped coordinates are a bijection onto the grid, so the product
     of the factors has n minus the product of their unlooped counts looped
@@ -188,23 +193,22 @@ def _regroup_looped(
     to match.
     """
     n = G.n
-    ids = [P.table[m[0]] for m in P.classes()]
-    has_looped = 0  # byte v: does v have a looped coordinate
+    classes = P.classes()
+    columns = P.columns
+    has_looped = 0  # byte x: does the vertex with code x have a looped coordinate
     if G.loops:
         at_loop = _loops_by_code(G, C)
-        for i in ids:
-            has_looped |= _flag_bits(at_loop, P.columns[i])
-    cols = (P.columns.pop(i) for i in ids)
-    coordin = regroup_columns(G, C, cols, B.down, B.cross)
+        for col in columns.values():
+            has_looped |= _flag_bits(at_loop, col)
+    cols = (columns.pop(P.table[m[0]]) for m in classes if len(m) > 1)
+    coordin = regroup_columns(G, C, classes, cols, B.down, B.cross)
+    columns.clear()
     made = sum(len(F.arcs) * (n // F.n) for F in coordin.factors)
     if made != len(G.arcs):
         raise FactorizationError(f"the factors make {made} arcs, the graph has {len(G.arcs)}")
-    looped = bytearray(n)  # byte v: is v looped
-    for v in G.loops:
-        looped[v] = 1
-    if int.from_bytes(looped, "big") & ~has_looped:
+    if G.loops and int.from_bytes(at_loop, "big") & ~has_looped:
         has_looped = has_looped.to_bytes(n, "big")
-        v = next(v for v in G.loops if not has_looped[v])
+        v = next(v for v in G.loops if not has_looped[C.codes[v]])
         raise FactorizationError(
             f"loop placement of vertex {v} does not match the factorization"
         )

@@ -19,6 +19,17 @@ from .errors import FactorizationError
 CoordVector = tuple[int, ...]
 
 
+def _spread(table: list[int], steps: list[int]) -> list[int]:
+    """`table`, indexed by code over a grid, over the grid with one more
+    position, varying fastest: entry a*len(steps) + d is table[a] + steps[d].
+    One slice assignment per digit; a digit that adds 0 copies in C."""
+    size = len(steps)
+    out = [0] * (len(table) * size)
+    for d, s in enumerate(steps):
+        out[d::size] = [x + s for x in table] if s else table
+    return out
+
+
 class Coordinatization:
     """A labeling of a graph's vertices by coordinates over factor graphs.
 
@@ -121,25 +132,28 @@ class Coordinatization:
         return table
 
     def projection_codes(self, positions) -> list[int]:
-        """The code of every vertex's projection into the layer through
-        `root` spanned by `positions`: v's digits there, the root's
-        everywhere else. One sweep over the codes per position; digit j of
-        code c is c // strides[j] % (the size of factor j)."""
+        """The projection of every grid point into the layer through `root`
+        spanned by `positions`, indexed by code: entry x is the code with
+        x's digits there and the root's everywhere else, so vertex v's
+        projection is `table[codes[v]]`.
+
+        The table depends on the digits alone, so it is built by repetition
+        (`_spread`): from the first kept position on, each position spreads
+        it, with digit d adding d*strides[j] when j is kept and the entries
+        repeated when it is not, and the positions before the first kept
+        one tile it with list `*`. O(n) element copies in C, and Python
+        additions only over the sub-grid from the first to the last kept
+        position.
+        """
         st = self.strides
         sizes = [F.n for F in self.factors]
         keep = set(positions)
-        codes = self.codes
-        r = codes[self.root]
-        base = r - sum(r // st[j] % sizes[j] * st[j] for j in keep)
-        if not keep:
-            return [base] * len(codes)
-        first, *rest = keep
-        s, size = st[first], sizes[first]
-        col = [base + c // s % size * s for c in codes]
-        for j in rest:
-            s, size = st[j], sizes[j]
-            col = [x + c // s % size * s for x, c in zip(col, codes)]
-        return col
+        r = self.codes[self.root]
+        table = [r - sum(r // st[j] % sizes[j] * st[j] for j in keep)]
+        for j in range(min(keep, default=self.k), self.k):
+            s = st[j] if j in keep else 0
+            table = _spread(table, [d * s for d in range(sizes[j])])
+        return table * (len(self.codes) // len(table))
 
     @property
     def k(self) -> int:
@@ -157,11 +171,12 @@ class ColorPartition:
     and the merge scans merge the shadow's factor colors in another.
 
     Given the coordinatization C whose positions the colors are, the
-    partition also keeps `columns`: for each live class id, the code of
-    every vertex's projection into the layer through C.root spanned by the
-    class, as `C.projection_codes(members)` gives it. The k single-position
-    columns are built here, in O(n*k); `merge` keeps them up to date, and a
-    reader may pop them once it is the last.
+    partition also keeps `columns`: for each live class id, the table of
+    projection codes into the layer through C.root spanned by the class,
+    indexed by code, as `C.projection_codes(members)` gives it. The k
+    single-position columns are built here by repetition, O(n*k) element
+    copies in C; `merge` keeps them up to date, and a reader may pop them
+    once it is the last.
     """
 
     __slots__ = ("_table", "_members", "columns", "_base")
@@ -202,7 +217,7 @@ class ColorPartition:
         The largest class keeps its id (ties: smallest id); repointing the
         rest keeps the total work quadratic in k over any merge sequence.
         The merged class's column is the sum of the merged columns less the
-        root's code once per extra class, element by element:
+        root's code once per extra class, code by code:
         col[A | B] = col[A] + col[B] - code(root), which holds because the
         classes' positions are disjoint. That is O(n) per class merged away,
         whatever the class sizes, and O(n*k) over any merge sequence.
@@ -337,7 +352,8 @@ def unit_layer(
     # v is in the layer when it agrees with the root in every dropped digit,
     # that is, when its projection into the dropped positions is the root's
     proj = C.projection_codes([i for i in range(k) if i not in pos])
-    hosts = [v for v, p in enumerate(proj) if p == proj[root]]
+    home = proj[C.codes[root]]
+    hosts = [v for v, x in enumerate(C.codes) if proj[x] == home]
     loc = {h: i for i, h in enumerate(hosts)}
     arcs = [
         (loc[a], loc[b]) for a, b in G.arcs if a in loc and b in loc
@@ -358,11 +374,13 @@ def group_coordinates(
     every position into one block yields the factorization {G}; singleton
     blocks reproduce C up to relabeling.
 
-    Hands each block's `projection_codes` and the shadow's adjacency lists
-    to `regroup_columns`, which hands out each layer's arcs from the
-    layer's own edges. The shadow makes this O(n*k + m); the merge stage,
-    which already holds the columns and a BFS structure, pays
-    O(n*k + the sum of the layer degrees).
+    Hands the projection codes of each block of more than one position
+    (`projection_codes`, indexed by code) and the shadow's adjacency lists
+    to `regroup_columns`, which reads single positions off the grid and
+    hands out each layer's arcs from the layer's own edges. The shadow
+    makes this O(n*k + m); the merge stage, which already holds the
+    columns and a BFS structure, pays O(n*k + the sum of the layer degrees)
+    element copies in C.
     """
     k = C.k
     blocks = [tuple(b) for b in classes]
@@ -373,43 +391,72 @@ def group_coordinates(
         seen.update(b)
     if seen != set(range(k)) or sum(len(b) for b in blocks) != k:
         raise ValueError("blocks must partition the coordinate positions")
-    cols = (C.projection_codes(b) for b in blocks)
-    return regroup_columns(G, C, cols, ((),) * G.n, shadow(G).adj)
+    cols = (C.projection_codes(b) for b in blocks if len(b) > 1)
+    return regroup_columns(G, C, blocks, cols, ((),) * G.n, shadow(G).adj)
 
 
-def regroup_columns(G: DiGraph, C: Coordinatization, cols, down, cross) -> Coordinatization:
-    """C regrouped into blocks given by their columns of projection codes.
+def regroup_columns(
+    G: DiGraph, C: Coordinatization, blocks, cols, down, cross
+) -> Coordinatization:
+    """C regrouped into `blocks`, tuples of positions in factor order.
 
-    `cols` yields, one per block in factor order, the code of every vertex's
-    projection into the block's layer through C.root; each is let go once
-    read. Every edge of G's shadow must be in `down[v]` at one end v or in
-    `cross` at both ends, as in a `BfsOrder` or the shadow's `adj`.
+    `cols` yields, for each block of more than one position in turn, its
+    projection table (`C.projection_codes(block)`), let go once read; a
+    single position's layer is a line of the grid through the root, read
+    off the codes. Every edge of G's shadow must be in `down[v]` at one end
+    v or in `cross` at both ends, as in a `BfsOrder` or the shadow's `adj`.
 
-    A layer is the set of codes in its column. Its arcs come from its own
+    A layer's local ids ascend by host id. Its arcs come from its own
     edges: for each layer vertex v, the neighbours u in `down[v]`, and in
     `cross[v]` when u < v, that are in the layer too, tested against
-    G.arcs both ways, so edges that are not G's only lose arcs. Every
-    vertex but the root is in at most one layer: O(n*k + the sum of the
-    layer degrees), plus sorting each layer's vertices. A vertex's local
-    ids in the layers are the digits of its new code, folded in as each
-    layer is found; the result holds those codes, and derives the tuples
-    only when they are read.
+    G.arcs both ways, so edges that are not G's only lose arcs. The new
+    codes come from one table T by old code, built by spreading the grid
+    position by position (`_spread`): a single position's digit d adds its
+    local id times the block's place value, any other position repeats the
+    entries, and each merged block then adds its table, mapped to local
+    ids. v's new code is T[codes[v]]. O(n) per position (copied in C where
+    a digit adds 0) and per merged block, and O(the sum of the layer
+    degrees) for the arcs.
     """
     codes = C.codes
     at = C.vertex_at
     arcs = G.arcs
-    looped = G.loops
+    sizes = [F.n for F in C.factors]
+    r = codes[C.root]
+
+    def local_ids(layer):  # by code, ascending host id
+        return {codes[h]: j for j, h in enumerate(sorted(map(at.__getitem__, layer)))}
+
+    place = len(codes)
+    places = []
+    lids = []  # per block; None for a merged block, until its table is read
+    steps = [[0] * size for size in sizes]  # what each digit of a position adds
+    for b in blocks:
+        place //= prod(sizes[j] for j in b)
+        places.append(place)
+        lid = None
+        if len(b) == 1:
+            (i,) = b
+            s = C.strides[i]
+            r0 = r - r // s % sizes[i] * s  # the root's code with digit i at 0
+            line = range(r0, r0 + sizes[i] * s, s)
+            lid = local_ids(line)
+            steps[i] = [lid[x] * place for x in line]
+        lids.append(lid)
+    table = [0]
+    for step in steps:
+        table = _spread(table, step)
     factors = []
-    new_codes = [0] * G.n
-    for col in cols:
-        hosts = sorted(map(at.__getitem__, set(col)))
-        lid = {codes[h]: j for j, h in enumerate(hosts)}  # by code, ascending host id
-        size = len(hosts)
-        # Horner: the local id is the next digit of the new code
-        new_codes = [c * size + j for c, j in zip(new_codes, map(lid.__getitem__, col))]
-        del col  # the last reader of the column
+    for lid, place in zip(lids, places):
+        if lid is None:
+            col = next(cols)
+            lid = local_ids(set(col))
+            ids = {x: j * place for x, j in lid.items()}
+            table = [t + ids[x] for t, x in zip(table, col)]
+            del col  # the last reader of the table
         layer_arcs = []
-        for j, h in enumerate(hosts):
+        for x, j in lid.items():
+            h = at[x]
             for u in itertools.chain(down[h], [u for u in cross[h] if u < h]):
                 ju = lid.get(codes[u])
                 if ju is None:
@@ -418,6 +465,6 @@ def regroup_columns(G: DiGraph, C: Coordinatization, cols, down, cross) -> Coord
                     layer_arcs.append((j, ju))
                 if (u, h) in arcs:
                     layer_arcs.append((ju, j))
-        layer_loops = [j for j, h in enumerate(hosts) if h in looped]
-        factors.append(DiGraph._unchecked(size, layer_arcs, layer_loops))
-    return Coordinatization._of_codes(factors, new_codes, C.root)
+        layer_loops = [j for x, j in lid.items() if at[x] in G.loops]
+        factors.append(DiGraph._unchecked(len(lid), layer_arcs, layer_loops))
+    return Coordinatization._of_codes(factors, map(table.__getitem__, codes), C.root)

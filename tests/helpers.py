@@ -742,7 +742,7 @@ def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:
     cols = {label: C.projection_codes(members) for label, members in groups.items()}
     colof = [cols[label] for label in assignment]
     step = directed_factor._step_colors(C)
-    edges = directed_factor._inconsistent_edges(B.order, G.arcs, C, B, step, colof)
+    edges = directed_factor._inconsistent_edges(B.order, G.arcs, C, B, step, colof, {})
     return sum(1 for _ in edges)
 
 

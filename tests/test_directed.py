@@ -238,6 +238,20 @@ class TestScanProperties:
         # the identity assignment has inconsistencies iff the scan merged
         assert (bad > 0) == (F.merges > 0)
 
+    def test_every_grouping_of_a_products_colors_is_a_fixpoint(self):
+        # a class of several colors projects edges of different colors, with
+        # different arcs, from one projection vertex; the cached arcs of one
+        # projection edge must not stand in for another's
+        rng = random.Random(8)
+        P, _ = cartesian_product([DiGraph(2, {(0, 1)}), both_k2(), DiGraph(3, {(1, 0), (1, 2)})])
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        G = relabel(P, perm)
+        SF = factor_shadow(shadow(G), perm[3])
+        assert len(SF.factors) == 3
+        for assignment in ([0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]):
+            assert count_inconsistencies(G, SF, assignment) == 0
+
 
 class TestInputValidation:
     def test_loops_rejected(self):

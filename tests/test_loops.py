@@ -38,7 +38,10 @@ from helpers import (
     loop_product,
     looped_far_corner,
     multiset_iso,
+    naive_factor_directed,
+    naive_factor_with_loops,
     naive_group_coordinates,
+    project,
     relabel,
     undirected_cycle,
 )
@@ -507,3 +510,58 @@ class TestMergedColumns:
             for i in live_ids(P):
                 assert P.columns[i] == C.projection_codes(P.members(i))
         assert sorted(P.columns) == live_ids(P)
+
+
+class TestScrambledLayout:
+    """Vertex ids, codes and BFS order all differ: the loop scan and the
+    loop check read the codes' order, but name and merge by vertex."""
+
+    @staticmethod
+    def layout():
+        """The scrambled product of a directed 4-cycle, the far-corner
+        looped square, a looped K2 and a plain K2, with the squares' digits
+        split into two K2 digits each (six positions), and its BFS."""
+        P0, C0 = cartesian_product([inconsistent_square(), looped_far_corner(), K2_LOOPED, K2])
+        perm = list(range(P0.n))
+        random.Random(3).shuffle(perm)
+        G = relabel(P0, perm)
+        coords = [()] * G.n
+        for v, (a, b, c, d) in enumerate(C0.coords):
+            coords[perm[v]] = (a // 2, a % 2, b // 2, b % 2, c, d)
+        C = Coordinatization([K2] * 6, coords, perm[0])
+        B = bfs(shadow(G), C.root)
+        assert list(C.codes) != list(range(G.n))
+        assert list(B.order) not in (list(range(G.n)), C.vertex_at)
+        return G, C, B
+
+    def test_loop_placement_error_names_the_same_vertex(self):
+        # in single positions the far corner's loops have no looped
+        # coordinate; the error names the first of them in G.loops
+        G, C, B = self.layout()
+        unplaced = [
+            v for v in G.loops if not any(project(C, v, (j,)) in G.loops for j in range(6))
+        ]
+        assert len(unplaced) == 8
+        with pytest.raises(FactorizationError, match="loop placement of vertex 7 does"):
+            loop_factor._regroup_looped(G, C, ColorPartition(6, C), B)
+        assert unplaced[0] == 7
+
+    def test_factor_full_matches_the_naive_scans(self):
+        G, _, B = self.layout()
+        F = factor_full(G, B.root)
+        SF = factor_shadow(shadow(G), B.root, B)
+        assert list(SF.coordin.codes) != list(range(G.n))
+        assert list(B.order) not in (list(range(G.n)), SF.coordin.vertex_at)
+        NF = naive_factor_directed(strip_loops(G), SF, B)
+        R = naive_factor_with_loops(G, NF, B)
+        assert [(name, m) for name, _, m in F.stages] == [
+            ("prepare", 0), ("shadow", 0), ("directed", NF.merges), ("loops", R.merges)
+        ]
+        assert (NF.merges, R.merges) == (1, 1)
+        assert F.factors == R.factors
+        assert F.coordin == R.coordin
+        # F groups the shadow colors; the naive loop scan groups NF's classes
+        classes = NF.partition.classes()
+        assert F.partition.classes() == sorted(
+            tuple(sorted(c for j in cls for c in classes[j])) for cls in R.partition.classes()
+        )

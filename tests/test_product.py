@@ -16,7 +16,8 @@ from boxfactor import (
     to_text,
     unit_layer,
 )
-from boxfactor.product import product_text
+from boxfactor.core import bfs
+from boxfactor.product import product_text, regroup_columns
 from helpers import (
     both_k2,
     both_ways,
@@ -29,6 +30,7 @@ from helpers import (
     project_vertex,
     random_digraph,
     random_labeled_product,
+    relabel,
     vertex_of,
 )
 
@@ -231,7 +233,7 @@ class TestCoordinatization:
             for keep in ((), (0,), (2,), (0, 2), (1, 0), (0, 1, 2)):
                 expect = at[project_vertex(D.coords[v], keep, rc)]
                 assert project(D, v, keep) == expect
-                assert D.vertex_at[D.projection_codes(keep)[v]] == expect
+                assert D.vertex_at[D.projection_codes(keep)[D.codes[v]]] == expect
 
 
 class TestCodesFirst:
@@ -293,6 +295,84 @@ class TestCodesFirst:
         _, C = cartesian_product([arc01()])
         with pytest.raises(AttributeError):
             C.root = 1
+
+
+@st.composite
+def scrambled_products(draw):
+    """(G, C): the product of 1-4 connected factors of 1-4 vertices, one-
+    vertex factors and loops included, laid out by a random bijection onto
+    its grid, with a random root."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    factors = [random_digraph(rng, s, extra_prob=0.3, loop_prob=0.3) for s in sizes]
+    P, grid = naive_cartesian_product(factors)
+    perm = draw(st.permutations(range(P.n)))
+    coords = [()] * P.n
+    for v, cv in enumerate(grid):
+        coords[perm[v]] = cv
+    return relabel(P, perm), Coordinatization(factors, coords, draw(st.integers(0, P.n - 1)))
+
+
+def regroup_by_bfs(G, C, blocks):
+    """`regroup_columns` as the merge stage calls it: the merged blocks'
+    projection tables, and the BFS edges of G's shadow from C.root."""
+    B = bfs(shadow(G), C.root)
+    cols = (C.projection_codes(b) for b in blocks if len(b) > 1)
+    return regroup_columns(G, C, blocks, cols, B.down, B.cross)
+
+
+class TestProjectionTables:
+    """Projection tables are indexed by code and built by repetition; the
+    regrouping spreads the grid position by position."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(scrambled_products())
+    def test_table_by_code_is_the_projection(self, case):
+        _, C = case
+        for keep in itertools.chain.from_iterable(
+            itertools.combinations(range(C.k), r) for r in range(C.k + 1)
+        ):
+            table = C.projection_codes(keep)
+            assert len(table) == len(C.codes)
+            for v in range(len(C.codes)):
+                assert C.vertex_at[table[C.codes[v]]] == project(C, v, keep)
+
+    @settings(deadline=None, max_examples=80)
+    @given(scrambled_products(), st.data())
+    def test_regroup_matches_naive(self, case, data):
+        G, C = case
+        labels = data.draw(st.lists(st.integers(0, C.k - 1), min_size=C.k, max_size=C.k))
+        blocks = [tuple(j for j in range(C.k) if labels[j] == lab) for lab in set(labels)]
+        blocks = data.draw(st.permutations(blocks))
+        assert regroup_by_bfs(G, C, blocks) == naive_group_coordinates(G, C, blocks)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(0, 3), (1,), (2,)],  # spans the first and last positions
+            [(2,), (3, 0, 1)],
+            [(1, 3), (2, 0)],  # neither merged block is contiguous
+            [(1,), (0, 2), (3,)],
+            [(3,), (2,), (1,), (0,)],
+            [(0, 1, 2, 3)],
+        ],
+    )
+    def test_regroup_fixed_partitions(self, blocks):
+        rng = random.Random(22)
+        for _ in range(20):
+            factors = [random_digraph(rng, rng.randint(1, 3), 0.3, 0.3) for _ in range(4)]
+            P, grid = naive_cartesian_product(factors)
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            coords = [()] * P.n
+            for v, cv in enumerate(grid):
+                coords[perm[v]] = cv
+            G = relabel(P, perm)
+            C = Coordinatization(factors, coords, rng.randrange(P.n))
+            R = regroup_by_bfs(G, C, blocks)
+            want = naive_group_coordinates(G, C, blocks)
+            assert R == want and R.coords == want.coords
+            assert R == group_coordinates(G, C, blocks)
 
 
 class TestProjectVertex:
