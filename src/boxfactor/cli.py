@@ -36,7 +36,6 @@ from pathlib import Path
 from .core import (
     DiGraph,
     coords_codes,
-    coords_to_text,
     parse_coords,
     parse_graph,
     shadow,
@@ -51,7 +50,7 @@ from .errors import (
 from .directed_factor import _step_colors
 from .loop_factor import _merge_scans, factor_full, rooted_bfs
 from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
-from .product import Coordinatization, cartesian_product, product_text
+from .product import Coordinatization, cartesian_product, coords_text, product_text
 from .shadow_factor import _factored
 
 EXIT_OK = 0
@@ -152,7 +151,7 @@ def cmd_factor(args) -> int:
         print(f"factor_file: {path}")
     if args.emit_coords:
         path = f"{args.input}.coords"
-        Path(path).write_text(coords_to_text(F.coordin.coords), encoding="utf-8")
+        Path(path).write_text(coords_text(F.coordin), encoding="utf-8")
         print(f"coords_file: {path}")
     if args.emit_colors:
         path = f"{args.input}.colors"

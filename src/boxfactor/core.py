@@ -7,9 +7,10 @@ is the simple undirected graph with an edge {u, v} whenever at least one of
 the arcs (u, v), (v, u) is present; loops do not contribute edges. Distance,
 connectivity and degree always refer to the shadow.
 
-The text format lives here too: canonical text, as `to_text` and
-`coords_to_text` write it, is read in bulk, and any other text line by line,
-with the same result or error.
+The text format lives here too: canonical text, as `to_text` (through
+`graph_text`, which `product.product_text` shares) and `coords_to_text`
+write it, is read in bulk, and any other text line by line, with the same
+result or error.
 """
 
 from __future__ import annotations
@@ -564,10 +565,21 @@ def to_text(G: DiGraph) -> str:
     heads: list[list[int]] = [[] for _ in range(G.n)]
     for u, v in G.arcs:
         heads[u].append(v)
-    lines = [f"n {G.n}"]
+    return graph_text(G.n, heads, G.loops)
+
+
+def graph_text(n: int, heads, loops) -> str:
+    """The canonical text of the graph on n vertices whose vertex u has the
+    heads `heads[u]` (in vertex order; each list is sorted in place) and
+    the looped vertices `loops`. One id string per vertex; a tail's arcs
+    are one `sep.join` of its heads' ids, so the work per arc is in C."""
+    ids = list(map(str, range(n)))
+    parts = [f"n {n}"]
     for u, hs in enumerate(heads):
         if hs:
             hs.sort()
-            lines += [f"a {u} {v}" for v in hs]
-    lines += [f"l {v}" for v in sorted(G.loops)]
-    return "\n".join(lines) + "\n"
+            sep = f"\na {ids[u]} "
+            parts.append(sep + sep.join(map(ids.__getitem__, hs)))
+    parts += [f"\nl {v}" for v in sorted(loops)]
+    parts.append("\n")
+    return "".join(parts)

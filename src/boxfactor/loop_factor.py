@@ -100,8 +100,8 @@ def factor_with_loops(
     elif B.root != root:
         raise ValueError("BFS root differs from the factorization root")
     P = ColorPartition(k, coordin)
-    merges = _loop_scan(G, coordin, P, B)
-    coordin2 = _regroup_looped(G, coordin, P, B)
+    merges, has_looped = _loop_scan(G, coordin, P, B)
+    coordin2 = _regroup_looped(G, coordin, P, B, has_looped)
     return DirectedFactorization(P, coordin2, merges)
 
 
@@ -121,10 +121,14 @@ def _flag_bits(at_loop: bytearray, col) -> int:
     return int.from_bytes(bytes(map(at_loop.__getitem__, col)), "big")
 
 
-def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) -> int:
+def _loop_scan(
+    G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder
+) -> tuple[int, int]:
     """The loop scan over the coordinatization C, in B's order: merge
     classes of P, in place, at each vertex whose loop state disagrees with
-    its projections into the live classes. Returns the number of merges.
+    its projections into the live classes. Returns the number of merges
+    and the final classes' loop flags ORed, a byte per code as
+    `_flag_bits` packs them, which `_regroup_looped` takes.
 
     P must be built over C, and it may hold the classes the direction scan
     left: the scan reads only their columns, so it merges as a fresh
@@ -150,11 +154,11 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
         for f in flags.values():
             anyloop |= f
         if anyloop == state:
-            return merges
+            return merges, anyloop
         differ = (anyloop ^ state).to_bytes(len(order), "big")
         ahead = bytes(map(differ.__getitem__, itertools.islice(bfs_codes, b, None))).find(1)
         if ahead < 0:
-            return merges
+            return merges, anyloop
         b += ahead
         # disagreement: an unlooped vertex with a looped projection, or a
         # looped vertex none of whose projections is looped
@@ -179,7 +183,7 @@ def _loop_scan(G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder) 
 
 
 def _regroup_looped(
-    G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder
+    G: DiGraph, C: Coordinatization, P: ColorPartition, B: BfsOrder, has_looped: int
 ) -> Coordinatization:
     """C regrouped into the classes of P, built over C, checked to place
     every loop of G. It lets go of the columns of P.
@@ -188,25 +192,22 @@ def _regroup_looped(
     of the factors has n minus the product of their unlooped counts looped
     vertices: it has G's loops exactly when it has that many and each loop
     of G sits at a looped coordinate, that is, a looped projection into its
-    class, which the classes' loop flags ORed tell. Each factor's arcs recur
-    once per vertex of the others, which a C made for another graph fails
-    to match.
+    class, which the classes' loop flags ORed tell: `has_looped`, byte x
+    set when the vertex with code x has a looped coordinate, as
+    `_loop_scan` returns it (unread when G has no loops). Each factor's
+    arcs recur once per vertex of the others, which a C made for another
+    graph fails to match.
     """
     n = G.n
     classes = P.classes()
     columns = P.columns
-    has_looped = 0  # byte x: does the vertex with code x have a looped coordinate
-    if G.loops:
-        at_loop = _loops_by_code(G, C)
-        for col in columns.values():
-            has_looped |= _flag_bits(at_loop, col)
     cols = (columns.pop(P.table[m[0]]) for m in classes if len(m) > 1)
     coordin = regroup_columns(G, C, classes, cols, B.down, B.cross)
     columns.clear()
     made = sum(len(F.arcs) * (n // F.n) for F in coordin.factors)
     if made != len(G.arcs):
         raise FactorizationError(f"the factors make {made} arcs, the graph has {len(G.arcs)}")
-    if G.loops and int.from_bytes(at_loop, "big") & ~has_looped:
+    if G.loops and int.from_bytes(_loops_by_code(G, C), "big") & ~has_looped:
         has_looped = has_looped.to_bytes(n, "big")
         v = next(v for v in G.loops if not has_looped[C.codes[v]])
         raise FactorizationError(
@@ -259,11 +260,12 @@ def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder):
     P = ColorPartition(C.k, C)
     merges = _direction_scan(G, C, P, B)
     rows = []
+    has_looped = 0
     if G.loops:
         t1 = perf_counter()
         rows.append(("directed", t1 - t0, merges))
         t0 = t1
-        merges = _loop_scan(G, C, P, B)
-    coordin = _regroup_looped(G, C, P, B)
+        merges, has_looped = _loop_scan(G, C, P, B)
+    coordin = _regroup_looped(G, C, P, B, has_looped)
     rows.append(("loops" if G.loops else "directed", perf_counter() - t0, merges))
     return P, coordin, rows

@@ -1,9 +1,18 @@
 """Independent ground truth for testing the factorizer.
 
 Nothing here shares logic with the scan algorithms: primality is decided by
-trying every two-coloring of the shadow edges, reconstruction multiplies the
+trying the two-colorings of the shadow edges, reconstruction multiplies the
 claimed factors back out and compares, and isomorphism is a backtracking
 search. All of it is exponential and guarded by explicit size bounds.
+
+The primality search is pruned by counting. A product of nontrivial factors
+A and B has |V| = |V_A|*|V_B| vertices and |E_A|*|V_B| + |E_B|*|V_A| shadow
+edges, so a graph whose vertex count is a prime number is prime with no
+search, and only colorings whose color-1 edge count j fits some split
+a*b = n (a, b >= 2) are checked: a divides j, b divides m - j, and, as
+connected factors have at least a - 1 and b - 1 edges, j >= a*(b - 1) and
+m - j >= b*(a - 1). Both rules are exact: a composite graph's own product
+coloring passes them, and it is a coloring the witness check accepts.
 """
 
 from __future__ import annotations
@@ -118,9 +127,11 @@ def brute_force_prime(G: DiGraph, max_edges: int = 16) -> bool:
     """Primality by exhausting the 2-colorings of the shadow edges.
 
     A graph is composite exactly when some coloring splits it into two
-    nontrivial factors, so checking all colorings (the first edge's color is
-    fixed, halving the space) decides primality. Bounded by `max_edges`
-    shadow edges.
+    nontrivial factors, so checking the colorings (the first edge's color is
+    fixed, halving the space) decides primality. A prime vertex count
+    needs no search, and only the colorings whose color-1 edge count can
+    multiply out for some split of the vertex count are checked (see the
+    module docstring). Bounded by `max_edges` shadow edges.
     """
     S = shadow(G)
     if not is_connected(S):
@@ -132,14 +143,22 @@ def brute_force_prime(G: DiGraph, max_edges: int = 16) -> bool:
         raise OracleBoundError(
             f"{m} shadow edges exceeds the brute-force bound of {max_edges}"
         )
-    if G.n == 1:
+    n = G.n
+    if n == 1:
         return False  # the one-vertex graph is the unit, not a prime
-    if G.n < 4:
-        return True  # a product of nontrivial factors has at least 4 vertices
+    splits = [(a, n // a) for a in range(2, n) if n % a == 0]
+    if not splits:
+        return True  # a prime vertex count is no product of two nontrivial ones
+    fits = {
+        j
+        for a, b in splits
+        for j in range(a * (b - 1), m - b * (a - 1) + 1, a)
+        if (m - j) % b == 0
+    }  # color-1 edge counts j = |E_B|*a with m - j = |E_A|*b
     edges = sorted(S.edges)
-    r = min(v for v in range(G.n) if v not in G.loops)
+    r = min(v for v in range(n) if v not in G.loops)
     for mask in range(1 << (m - 1)):
-        if _split_witness(G, edges, mask, r):
+        if mask.bit_count() in fits and _split_witness(G, edges, mask, r):
             return False
     return True
 
@@ -278,7 +297,8 @@ def gen_product_instance(
     P, _ = cartesian_product(factors)
     perm = list(range(P.n))
     rng.shuffle(perm)
-    G = DiGraph(
+    # a product of valid factors, relabeled by a bijection of range(n)
+    G = DiGraph._unchecked(
         P.n,
         {(perm[u], perm[v]) for (u, v) in P.arcs},
         {perm[v] for v in P.loops},

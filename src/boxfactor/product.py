@@ -13,7 +13,7 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .core import DiGraph, shadow
+from .core import DiGraph, graph_text, shadow
 from .errors import FactorizationError
 
 CoordVector = tuple[int, ...]
@@ -282,11 +282,11 @@ def product_text(C: Coordinatization) -> str:
     The same sweep over the grid codes as `product_graph` appends each
     arc's head to a list kept for its tail's code (consecutive codes, so
     the lists are filled in near order) and collects the looped vertices.
-    Then each vertex's heads are sorted and formatted once, with one id
-    string per vertex. `C.vertex_at` raises FactorizationError unless the
-    coordinates are a bijection onto the grid. O(n*k + m) plus the per-tail
-    sorts; past the text, it holds one head per arc and one string per
-    vertex.
+    Then `graph_text` sorts and formats each vertex's heads once, with one
+    id string per vertex. `C.vertex_at` raises FactorizationError unless
+    the coordinates are a bijection onto the grid. O(n*k + m) plus the
+    per-tail sorts; past the text, it holds one head per arc and one
+    string per vertex.
     """
     at = C.vertex_at
     n = len(at)
@@ -302,17 +302,29 @@ def product_text(C: Coordinatization) -> str:
         for a in F.loops:
             da = a * st
             loops.update([at[x + da] for x in starts])
-    ids = list(map(str, range(n)))
-    parts = [f"n {n}"]
-    for u, code in enumerate(C.codes):
-        hs = heads[code]
-        if hs:
-            hs.sort()
-            sep = f"\na {ids[u]} "
-            parts.append(sep + sep.join(map(ids.__getitem__, hs)))
-    parts += [f"\nl {v}" for v in sorted(loops)]
-    parts.append("\n")
-    return "".join(parts)
+    return graph_text(n, map(heads.__getitem__, C.codes), loops)
+
+
+def coords_text(C: Coordinatization) -> str:
+    """`coords_to_text(C.coords)`, written column by column from the codes
+    without a coordinate tuple per vertex.
+
+    Position i's digit strings, indexed by code, are built by repetition
+    (each digit repeated by its place value, the run tiled over the grid);
+    one lookup per vertex in C gives the column, and the rows are joined
+    in C. O(n*k) and one string per vertex and position.
+    """
+    codes = C.codes
+    n = len(codes)
+    cols = []
+    for F, st in zip(C.factors, C.strides):
+        digits: list[str] = []
+        for d in map(str, range(F.n)):
+            digits += [d] * st
+        digits *= n // len(digits)
+        cols.append(map(digits.__getitem__, codes))
+    rows = zip(itertools.repeat("c", n), map(str, range(n)), *cols)
+    return "\n".join(map(" ".join, rows)) + "\n"
 
 
 def cartesian_product(factors: Sequence[DiGraph]) -> tuple[DiGraph, Coordinatization]:

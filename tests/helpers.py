@@ -29,7 +29,7 @@ from boxfactor import (
     shadow,
     unit_layer,
 )
-from boxfactor import core, directed_factor
+from boxfactor import core, directed_factor, oracle
 
 
 def consistent_square() -> DiGraph:
@@ -652,6 +652,16 @@ def project(C: Coordinatization, v: int, positions) -> int:
     return C.vertex_at[code]
 
 
+def loop_flags(G: DiGraph, C: Coordinatization, P: ColorPartition) -> int:
+    """The live classes' loop flags ORed, as `_loop_scan` returns them: one
+    byte per code, packed big-endian in an int, 1 when some column of P
+    maps the code to the code of a looped vertex."""
+    at = C.vertex_at
+    cols = list(P.columns.values())
+    flags = bytes(any(at[col[x]] in G.loops for col in cols) for x in range(G.n))
+    return int.from_bytes(flags, "big")
+
+
 def naive_factor_directed(G: DiGraph, SF, B=None) -> DirectedFactorization:
     """Reference direction scan: both ends of every down or cross edge are
     projected into the edge's class from their own coordinates, one
@@ -883,6 +893,23 @@ def naive_reconstruct_check_parts(G: DiGraph, factors, coords) -> bool:
     arcs = {(relabel_to[u], relabel_to[v]) for (u, v) in G.arcs}
     loops = {relabel_to[v] for v in G.loops}
     return arcs == P.arcs and loops == P.loops
+
+
+def naive_brute_force_prime(G: DiGraph) -> bool:
+    """Primality of a valid graph by handing every 2-coloring of its shadow
+    edges (the first edge's color fixed) to the oracle's witness check,
+    with no pruning by vertex or edge counts."""
+    S = shadow(G)
+    if G.n == 1:
+        return False
+    if G.n < 4:
+        return True
+    edges = sorted(S.edges)
+    r = min(v for v in range(G.n) if v not in G.loops)
+    for mask in range(1 << (S.edge_count - 1)):
+        if oracle._split_witness(G, edges, mask, r):
+            return False
+    return True
 
 
 def random_labeled_product(rng: random.Random, max_factors: int = 4):

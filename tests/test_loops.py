@@ -35,6 +35,7 @@ from helpers import (
     connected_digraphs,
     inconsistent_square,
     live_ids,
+    loop_flags,
     loop_product,
     looped_far_corner,
     multiset_iso,
@@ -191,8 +192,9 @@ class TestFactorWithLoops:
         G = DiGraph(4, arcs, loops)
         C = factor_shadow(shadow(G), 0).coordin
         assert C.coords == ((0, 0), (1, 0), (0, 1), (1, 1))
+        P = ColorPartition(2, C)
         with pytest.raises(FactorizationError, match=message):
-            loop_factor._regroup_looped(G, C, ColorPartition(2, C), bfs(shadow(G), 0))
+            loop_factor._regroup_looped(G, C, P, bfs(shadow(G), 0), loop_flags(G, C, P))
 
     def test_factorization_of_another_graph_raises(self):
         # NF factors the both-ways square 0-1-3-2; H is the both-ways cycle
@@ -404,8 +406,9 @@ class TestLoopScanOnMergedClasses:
             NF = DirectedFactorization(groups, regrouped, 0)
 
             def shared():
-                merges = loop_factor._loop_scan(G, C, groups, B)
-                return merges, loop_factor._regroup_looped(G, C, groups, B)
+                merges, has_looped = loop_factor._loop_scan(G, C, groups, B)
+                assert has_looped == loop_flags(G, C, groups)
+                return merges, loop_factor._regroup_looped(G, C, groups, B, has_looped)
 
             try:
                 want = factor_with_loops(G, NF, B)
@@ -482,7 +485,7 @@ class TestRegroupFromColumns:
         P = ColorPartition(3, C)
         for block in classes:
             P.merge({P.table[j] for j in block})
-        got = loop_factor._regroup_looped(G, C, P, bfs(shadow(G), C.root))
+        got = loop_factor._regroup_looped(G, C, P, bfs(shadow(G), C.root), loop_flags(G, C, P))
         want = naive_group_coordinates(G, C, classes)
         assert got.factors == want.factors and got.coords == want.coords
         assert (point in got.factors) == ((1,) in classes)
@@ -542,8 +545,9 @@ class TestScrambledLayout:
             v for v in G.loops if not any(project(C, v, (j,)) in G.loops for j in range(6))
         ]
         assert len(unplaced) == 8
+        P = ColorPartition(6, C)
         with pytest.raises(FactorizationError, match="loop placement of vertex 7 does"):
-            loop_factor._regroup_looped(G, C, ColorPartition(6, C), B)
+            loop_factor._regroup_looped(G, C, P, B, loop_flags(G, C, P))
         assert unplaced[0] == 7
 
     def test_factor_full_matches_the_naive_scans(self):

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from boxfactor import (
     DiGraph,
@@ -19,7 +21,9 @@ from boxfactor import (
     reconstruct_check,
     reconstruct_check_parts,
     shadow,
+    to_text,
 )
+from boxfactor import oracle
 from helpers import (
     both_k2,
     connected_digraphs,
@@ -27,11 +31,13 @@ from helpers import (
     inconsistent_square,
     loop_product,
     looped_far_corner,
+    naive_brute_force_prime,
     naive_reconstruct_check_parts,
     random_digraph,
     random_labeled_product,
     relabel,
     undirected_cycle,
+    undirected_path,
 )
 
 
@@ -167,11 +173,117 @@ class TestBruteForcePrime:
         assert brute_force_prime(G, max_edges=9)
         with pytest.raises(OracleBoundError):
             brute_force_prime(G, max_edges=8)
+        # a prime vertex count needs no search, but the bound comes first
+        G = undirected_cycle(7)
+        assert brute_force_prime(G, max_edges=7)
+        with pytest.raises(OracleBoundError):
+            brute_force_prime(G, max_edges=6)
 
     @settings(deadline=None, max_examples=40)
     @given(connected_digraphs(min_n=2, max_n=5, allow_loops=True))
     def test_agrees_with_factorization_width(self, G):
         assert brute_force_prime(G) == (factor_full(G).k == 1)
+
+
+def count_witness_checks(monkeypatch):
+    """A list that grows by one per `_split_witness` call from now on."""
+    calls = []
+    check = oracle._split_witness
+
+    def counted(*args):
+        calls.append(args[2])
+        return check(*args)
+
+    monkeypatch.setattr(oracle, "_split_witness", counted)
+    return calls
+
+
+@st.composite
+def small_products(draw):
+    """A random connected digraph on 2-9 vertices, or the product of 2-3
+    connected digraphs on 1-3 vertices each under a random labeling; at
+    most 12 shadow edges, as the exhaustive reference tries 2^(m - 1)
+    colorings."""
+    if draw(st.booleans()):
+        G = draw(connected_digraphs(min_n=2, max_n=9, allow_loops=True))
+    else:
+        factors = draw(st.lists(connected_digraphs(1, 3, allow_loops=True), min_size=2, max_size=3))
+        P, _ = cartesian_product(factors)
+        G = relabel(P, draw(st.permutations(range(P.n))))
+    assume(G.n >= 2 and shadow(G).edge_count <= 12)
+    return G
+
+
+class TestPrunedPrimality:
+    """brute_force_prime skips prime vertex counts and the colorings whose
+    edge counts cannot multiply out; the verdicts match the exhaustive
+    reference `naive_brute_force_prime`."""
+
+    MAX_EDGES = 12
+
+    def test_seeded_random_digraphs_and_products(self):
+        rng = random.Random(2311)
+        verdicts = {True: 0, False: 0}
+        prime_n = 0
+        for i in range(360):
+            if i % 3:
+                G = random_digraph(
+                    rng, rng.randint(2, 9), rng.choice([0.03, 0.08, 0.15]), rng.choice([0, 0.3])
+                )
+            else:
+                factors = [
+                    random_digraph(rng, rng.randint(2, 3), 0.2, 0.3)
+                    for _ in range(rng.randint(2, 3))
+                ]
+                P, _ = cartesian_product(factors)
+                perm = list(range(P.n))
+                rng.shuffle(perm)
+                G = relabel(P, perm)
+            if shadow(G).edge_count > self.MAX_EDGES:
+                continue
+            got = brute_force_prime(G)
+            assert got == naive_brute_force_prime(G), G
+            verdicts[got] += 1
+            prime_n += G.n in (2, 3, 5, 7)
+        assert verdicts[True] > 100 and verdicts[False] > 40 and prime_n > 50, (verdicts, prime_n)
+
+    @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(small_products())
+    def test_matches_the_exhaustive_oracle(self, G):
+        assert brute_force_prime(G) == naive_brute_force_prime(G)
+
+    def test_prime_vertex_count_checks_no_coloring(self, monkeypatch):
+        calls = count_witness_checks(monkeypatch)
+        for n in (5, 7, 11):
+            assert brute_force_prime(undirected_cycle(n))
+        assert brute_force_prime(random_digraph(random.Random(4), 7, 0.3))
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_too_few_edges_for_any_split_checks_no_coloring(self, monkeypatch, n):
+        # j >= a*(b - 1) and m - j >= b*(a - 1) need m >= 2ab - a - b
+        # edges: 7 for 6 = 2*3 and 10 for 8 = 2*4, more than the n-cycle has
+        calls = count_witness_checks(monkeypatch)
+        assert brute_force_prime(undirected_cycle(n))
+        assert calls == []
+
+    def test_only_colorings_that_multiply_out_are_checked(self, monkeypatch):
+        # the 3 x 3 grid: m = 12 splits only as j = 6 = 2*3 color-1 edges,
+        # C(11, 6) = 462 of the 2048 colorings; the search stops at the
+        # first product coloring
+        calls = count_witness_checks(monkeypatch)
+        P, _ = cartesian_product([undirected_path(3)] * 2)
+        assert naive_brute_force_prime(P) is False
+        exhaustive = len(calls)
+        calls.clear()
+        assert not brute_force_prime(P)
+        assert calls and all(mask.bit_count() == 6 for mask in calls)
+        assert len(calls) < exhaustive
+        # the directed square that is prime: 4 = 2*2 vertices and 4 edges
+        # fit only j = 2, C(3, 2) = 3 of the 8 colorings, each rejected
+        calls.clear()
+        assert brute_force_prime(inconsistent_square())
+        assert sorted(calls) == [0b011, 0b101, 0b110]
 
 
 class TestIsoCheck:
@@ -261,6 +373,26 @@ class TestGenProductInstance:
             gen_product_instance(2, (1, 3))
         with pytest.raises(ValueError):
             gen_product_instance(2, (5, 4))
+
+    @pytest.mark.parametrize(
+        "size_range, digest",
+        [
+            ((4, 4), "d845c08ef4cff7eed587854a2c9ce966fe649ba677024194e76da1d19d236603"),
+            ((5, 5), "8a075bfa203099d480714c6fe20d46ad719feebfa019ad5e46c19ba208f985ca"),
+            ((6, 6), "2ea4d8a3ec29b69f20de2485ac9c0059b0f9aa9542b6dabc18d7f88bf62fe833"),
+            ((7, 7), "c24ed2e1148aeed1caf66af61b4af0698613ed7ae970a38d62732362ca4535ae"),
+            ((2, 4), "39793988f37bb24a961ca6578edf0a0b5ea91fea98149ec22ff155d194de84a2"),
+        ],
+    )
+    def test_pinned_instances(self, size_range, digest):
+        # digests taken with the exhaustive oracle: the pruning changes no
+        # verdict, so the rejection draws consume the generator as before
+        h = hashlib.sha256()
+        for seed in range(8):
+            G, fs = gen_product_instance(2 + seed % 2, size_range, 0.3 if seed % 4 > 1 else 0.0, seed)
+            for H in (G, *fs):
+                h.update(to_text(H).encode())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("size_range", [(18, 18), (2, 40)])
     def test_factors_past_the_oracle_bound_rejected(self, size_range):
