@@ -11,7 +11,6 @@ from .core import (
     DiGraph,
     ShadowGraph,
     bfs,
-    coords_to_text,
     is_connected,
     parse_coords,
     parse_graph,
@@ -72,7 +71,6 @@ __all__ = [
     "canonical_small_graphs",
     "cartesian_product",
     "coordinates_from_colors",
-    "coords_to_text",
     "factor_directed",
     "factor_full",
     "factor_shadow",

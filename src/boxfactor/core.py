@@ -8,7 +8,7 @@ the arcs (u, v), (v, u) is present; loops do not contribute edges. Distance,
 connectivity and degree always refer to the shadow.
 
 The text format lives here too: canonical text, as `to_text` (through
-`graph_text`, which `product.product_text` shares) and `coords_to_text`
+`graph_text`, which `product.product_text` shares) and `product.coords_text`
 write it, is read in bulk, and any other text line by line, with the same
 result or error.
 """
@@ -546,14 +546,6 @@ def _parse_coords_lines(text: str) -> dict[int, tuple[int, ...]]:
             )
         table[v] = cv
     return table
-
-
-def coords_to_text(coords) -> str:
-    """Coordinate rows 'c <v> <c_1> ... <c_k>', one per vertex of the
-    sequence `coords` (indexed by vertex), in vertex order."""
-    return "".join(
-        "c " + " ".join(map(str, (v, *cv))) + "\n" for v, cv in enumerate(coords)
-    )
 
 
 def to_text(G: DiGraph) -> str:

@@ -306,8 +306,9 @@ def product_text(C: Coordinatization) -> str:
 
 
 def coords_text(C: Coordinatization) -> str:
-    """`coords_to_text(C.coords)`, written column by column from the codes
-    without a coordinate tuple per vertex.
+    """The coordinate table of C: one row 'c <v> <c_1> ... <c_k>' per
+    vertex v, in vertex order, with v's digits. Written column by column
+    from the codes, without a coordinate tuple per vertex.
 
     Position i's digit strings, indexed by code, are built by repetition
     (each digit repeated by its place value, the run tiled over the grid);

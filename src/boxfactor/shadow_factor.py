@@ -140,7 +140,9 @@ def _factored(S: ShadowGraph, B: BfsOrder) -> tuple[list[int], Coordinatization]
         try:
             return colors, _coordinates(S, B.root, colors, B)
         except FactorizationError as exc:
-            rejected = exc  # strictly finer than sigma: take the next rung
+            # strictly finer than sigma: take the next rung. The traceback
+            # would hold this frame, and so S and B, in a reference cycle
+            rejected = exc.with_traceback(None)
     raise rejected
 
 

@@ -143,6 +143,18 @@ def klein_bottle_grid(m: int, n: int) -> DiGraph:
     return DiGraph(m * n, arcs, set())
 
 
+def pendant_grid(A: int) -> DiGraph:
+    """Both-ways P_A x P_3, vertex (a, b) at 3a + b, with one pendant
+    vertex, 3A, joined to (A - 1, 0).
+
+    Rung 1 of the shadow ladder is rejected on it, and only delta* leads to
+    sigma: the pendant edge is Theta-related only to itself.
+    """
+    P, _ = cartesian_product([undirected_path(A), undirected_path(3)])
+    v = (A - 1) * 3
+    return DiGraph(P.n + 1, P.arcs | {(v, P.n), (P.n, v)}, set())
+
+
 NAIVE_MAX_N = 40
 
 
@@ -1026,6 +1038,15 @@ def naive_to_text(G: DiGraph, coords=None) -> str:
         for v, cv in enumerate(coords):
             lines.append("c " + " ".join(str(x) for x in (v, *cv)))
     return "\n".join(lines) + "\n"
+
+
+def coords_to_text(coords) -> str:
+    """Reference coordinate table writer: rows 'c <v> <c_1> ... <c_k>', one
+    per vertex of the sequence `coords` (indexed by vertex), in vertex
+    order, as `product.coords_text` writes them from codes."""
+    return "".join(
+        "c " + " ".join(map(str, (v, *cv))) + "\n" for v, cv in enumerate(coords)
+    )
 
 
 def multiset_iso(claimed, truth) -> bool:

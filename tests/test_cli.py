@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import random
@@ -13,10 +14,12 @@ from boxfactor import (
     Coordinatization,
     DiGraph,
     DirectedFactorization,
+    DisconnectedGraphError,
     FactorizationError,
+    GraphFormatError,
+    NoUnloopedVertexError,
     canonical_small_graphs,
     cartesian_product,
-    coords_to_text,
     factor_full,
     gen_product_instance,
     to_text,
@@ -25,10 +28,13 @@ from boxfactor import cli, loop_factor
 from boxfactor.cli import _bench_instance, main
 from helpers import (
     consistent_square,
+    coords_to_text,
     inconsistent_square,
+    klein_bottle_grid,
     loop_product,
     looped_far_corner,
     mobius_ladder,
+    pendant_grid,
     relabel,
 )
 
@@ -689,6 +695,139 @@ class TestExitCodes:
         assert captured.err == "error: out of memory\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+@pytest.fixture
+def gc_restored():
+    """Leaves the collector as the test found it, debug flags off."""
+    was = gc.isenabled()
+    yield
+    gc.set_debug(0)
+    gc.garbage.clear()
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic collector off and leaves it
+    as it found it, however the command ends."""
+
+    def test_collector_is_off_while_a_command_runs(self, tmp_path, monkeypatch, gc_restored):
+        seen = []
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_generate", spy)
+        gc.enable()
+        assert main(["generate", "-o", str(tmp_path / "g.dg")]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (None, 0),
+            (GraphFormatError, 2),
+            (OSError, 2),
+            (DisconnectedGraphError, 3),
+            (NoUnloopedVertexError, 4),
+            (FactorizationError, 6),
+            (ValueError, 2),
+            (MemoryError, 7),
+        ],
+    )
+    def test_state_restored_after_each_exit(
+        self, enabled, error, code, tmp_path, capsys, monkeypatch, gc_restored
+    ):
+        def command(args):
+            assert not gc.isenabled()
+            if error is not None:
+                raise error("raised by the command")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_factor", command)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["factor", "--input", str(tmp_path / "g.dg")]) == code
+        assert gc.isenabled() == enabled
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_an_unhandled_exception(
+        self, enabled, tmp_path, monkeypatch, gc_restored
+    ):
+        def command(args):
+            raise RuntimeError("not handled by main")
+
+        monkeypatch.setattr(cli, "cmd_factor", command)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="not handled"):
+            main(["factor", "--input", str(tmp_path / "g.dg")])
+        assert gc.isenabled() == enabled
+
+
+class TestNoCyclicGarbage:
+    """The library makes no reference cycles, so pausing the collector
+    holds no memory: every command, run in-process with the collector off
+    and every unreachable object saved, leaves nothing to collect."""
+
+    @pytest.fixture
+    def leaves_no_cycles(self, capsys, gc_restored):
+        cli._parser()  # argparse's formatters are cyclic, once per process
+
+        def run(argv, code=0):
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            rc = main(argv)
+            found = gc.collect()
+            kinds = sorted({type(o).__name__ for o in gc.garbage})
+            gc.set_debug(0)
+            gc.garbage.clear()
+            capsys.readouterr()
+            assert rc == code
+            assert (found, kinds) == (0, [])
+
+        return run
+
+    def test_generate_then_factor_product_verify(self, tmp_path, leaves_no_cycles):
+        g = str(tmp_path / "g.dg")
+        leaves_no_cycles(["generate", "--factors", "3", "--loops", "0.3", "--seed", "1", "-o", g])
+        leaves_no_cycles(["factor", "--input", g, "--emit-coords", "--emit-colors", "--verify"])
+        factors = sorted(str(f) for f in tmp_path.glob("g.dg.factor*"))
+        assert len(factors) == 3
+        coords = ["--coords", g + ".coords"]
+        leaves_no_cycles(["product", *factors, *coords, "-o", str(tmp_path / "back.dg")])
+        assert (tmp_path / "back.dg").read_bytes() == Path(g).read_bytes()
+        leaves_no_cycles(["verify", g, *factors, *coords])
+        leaves_no_cycles(["verify", g, factors[0], *coords], code=5)
+
+    @pytest.mark.parametrize(
+        "G, root",
+        [
+            (klein_bottle_grid(6, 5), 0),
+            (klein_bottle_grid(6, 5), 1),
+            (klein_bottle_grid(6, 5), 17),
+            (pendant_grid(50), 0),
+        ],
+    )
+    def test_factor_after_rejected_rungs(self, G, root, tmp_path, leaves_no_cycles):
+        g = write_graph(tmp_path / "g.dg", G)
+        leaves_no_cycles(["factor", "--input", g, "--root", str(root)])
+
+    def test_malformed_and_disconnected_files(self, tmp_path, leaves_no_cycles):
+        bad = tmp_path / "bad.dg"
+        bad.write_text("n 2\na 0 5\n")
+        leaves_no_cycles(["factor", "--input", str(bad)], code=2)
+        dis = write_graph(tmp_path / "dis.dg", DiGraph(4, {(0, 1), (1, 0), (2, 3)}, set()))
+        leaves_no_cycles(["factor", "--input", dis], code=3)
+
+    def test_bench(self, leaves_no_cycles):
+        leaves_no_cycles(["bench", "--min-arcs", "40", "--max-arcs", "300", "--reps", "2"])
 
 
 class TestBenchCommand:

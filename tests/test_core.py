@@ -13,7 +13,6 @@ from boxfactor import (
     GraphFormatError,
     ShadowGraph,
     bfs,
-    coords_to_text,
     is_connected,
     parse_coords,
     parse_graph,
@@ -23,6 +22,7 @@ from boxfactor import (
 )
 from helpers import (
     connected_digraphs,
+    coords_to_text,
     dist,
     min_degree,
     naive_bfs,
@@ -628,6 +628,7 @@ class TestExports:
 
     def test_test_only_helpers_are_not_exported(self):
         for name in (
+            "coords_to_text",
             "count_inconsistencies",
             "shadow_factorization_of_product",
             "dist",

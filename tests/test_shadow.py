@@ -1,4 +1,5 @@
 import functools
+import gc
 import os
 import random
 import subprocess
@@ -42,6 +43,7 @@ from helpers import (
     naive_shadow_classes,
     naive_square_closure,
     number_classes,
+    pendant_grid,
     random_digraph,
     relabel,
     undirected_cycle,
@@ -312,14 +314,6 @@ class TestAgainstNaiveClosure:
         assert theta_steps == [edge_key(B.down[v][0], v)]
 
 
-def _pendant_grid(A):
-    """P_A x P_3, vertex (a, b) at 3a + b, with one pendant vertex, 3A,
-    joined to (A - 1, 0)."""
-    P, _ = cartesian_product([undirected_path(A), undirected_path(3)])
-    v = (A - 1) * 3
-    return DiGraph(P.n + 1, P.arcs | {(v, P.n), (P.n, v)}, set())
-
-
 @functools.cache
 def _differential_corpus():
     """(graph, roots) pairs: every c1 graph with every root, seeded random
@@ -348,7 +342,7 @@ def _differential_corpus():
             K = klein_bottle_grid(m, n)
             out.append((K, [0, 1, rng.randrange(K.n)]))
     for A in range(2, 14):
-        G = _pendant_grid(A)
+        G = pendant_grid(A)
         out.append((G, [0, G.n - 1]))
     return out
 
@@ -702,7 +696,7 @@ class TestFallbackRungsAreNeeded:
         assert set(F.colors.values()) == {0}
 
     def test_pendant_grid_is_accepted_at_delta_star(self, rungs, theta_steps):
-        G = _pendant_grid(50)
+        G = pendant_grid(50)
         S = shadow(G)
         B = bfs(S, 0)
         col, P = self._rung_one_rejected(
@@ -714,6 +708,34 @@ class TestFallbackRungsAreNeeded:
         assert theta_steps == []
         assert F.colors == naive_factor_shadow(S, 0).colors
         assert set(F.colors.values()) == {0}
+
+    @pytest.mark.parametrize(
+        "G, root",
+        [
+            (klein_bottle_grid(6, 5), 0),
+            (klein_bottle_grid(6, 5), 1),
+            (klein_bottle_grid(6, 5), 17),
+            (pendant_grid(50), 0),
+        ],
+    )
+    def test_rejected_rungs_leave_no_cyclic_garbage(self, G, root, rungs):
+        # a rejected rung's traceback would hold the shadow in a cycle
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            F = factor_full(G, root)
+            found = gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was:
+                gc.enable()
+        assert rungs and rungs[-1] > 1
+        assert F.factors == (G,)
+        assert (found, garbage) == (0, 0)
 
 
 class TestAgainstNaiveCoordinates:
