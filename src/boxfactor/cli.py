@@ -48,7 +48,6 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .directed_factor import _step_colors
 from .loop_factor import _merge_scans, factor_full, rooted_bfs
 from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, coords_text, product_text
@@ -116,7 +115,7 @@ def _final_edge_colors(G: DiGraph, C: Coordinatization) -> dict[tuple[int, int],
     codes = C.codes
     digits = list(zip(C.strides, (F.n for F in C.factors)))
     span = [s * size for s, size in digits]
-    step = _step_colors(C)
+    step = C.steps
     out = {}
     for u, v in sorted({(u, v) if u < v else (v, u) for u, v in G.arcs}):
         d = codes[v] - codes[u]
@@ -391,12 +390,6 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a replaced cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
@@ -406,7 +399,7 @@ def main(argv=None) -> int:
     except FactorizationError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

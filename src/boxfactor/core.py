@@ -64,43 +64,16 @@ class DiGraph:
 class ShadowGraph:
     """Undirected simple view of a DiGraph: its edges, without directions.
 
-    `adj[v]` lists the neighbours of v in ascending order, so every
-    traversal of this structure is deterministic, and `edges` holds each
-    edge once as a (min, max) pair. The edges are numbered once, on first
-    use, in ascending (min, max) order: `ends[i]` is edge i, `inc[v]` lists
-    the ids of the edges to `adj[v]`, aligned with it (so the id of edge vw
-    is `inc[v][bisect_left(adj[v], w)]`). A caller that only walks `adj`,
-    such as `bfs`, pays for none of the numbering.
+    Made only by `shadow(G)`. `adj[v]` lists the neighbours of v in
+    ascending order, so every traversal of this structure is deterministic.
+    The edges are numbered once, on first use, in ascending (min, max)
+    order: `ends[i]` is edge i, `inc[v]` lists the ids of the edges to
+    `adj[v]`, aligned with it (so the id of edge vw is
+    `inc[v][bisect_left(adj[v], w)]`). A caller that only walks `adj`, such
+    as `bfs`, pays for none of the numbering.
     """
 
-    __slots__ = ("n", "adj", "_edges", "_ids")
-
-    def __init__(self, n: int, edges):
-        self.n = n
-        self._edges: frozenset[tuple[int, int]] | None = frozenset(edges)
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self._edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u}, {v}) must satisfy 0 <= u < v < n")
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(b)) for b in nbrs)
-        self._ids = None
-
-    @classmethod
-    def _of_arcs(cls, n: int, arcs: frozenset[tuple[int, int]]) -> ShadowGraph:
-        """The shadow of valid arcs on n vertices; `edges` is built on first
-        use, from the numbering."""
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arcs:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        S = object.__new__(cls)
-        S.n = n
-        S.adj = tuple(map(tuple, map(sorted, map(set, nbrs))))
-        S._edges = None
-        S._ids = None
-        return S
+    __slots__ = ("n", "adj", "_ids")
 
     def _numbered(self):
         """(ends, inc), built on first use in one sweep over the
@@ -121,12 +94,6 @@ class ShadowGraph:
         return self._ids
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(self.ends)
-        return self._edges
-
-    @property
     def ends(self) -> list[tuple[int, int]]:
         return self._numbered()[0]
 
@@ -139,14 +106,10 @@ class ShadowGraph:
         return sum(map(len, self.adj)) // 2
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ShadowGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, ShadowGraph) and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self):
         return f"ShadowGraph(n={self.n}, edges={self.edge_count})"
@@ -171,8 +134,17 @@ class BfsOrder:
 
 
 def shadow(G: DiGraph) -> ShadowGraph:
-    """Forget directions and loops: the undirected support of G."""
-    return ShadowGraph._of_arcs(G.n, G.arcs)
+    """Forget directions and loops: the undirected support of G, whose
+    arcs `DiGraph` has checked."""
+    nbrs: list[list[int]] = [[] for _ in range(G.n)]
+    for u, v in G.arcs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    S = object.__new__(ShadowGraph)
+    S.n = G.n
+    S.adj = tuple(map(tuple, map(sorted, map(set, nbrs))))
+    S._ids = None
+    return S
 
 
 def strip_loops(G: DiGraph) -> DiGraph:

@@ -1,12 +1,14 @@
 """Factor a loopless directed graph, given the factorization of its shadow.
 
 A factorization of the shadow ignores arc directions, so its colors may be
-too fine. The scan walks the vertices in BFS order; for every edge to an
-already-reached or same-level vertex it projects the edge into the unit layer
-of the edge's current class and compares arc directions. A disagreement means
-those coordinates cannot be separated: the classes of all down-edges at the
-current vertex (plus the edge's own class) are merged, and the scan continues
-with the next vertex under the coarser coloring. Each edge is inspected once
+too fine. The scan is one pass over the vertices in BFS order; for every
+edge to an already-reached or same-level vertex it projects the edge into
+the unit layer of the edge's current class and compares arc directions. An
+edge's color is the position its code difference steps
+(`Coordinatization.steps`). A disagreement means those coordinates cannot
+be separated: the classes of all down-edges at the current vertex (plus the
+edge's own class) are merged, which ends that vertex, and the pass goes on
+with the next one under the coarser coloring. Each edge is inspected once
 or, when it joins two vertices of one level, twice. The partition keeps a
 projection table per live class, indexed by code: the k single-position
 tables are built once by repetition, O(n*k) element copies in C, and a
@@ -55,19 +57,6 @@ class DirectedFactorization:
         return len(self.factors)
 
 
-def _step_colors(C: Coordinatization) -> dict[int, int]:
-    """The position c of every code step j*strides[c], 0 < |j| < the size of
-    factor c: the code difference across an edge that changes coordinate c
-    only. The keys of two positions never meet, since
-    (size - 1)*strides[c] < strides[c - 1]."""
-    return {
-        j * s: c
-        for c, (F, s) in enumerate(zip(C.factors, C.strides))
-        for j in range(1 - F.n, F.n)
-        if j
-    }
-
-
 def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOrder:
     """Validate caller-supplied direction scan inputs in one sweep over the
     colored edges, and return the BFS structure (computed when omitted).
@@ -89,7 +78,7 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
     colors = SF.colors
     codes = C.codes
     span = [s * F.n for F, s in zip(C.factors, C.strides)]
-    step = _step_colors(C)
+    step = C.steps
     carried = 0
     bare = None
     twice = False
@@ -117,27 +106,38 @@ def _edge_info(G: DiGraph, SF: ShadowFactorization, B: BfsOrder | None) -> BfsOr
     return B
 
 
-def _inconsistent_edges(vertices, arcs, C, B, step, colof, seen):
-    """Yield (v, u, c) for each down or cross edge vu of color c whose arcs
-    differ from those of its projection into the class whose projection
-    table, by code, colof[c] holds. Vertices come in the given order, each
-    with its down edges before its cross edges.
+def _direction_scan(G: DiGraph, C, P: ColorPartition, B: BfsOrder) -> int:
+    """The direction scan over the coordinatization C of G's shadow, in B's
+    order: merge classes of the fresh partition P, built over C, in place,
+    at each vertex with an inconsistent down or cross edge, and go on with
+    the next vertex. Every edge must change one coordinate only. Returns
+    the number of merges.
 
-    The edge changes coordinate c only, so c is `step` (as `_step_colors`
-    gives it) at the code difference d, and u's projection code is v's
-    plus d. O(1) per edge: the edge's arcs are looked up in `arcs`, and its
+    A down or cross edge vu is inconsistent when its arcs differ from those
+    of its projection into the live class of its color c, whose projection
+    table, by code, colof[c] holds. The edge changes coordinate c only, so
+    c is `C.steps` at the code difference d, and u's projection code is v's
+    plus d. O(1) per edge: the edge's arcs are looked up in G.arcs, and its
     projection's, whose ends are found by code, in `seen`, two bits (an arc
     out of v's end, an arc into it) by p*2n + d (p the projection code of
-    v), filled from `arcs` on a miss. Those bits depend on G and C alone,
+    v), filled from G.arcs on a miss. Those bits depend on G and C alone,
     so `seen` holds across merges. Both are shadow edges, so each carries
     an arc: when neither has its arc out of v's end, both have the other.
     """
+    table = P.table
+    columns = P.columns
     codes = C.codes
     at = C.vertex_at
+    step = C.steps
+    arcs = G.arcs
     down = B.down
     cross = B.cross
     n2 = 2 * len(codes)
-    for v in vertices:
+    # colof[c]: projection table, by code, into the live class of color c
+    colof = [columns[table[c]] for c in range(P.k)]
+    seen: dict[int, int] = {}
+    merges = 0
+    for v in B.order:
         cv = codes[v]
         for u in down[v] + cross[v]:
             d = codes[u] - cv
@@ -152,36 +152,14 @@ def _inconsistent_edges(vertices, arcs, C, B, step, colof, seen):
                 bits = seen[p * n2 + d] = ((pv, pu) in arcs) + 2 * ((pu, pv) in arcs)
             out = (v, u) in arcs
             if out != bits & 1 or out and ((u, v) in arcs) != bits >> 1:
-                yield v, u, c
-
-
-def _direction_scan(G: DiGraph, C, P: ColorPartition, B: BfsOrder) -> int:
-    """The direction scan over the coordinatization C of G's shadow, in B's
-    order: merge classes of the fresh partition P, built over C, in place,
-    at each vertex with an inconsistent down or cross edge, and resume after
-    that vertex. Every edge must change one coordinate only. Returns the
-    number of merges.
-    """
-    table = P.table
-    columns = P.columns
-    codes = C.codes
-    step = _step_colors(C)
-    # colof[c]: projection table, by code, into the live class of color c
-    colof = [columns[table[c]] for c in range(P.k)]
-    seen: dict[int, int] = {}
-    merges = 0
-    rest = B.order
-    # a merge ends the vertex: the scan resumes after it, under the new classes
-    while hit := next(_inconsistent_edges(rest, G.arcs, C, B, step, colof, seen), None):
-        v, _, c = hit
-        cv = codes[v]
-        ids = {table[step[codes[u] - cv]] for u in B.down[v]}
-        ids.add(table[c])
-        survivor = P.merge(ids)
-        for cc in P.members(survivor):
-            colof[cc] = columns[survivor]
-        merges += 1
-        rest = B.order[B.bfsnum[v] + 1 :]
+                # a merge ends v: the scan goes on under the new classes
+                ids = {table[step[codes[w] - cv]] for w in down[v]}
+                ids.add(table[c])
+                survivor = P.merge(ids)
+                for cc in P.members(survivor):
+                    colof[cc] = columns[survivor]
+                merges += 1
+                break
     return merges
 
 

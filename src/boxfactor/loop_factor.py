@@ -31,7 +31,7 @@ from math import prod
 from time import perf_counter
 
 from .core import BfsOrder, DiGraph, ShadowGraph, bfs, shadow
-from .directed_factor import DirectedFactorization, _direction_scan, _step_colors
+from .directed_factor import DirectedFactorization, _direction_scan
 from .errors import DisconnectedGraphError, FactorizationError, NoUnloopedVertexError
 from .product import ColorPartition, Coordinatization, regroup_columns
 from .shadow_factor import _factored
@@ -43,7 +43,7 @@ def pick_root(G: DiGraph) -> int:
         raise ValueError("graph has no vertices")
     if len(G.loops) == G.n:
         raise NoUnloopedVertexError("every vertex carries a loop")
-    return min(v for v in range(G.n) if v not in G.loops)
+    return next(v for v in range(G.n) if v not in G.loops)
 
 
 def check_arc_count(G: DiGraph) -> None:
@@ -72,7 +72,8 @@ def rooted_bfs(G: DiGraph, S: ShadowGraph, root: int | None = None) -> BfsOrder:
     start = root if valid else next((v for v in range(G.n) if v not in G.loops), 0)
     B = bfs(S, start)
     if root is None:
-        pick_root(G)  # raises when every vertex is looped
+        if start in G.loops:  # start is 0 when every vertex is looped
+            raise NoUnloopedVertexError("every vertex carries a loop")
     elif not valid:
         raise ValueError(f"root {root} out of range for n={G.n}")
     elif root in G.loops:
@@ -140,7 +141,7 @@ def _loop_scan(
     """
     table = P.table
     codes = C.codes
-    step = _step_colors(C)
+    step = C.steps
     order = B.order
     at_loop = _loops_by_code(G, C)
     flags = {i: _flag_bits(at_loop, col) for i, col in P.columns.items()}

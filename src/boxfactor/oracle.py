@@ -155,7 +155,7 @@ def brute_force_prime(G: DiGraph, max_edges: int = 16) -> bool:
         for j in range(a * (b - 1), m - b * (a - 1) + 1, a)
         if (m - j) % b == 0
     }  # color-1 edge counts j = |E_B|*a with m - j = |E_A|*b
-    edges = sorted(S.edges)
+    edges = S.ends
     r = min(v for v in range(n) if v not in G.loops)
     for mask in range(1 << (m - 1)):
         if mask.bit_count() in fits and _split_witness(G, edges, mask, r):

@@ -36,7 +36,8 @@ class Coordinatization:
     Vertex v is stored as one mixed-radix code, `codes[v]` (place values
     `strides`, position 0 slowest), and the map must be a bijection onto
     the full grid of factor vertex sets; `coords[v]`, the tuple of v's
-    digits, is derived on first use. `root` is the vertex whose coordinates
+    digits, and `steps`, the position that each one-digit code step
+    changes, are derived on first use. `root` is the vertex whose coordinates
     are used to fill dropped positions when projecting.
     `Coordinatization(factors, coords, root)` checks one tuple per vertex
     and folds them into codes once; `_of_codes(factors, codes, root)` takes
@@ -119,6 +120,19 @@ class Coordinatization:
         for i in range(self.k - 2, -1, -1):
             st[i] = st[i + 1] * self.factors[i + 1].n
         return tuple(st)
+
+    @cached_property
+    def steps(self) -> dict[int, int]:
+        """The position c of every code step j*strides[c], 0 < |j| < the
+        size of factor c: the code difference across an edge that changes
+        coordinate c only. The keys of two positions never meet, since
+        (size - 1)*strides[c] < strides[c - 1]."""
+        return {
+            j * s: c
+            for c, (F, s) in enumerate(zip(self.factors, self.strides))
+            for j in range(1 - F.n, F.n)
+            if j
+        }
 
     @cached_property
     def vertex_at(self) -> list[int]:

@@ -403,7 +403,8 @@ def coordinates_from_colors(
     `colors` is not a product coloring. Accepting therefore proves that S is
     the product of the returned layers.
     """
-    if colors.keys() != S.edges:
+    ends = S.ends
+    if len(colors) != len(ends) or not all(map(colors.__contains__, ends)):
         raise ValueError("colors must cover exactly the edges of S")
     if S.n == 1:
         return (), Coordinatization((), ((),), 0)
@@ -414,7 +415,7 @@ def coordinates_from_colors(
         B = bfs(S, root)
     elif B.root != root:
         raise ValueError("BFS root differs from the factorization root")
-    coordin = _coordinates(S, root, [colors[e] for e in S.ends], B)
+    coordin = _coordinates(S, root, [colors[e] for e in ends], B)
     return tuple(map(shadow, coordin.factors)), coordin
 
 

@@ -79,9 +79,15 @@ def both_k2() -> DiGraph:
     return DiGraph(2, {(0, 1), (1, 0)}, set())
 
 
+def shadow_graph(n: int, edges) -> ShadowGraph:
+    """The shadow on n vertices with the given edges, each a pair of
+    distinct vertices in either order, made as every shadow is: by `shadow`."""
+    return shadow(DiGraph(n, edges))
+
+
 def both_ways(S: ShadowGraph) -> DiGraph:
     """The loopless DiGraph with both arcs along every edge of S."""
-    return DiGraph(S.n, {a for u, v in S.edges for a in ((u, v), (v, u))})
+    return DiGraph(S.n, {a for u, v in S.ends for a in ((u, v), (v, u))})
 
 
 def random_digraph(
@@ -189,7 +195,7 @@ def naive_shadow_classes(S: ShadowGraph) -> set[frozenset[tuple[int, int]]]:
             x != p and has_edge(S, x, b) and not has_edge(S, x, p) for x in S.adj[a]
         )
 
-    edges = sorted(S.edges)
+    edges = sorted(S.ends)
     label = list(range(len(edges)))
     for i, (x, y) in enumerate(edges):
         for j in range(i + 1, len(edges)):
@@ -270,14 +276,14 @@ PROPAGATION_RULES = (
 
 def naive_propagate(S: ShadowGraph, B: BfsOrder, drop=()) -> list[int]:
     """Class label of every edge under rung 1 of `factor_shadow`, colour
-    propagation, for edges indexed as in `sorted(S.edges)`.
+    propagation, for edges indexed as in `sorted(S.ends)`.
 
     Every rule is a join of two edges, made on edge pairs with neighbour
     sets. `drop` names rules of `PROPAGATION_RULES` to leave out: a dropped
     root test counts as passed, a dropped merge is not made (the copies stay).
     The label of an edge is the index of its class's root edge.
     """
-    edges = sorted(S.edges)
+    edges = sorted(S.ends)
     eidx = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
     nbrs = [set(nb) for nb in S.adj]
@@ -351,7 +357,7 @@ def naive_factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     if S.n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
     B = bfs(S, root)
-    edges = sorted(S.edges)
+    edges = sorted(S.ends)
     labels = naive_square_closure(S, edges)
     steps = theta_order(B, edges)
     while True:
@@ -418,7 +424,7 @@ def naive_coordinates_from_colors(
     of the returned layers.
     """
     n = S.n
-    if set(colors) != S.edges:
+    if set(colors) != set(S.ends):
         raise ValueError("colors must cover exactly the edges of S")
     if n == 1:
         return (), Coordinatization((), ((),), 0)
@@ -462,7 +468,7 @@ def naive_coordinates_from_colors(
                         f"unit layer of color {c} induces an edge of color "
                         f"{colors[(u, w)]}"
                     )
-        Z = ShadowGraph(len(hosts), zedges)
+        Z = shadow_graph(len(hosts), zedges)
         factors.append(Z)
         layer_local.append(loc)
 
@@ -589,7 +595,7 @@ def class_count(P: ColorPartition) -> int:
 
 def has_edge(S: ShadowGraph, u: int, v: int) -> bool:
     """Is uv an edge of S, in either order."""
-    return ((u, v) if u < v else (v, u)) in S.edges
+    return v in S.adj[u]
 
 
 def project_vertex(v: CoordVector, keep, root: CoordVector) -> CoordVector:
@@ -752,6 +758,9 @@ def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:
 
     A factorization is a fixpoint of the direction scan exactly when this is
     zero for its final assignment; used to re-check the single scan's output.
+    The inputs are checked as `factor_directed` checks them; each edge's
+    ends are then projected into its class with `project`, and the two
+    edges' arcs compared both ways.
     """
     B = directed_factor._edge_info(G, SF, B)
     k = len(SF.factors)
@@ -761,11 +770,17 @@ def count_inconsistencies(G: DiGraph, SF, assignment, B=None) -> int:
     for j, label in enumerate(assignment):
         groups.setdefault(label, []).append(j)
     C = SF.coordin
-    cols = {label: C.projection_codes(members) for label, members in groups.items()}
-    colof = [cols[label] for label in assignment]
-    step = directed_factor._step_colors(C)
-    edges = directed_factor._inconsistent_edges(B.order, G.arcs, C, B, step, colof, {})
-    return sum(1 for _ in edges)
+    arcs = G.arcs
+    bad = 0
+    for v in B.order:
+        for u in B.down[v] + B.cross[v]:
+            members = groups[assignment[SF.colors[(u, v) if u < v else (v, u)]]]
+            pv, pu = project(C, v, members), project(C, u, members)
+            if (pv, pu) == (v, u):
+                continue
+            if ((v, u) in arcs) != ((pv, pu) in arcs) or ((u, v) in arcs) != ((pu, pv) in arcs):
+                bad += 1
+    return bad
 
 
 # --- references for breadth-first search ------------------------------------
@@ -916,7 +931,7 @@ def naive_brute_force_prime(G: DiGraph) -> bool:
         return False
     if G.n < 4:
         return True
-    edges = sorted(S.edges)
+    edges = sorted(S.ends)
     r = min(v for v in range(G.n) if v not in G.loops)
     for mask in range(1 << (S.edge_count - 1)):
         if oracle._split_witness(G, edges, mask, r):

@@ -266,6 +266,24 @@ class TestVerifyCommand:
         assert main(["verify", g, fa, fb, "--coords", str(coords)]) == 2
 
 
+    @pytest.mark.parametrize("missing", ["factor", "table"])
+    def test_missing_factor_or_table_file_exits_2(self, missing, tmp_path, capsys):
+        # the claim cannot be built, and the parse-and-compare path, which
+        # loads the files again, reports the missing one
+        P, C, A, B = loop_product()
+        g = write_graph(tmp_path / "prod.dg", P)
+        fa = write_graph(tmp_path / "fa.dg", A)
+        fb = write_graph(tmp_path / "fb.dg", B)
+        coords = tmp_path / "prod.coords"
+        coords.write_text(coords_to_text(C.coords))
+        gone = str(tmp_path / "gone")
+        argv = ["verify", g, fa, fb, "--coords", str(coords)]
+        argv[argv.index(fb if missing == "factor" else str(coords))] = gone
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and gone in captured.err
+        assert captured.out == ""
+
     def test_coords_for_other_vertices_rejected(self, tmp_path, capsys):
         # four rows, but for vertices 0, 1, 2 and 7 of a 4-vertex graph
         P, C, A, B = loop_product()
@@ -897,6 +915,11 @@ class TestBenchCommand:
     def test_randprod_instances_are_pinned(self, target, seed, digest):
         G = _bench_instance("randprod", target, random.Random(seed))[0]
         assert hashlib.sha256(to_text(G).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("lo, hi", [("3", "80"), ("80", "40")])
+    def test_arc_range_out_of_order_exits_2(self, lo, hi, capsys):
+        assert main(["bench", "--family", "grid", "--min-arcs", lo, "--max-arcs", hi]) == 2
+        assert "need 4 <= min-arcs <= max-arcs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_2(self, reps, capsys):

@@ -10,7 +10,6 @@ from boxfactor import (
     Coordinatization,
     DiGraph,
     ShadowFactorization,
-    ShadowGraph,
     cartesian_product,
     factor_directed,
     factor_full,
@@ -399,7 +398,7 @@ class TestAgainstNaiveScans:
         K2 = DiGraph(2, {(0, 1), (1, 0)}, set())
         colors = {(0, 1): 1, (0, 2): 0, (1, 2): 1, (1, 3): 0, (2, 3): 1}
         G = DiGraph(4, colors, set())
-        layer = ShadowGraph(2, [(0, 1)])
+        layer = shadow(K2)
         coordin = Coordinatization((K2, K2), [(0, 0), (0, 1), (1, 0), (1, 1)], 0)
         SF = ShadowFactorization(0, colors, (layer, layer), coordin)
         with pytest.raises(ValueError, match="changes other coordinates"):

@@ -14,7 +14,6 @@ from boxfactor import (
     DisconnectedGraphError,
     FactorizationError,
     NoUnloopedVertexError,
-    ShadowGraph,
     cartesian_product,
     factor_directed,
     factor_full,
@@ -44,6 +43,7 @@ from helpers import (
     naive_group_coordinates,
     project,
     relabel,
+    shadow_graph,
     undirected_cycle,
 )
 
@@ -200,17 +200,17 @@ class TestFactorWithLoops:
         # NF factors the both-ways square 0-1-3-2; H is the both-ways cycle
         # 0-1-2-3 on the same vertices, whose "factors" under NF's
         # coordinates make 4 of its 8 arcs
-        NF = factor_full(both_ways(ShadowGraph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])))
+        NF = factor_full(both_ways(shadow_graph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])))
         assert NF.k == 2
-        H = both_ways(ShadowGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        H = both_ways(shadow_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         with pytest.raises(FactorizationError, match="make 4 arcs, the graph has 8"):
             factor_with_loops(H, NF)
 
     def test_edge_changing_two_coordinates_raises_in_the_loop_scan(self):
         # the same NF and cycle, with a loop at 3: the loop scan reaches 3,
         # whose down-edge 3-0 steps from (1, 1) to (0, 0)
-        NF = factor_full(both_ways(ShadowGraph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])))
-        H = both_ways(ShadowGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        NF = factor_full(both_ways(shadow_graph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])))
+        H = both_ways(shadow_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         H = DiGraph(4, H.arcs, {3})
         with pytest.raises(FactorizationError, match=r"edge \(3, 0\) changes more than one"):
             factor_with_loops(H, NF)

@@ -52,6 +52,12 @@ class TestReconstructCheck:
         coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
         assert reconstruct_check_parts(G, [arc, arc], coords)
 
+    def test_two_vertices_on_one_grid_point_fail(self):
+        # vertices 0 and 1 both at (0, 0): not a bijection onto the grid
+        G = consistent_square()
+        arc = DiGraph(2, {(0, 1)}, set())
+        assert not reconstruct_check_parts(G, [arc, arc], [(0, 0), (0, 0), (0, 1), (1, 1)])
+
     def test_flipped_arc_fails(self):
         G = consistent_square()
         arc = DiGraph(2, {(0, 1)}, set())
@@ -410,6 +416,10 @@ class TestCanonicalSmallGraphs:
 
     def test_frozen_count_n4(self):
         assert len(list(canonical_small_graphs(4))) == 2619
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            next(canonical_small_graphs(0))
 
     def test_n1_is_the_trivial_graph(self):
         (G,) = list(canonical_small_graphs(1))

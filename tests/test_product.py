@@ -55,6 +55,10 @@ class TestCartesianProduct:
         assert P.arcs == frozenset({(0, 1)})
         assert P.loops == frozenset({0, 1})
 
+    def test_zero_vertex_factor_rejected(self):
+        with pytest.raises(ValueError, match="factors must have at least one vertex"):
+            cartesian_product([arc01(), DiGraph(0)])
+
     def test_q3_edge_count(self):
         P, _ = cartesian_product([both_k2()] * 3)
         S = shadow(P)
@@ -423,13 +427,19 @@ class TestUnitLayer:
         layer, hosts = unit_layer(P, C, {0}, root=vertex_of(C)[(0, 1)])
         assert hosts == (1, 3)
 
+    @pytest.mark.parametrize("position", [-1, 2])
+    def test_position_out_of_range_raises(self, position):
+        P, C = cartesian_product([arc01(), arc01()])
+        with pytest.raises(ValueError, match=f"position {position} out of range"):
+            unit_layer(P, C, {0, position})
+
 
 class TestProductSquare:
     def test_k2_square(self):
         P, C = cartesian_product([both_k2(), both_k2()])
         S = shadow(P)
         colors = {}
-        for u, v in S.edges:
+        for u, v in S.ends:
             cu, cv = C.coords[u], C.coords[v]
             colors[(u, v)] = 0 if cu[0] != cv[0] else 1
         at = vertex_of(C)
@@ -442,7 +452,7 @@ class TestProductSquare:
         P, C = cartesian_product([both_k2()] * 3)
         S = shadow(P)
         colors = {}
-        for u, v in S.edges:
+        for u, v in S.ends:
             cu, cv = C.coords[u], C.coords[v]
             colors[(u, v)] = next(i for i in range(3) if cu[i] != cv[i])
         at = vertex_of(C)
@@ -474,7 +484,7 @@ class TestProductSquare:
     def test_same_color_rejected(self):
         P, C = cartesian_product([both_k2(), both_k2()])
         S = shadow(P)
-        colors = {e: 0 for e in S.edges}
+        colors = {e: 0 for e in S.ends}
         with pytest.raises(ValueError):
             product_square(S, colors, 0, 1, 2)
 
@@ -488,6 +498,11 @@ class TestGroupCoordinates:
         assert len(C2.factors) == 1
         assert C2.factors[0] == P
         assert C2.coords == tuple((v,) for v in range(P.n))
+
+    def test_empty_block_rejected(self):
+        P, C = cartesian_product([arc01(), both_k2()])
+        with pytest.raises(ValueError, match="empty block"):
+            group_coordinates(P, C, [(0, 1), ()])
 
     def test_singleton_blocks_reproduce(self):
         A = DiGraph(3, {(0, 1), (1, 2)}, set())
@@ -599,7 +614,7 @@ class TestAlgebraicLaws:
     def test_shadow_of_product_is_product_of_shadows(self, A, B):
         P, _ = cartesian_product([A, B])
         Q, _ = cartesian_product([both_ways(shadow(A)), both_ways(shadow(B))])
-        assert shadow(P).edges == shadow(Q).edges
+        assert shadow(P) == shadow(Q)
 
     def test_product_with_disconnected_factor_is_disconnected(self):
         from boxfactor import is_connected

@@ -16,7 +16,6 @@ from boxfactor import (
     Coordinatization,
     DiGraph,
     FactorizationError,
-    ShadowGraph,
     canonical_small_graphs,
     cartesian_product,
     coordinates_from_colors,
@@ -25,7 +24,7 @@ from boxfactor import (
     gen_product_instance,
     shadow,
 )
-from boxfactor import directed_factor, loop_factor, shadow_factor
+from boxfactor import loop_factor, shadow_factor
 from boxfactor.cli import _bench_instance
 from boxfactor.core import bfs
 from helpers import (
@@ -46,6 +45,7 @@ from helpers import (
     pendant_grid,
     random_digraph,
     relabel,
+    shadow_graph,
     undirected_cycle,
     undirected_path,
     vertex_of,
@@ -164,6 +164,11 @@ class TestFactorShadowExamples:
         with pytest.raises(ValueError):
             factor_shadow(shadow(both_k2()), 5)
 
+    def test_bfs_from_another_root_rejected(self):
+        S = shadow(undirected_cycle(4))
+        with pytest.raises(ValueError, match="BFS root differs from the factorization root"):
+            factor_shadow(S, 0, bfs(S, 1))
+
     def test_disconnected_rejected(self):
         from boxfactor import DisconnectedGraphError
 
@@ -193,13 +198,13 @@ class TestCoordinatesFromColors:
         # all edges of C4 distinctly colored: color classes are single
         # edges, the unit-layer intersection cannot be a single vertex
         S = shadow(undirected_cycle(4))
-        colors = {e: i for i, e in enumerate(sorted(S.edges))}
+        colors = {e: i for i, e in enumerate(S.ends)}
         with pytest.raises(FactorizationError):
             coordinates_from_colors(S, 0, colors)
 
     def test_merged_coloring_single_factor(self):
         S = shadow(undirected_cycle(4))
-        colors = {e: 0 for e in S.edges}
+        colors = {e: 0 for e in S.ends}
         factors, C = coordinates_from_colors(S, 0, colors)
         assert C.k == 1
         assert factors[0].n == 4
@@ -226,7 +231,7 @@ class TestCoordinatesFromColors:
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (0, 3), (1, 4), (2, 5)]
         S = shadow(DiGraph(6, {a for u, v in edges for a in ((u, v), (v, u))}, set()))
         rungs = {(0, 3), (1, 4), (2, 5)}
-        colors = {e: int(e in rungs) for e in S.edges}
+        colors = {e: int(e in rungs) for e in S.ends}
         with pytest.raises(FactorizationError, match="9 edges"):
             coordinates_from_colors(S, 0, colors)
         assert len(factor_shadow(S, 0).factors) == 1
@@ -244,6 +249,18 @@ class TestCoordinatesFromColors:
         S = shadow(undirected_cycle(4))
         with pytest.raises(ValueError):
             coordinates_from_colors(S, 0, {(0, 1): 0})
+        # as many keys as edges, but one is not an edge: (1, 0) is keyed
+        # the wrong way round, and 0 and 2 are not adjacent
+        for key in ((1, 0), (0, 2)):
+            colors = {(0, 3): 0, (1, 2): 0, (2, 3): 1, key: 1}
+            with pytest.raises(ValueError, match="cover exactly the edges"):
+                coordinates_from_colors(S, 0, colors)
+
+    def test_bfs_from_another_root_rejected(self):
+        S = shadow(undirected_cycle(4))
+        colors = {(0, 1): 0, (2, 3): 0, (0, 3): 1, (1, 2): 1}
+        with pytest.raises(ValueError, match="BFS root differs from the factorization root"):
+            coordinates_from_colors(S, 0, colors, bfs(S, 1))
 
 
 class TestAgainstNaiveClosure:
@@ -540,7 +557,7 @@ class TestLadder:
         # a 4-cycle 0-1-2-3 with a pendant edge 3-4, rooted at 1: the square
         # closure of the old round 1 left two classes; the degree test at the
         # root joins 10 and 12 at once
-        S = ShadowGraph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)])
+        S = shadow_graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)])
         F = factor_shadow(S, 1)
         assert rungs == [1]
         assert F.colors == naive_factor_shadow(S, 1).colors
@@ -607,7 +624,7 @@ class TestPropagation:
     @pytest.mark.parametrize("rule", PROPAGATION_RULES)
     def test_each_rule_is_needed(self, rule, rungs):
         n, edges, r = RULE_INPUTS[rule]
-        S = ShadowGraph(n, edges)
+        S = shadow_graph(n, edges)
         B = bfs(S, r)
         sigma = _sigma(S)
         assert _partition(_rung_one(S, B)) == sigma
@@ -641,7 +658,7 @@ class TestPropagation:
         # found in the seed-20261020 random corpus: squares 0-2-3-4 and
         # 3-4-5-6 share the edge 3-4, with a pendant edge 0-1; from root 5
         # rung 1 leaves two classes, which delta* joins
-        S = ShadowGraph(
+        S = shadow_graph(
             7, [(0, 1), (0, 2), (0, 4), (2, 3), (3, 4), (3, 6), (4, 5), (5, 6)]
         )
         assert len(set(_rung_one(S, bfs(S, 5)))) == 2
@@ -755,7 +772,7 @@ class TestAgainstNaiveCoordinates:
         S = shadow(G)
         if S.n == 1:
             return
-        edges = sorted(S.edges)
+        edges = sorted(S.ends)
         for r in roots:
             bn = bfs(S, r).bfsnum
             delta = dict(zip(edges, number_classes(edges, naive_square_closure(S, edges), bn)))
@@ -816,7 +833,7 @@ class TestProductRecovery:
         F = factor_shadow(shadow(P), 0)
         assert len(F.factors) >= 2
         # every edge's code difference is a step of its own color's position
-        step, codes = directed_factor._step_colors(F.coordin), F.coordin.codes
+        step, codes = F.coordin.steps, F.coordin.codes
         assert all(step.get(codes[v] - codes[u]) == c for (u, v), c in F.colors.items())
 
     @settings(deadline=None, max_examples=40)
@@ -836,8 +853,8 @@ class TestProductRecovery:
         # map through coordinates and compare edge sets
         at = vertex_of(C)
         m = {v: at[F.coordin.coords[v]] for v in range(S.n)}
-        lhs = {edge_key(m[u], m[v]) for (u, v) in S.edges}
-        rhs = shadow(P).edges
+        lhs = {edge_key(m[u], m[v]) for (u, v) in S.ends}
+        rhs = set(shadow(P).ends)
         assert lhs == rhs
 
 
@@ -959,7 +976,7 @@ class TestLargeInstance:
         # rung 1 merges the star's 100,000 root colours into one class; a
         # step quadratic in deg(root) would take minutes
         n = 100_000
-        S = ShadowGraph(n + 1, [(0, i) for i in range(1, n + 1)])
+        S = shadow_graph(n + 1, [(0, i) for i in range(1, n + 1)])
         t = time.perf_counter()
         F = factor_shadow(S, 0)
         assert time.perf_counter() - t < 15
@@ -986,7 +1003,7 @@ class TestLargeInstance:
         P, C = cartesian_product([mobius_ladder(200), undirected_path(q)])
         S = shadow(P)
         by_coordinate = [set(), set()]
-        for u, v in S.edges:
+        for u, v in S.ends:
             cu, cv = C.coords[u], C.coords[v]
             by_coordinate[cu[1] != cv[1]].add((u, v))
         want = {frozenset(s) for s in by_coordinate}
