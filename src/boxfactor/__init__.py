@@ -26,7 +26,7 @@ from .errors import (
     NoUnloopedVertexError,
     OracleBoundError,
 )
-from .loop_factor import factor_full, factor_with_loops, pick_root
+from .loop_factor import factor_full, factor_with_loops
 from .oracle import (
     brute_force_prime,
     canonical_small_graphs,
@@ -81,7 +81,6 @@ __all__ = [
     "iso_check",
     "parse_coords",
     "parse_graph",
-    "pick_root",
     "product_graph",
     "reconstruct_check",
     "reconstruct_check_parts",

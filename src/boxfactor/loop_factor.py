@@ -9,11 +9,12 @@ its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
 `factor_full` is the package's front door: it validates the input and
-factors the shadow; `_merge_scans` then runs the directed scan, and the loop
-scan when needed, in one partition of the shadow's colors, and regroups the
-coordinates once. The direction scan reads an edge's color from its code
-difference and its arcs from the graph, so the scans take only the shadow's
-coordinates and the BFS. The partition's projection tables, indexed by
+factors the shadow; `_merge_scans` then runs the directed scan when some
+edge carries one arc only, and the loop scan when G has loops, in one
+partition of the shadow's colors, and regroups the coordinates once. The
+direction scan reads an edge's color from its code difference and its arcs
+from the graph, so the scans take only the shadow's coordinates and the
+BFS. The partition's projection tables, indexed by
 code (built by repetition in O(n*k) element copies, O(n) per merge), feed
 both scans and the regrouping. The loop scan keeps its flags in code
 order. The regrouping spreads one table of new codes over the grid, adds
@@ -37,15 +38,6 @@ from .product import ColorPartition, Coordinatization, regroup_columns
 from .shadow_factor import _factored
 
 
-def pick_root(G: DiGraph) -> int:
-    """Smallest unlooped vertex; raises when every vertex is looped."""
-    if G.n == 0:
-        raise ValueError("graph has no vertices")
-    if len(G.loops) == G.n:
-        raise NoUnloopedVertexError("every vertex carries a loop")
-    return next(v for v in range(G.n) if v not in G.loops)
-
-
 def check_arc_count(G: DiGraph) -> None:
     """Raise DisconnectedGraphError when G has too few arcs to be connected.
 
@@ -60,7 +52,8 @@ def check_arc_count(G: DiGraph) -> None:
 
 
 def rooted_bfs(G: DiGraph, S: ShadowGraph, root: int | None = None) -> BfsOrder:
-    """BFS of the shadow S of G from `root`, or from pick_root(G) when None.
+    """BFS of the shadow S of G from `root`, or from the smallest unlooped
+    vertex when `root` is None (NoUnloopedVertexError when there is none).
 
     The BFS runs before the root is checked, so a disconnected graph raises
     DisconnectedGraphError even when the root or every vertex is looped (it
@@ -250,16 +243,23 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
 
 
 def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder):
-    """The direction scan over the shadow coordinates C of G, then the loop
-    scan when G has loops, in one fresh partition of C's colors, then one
-    regrouping. Inputs are trusted: every edge of G's shadow changes one
-    coordinate of C only. Returns the partition, the coordinates and a
-    `(name, seconds, merges)` row per scan; the last row's time includes the
-    regrouping.
+    """The direction scan over the shadow coordinates C of G, when some
+    edge carries one arc only, then the loop scan when G has loops, in one
+    fresh partition of C's colors, then one regrouping. Inputs are trusted:
+    every edge of G's shadow changes one coordinate of C only. Returns the
+    partition, the coordinates and a `(name, seconds, merges)` row per
+    scan; the last row's time includes the regrouping.
+
+    When every edge carries both arcs the direction scan is skipped with 0
+    merges: C is a product coordinatization, so an edge's projection is an
+    edge too, carries both arcs as well, and cannot disagree with it. The
+    edges are counted from B, whose down lists hold each edge once and
+    whose cross lists hold it at both ends.
     """
     t0 = perf_counter()
     P = ColorPartition(C.k, C)
-    merges = _direction_scan(G, C, P, B)
+    edges = sum(map(len, B.down)) + sum(map(len, B.cross)) // 2
+    merges = _direction_scan(G, C, P, B) if len(G.arcs) != 2 * edges else 0
     rows = []
     has_looped = 0
     if G.loops:

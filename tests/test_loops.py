@@ -21,27 +21,31 @@ from boxfactor import (
     factor_with_loops,
     gen_product_instance,
     group_coordinates,
-    pick_root,
     reconstruct_check,
     shadow,
     strip_loops,
 )
-from boxfactor import loop_factor
+from boxfactor import directed_factor, loop_factor
 from boxfactor.core import bfs
 from helpers import (
+    both_k2,
     both_ways,
     class_count,
     connected_digraphs,
     inconsistent_square,
+    klein_bottle_grid,
     live_ids,
     loop_flags,
     loop_product,
     looped_far_corner,
+    mobius_ladder,
     multiset_iso,
     naive_factor_directed,
     naive_factor_with_loops,
     naive_group_coordinates,
+    pendant_grid,
     project,
+    random_digraph,
     relabel,
     shadow_graph,
     undirected_cycle,
@@ -68,20 +72,26 @@ def frozen(F):
 
 
 class TestPickRoot:
+    """The root `rooted_bfs` starts from when none is given."""
+
+    @staticmethod
+    def root(G):
+        return loop_factor.rooted_bfs(G, shadow(G)).root
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pick_root(DiGraph(0, set(), set()))
+            self.root(DiGraph(0, set(), set()))
 
     def test_all_looped_rejected(self):
         with pytest.raises(NoUnloopedVertexError):
-            pick_root(DiGraph(2, {(0, 1), (1, 0)}, {0, 1}))
+            self.root(DiGraph(2, {(0, 1), (1, 0)}, {0, 1}))
 
     def test_smallest_unlooped_wins(self):
         G = DiGraph(3, {(0, 1), (1, 2), (1, 0), (2, 1)}, {0, 1})
-        assert pick_root(G) == 2
+        assert self.root(G) == 2
 
     def test_zero_when_unlooped(self):
-        assert pick_root(DiGraph(2, {(0, 1)}, {1})) == 0
+        assert self.root(DiGraph(2, {(0, 1)}, {1})) == 0
 
 
 class TestLoopedProduct:
@@ -354,7 +364,7 @@ class TestLoopProperties:
     @given(connected_digraphs(min_n=2, max_n=6, allow_loops=True))
     def test_loop_stage_only_coarsens(self, G):
         N = strip_loops(G)
-        r = pick_root(G)
+        r = loop_factor.rooted_bfs(G, shadow(G)).root
         SF = factor_shadow(shadow(N), r)
         NF = factor_directed(N, SF)
         F = factor_full(G, root=r)
@@ -569,3 +579,110 @@ class TestScrambledLayout:
         assert F.partition.classes() == sorted(
             tuple(sorted(c for j in cls for c in classes[j])) for cls in R.partition.classes()
         )
+
+
+def symmetrized(G):
+    """G with the reverse of every arc added: every edge carries both arcs."""
+    return DiGraph(G.n, G.arcs | {(v, u) for u, v in G.arcs}, G.loops)
+
+
+class TestSymmetricInputsSkipTheDirectionScan:
+    """When every edge carries both arcs, `_merge_scans` records 0
+    direction merges without running the direction scan."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        calls = []
+        scan = loop_factor._direction_scan
+
+        def spy(*args):
+            calls.append(True)
+            return scan(*args)
+
+        monkeypatch.setattr(loop_factor, "_direction_scan", spy)
+        return calls
+
+    def test_looped_cube_runs_no_direction_scan(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        G, _ = cartesian_product([K2_LOOPED] + [both_k2()] * 3)
+        F = factor_full(G)
+        assert [(name, m) for name, _, m in F.stages] == [
+            ("prepare", 0), ("shadow", 0), ("directed", 0), ("loops", 0)
+        ]
+        assert F.k == 4
+        assert reconstruct_check(G, F)
+        N = strip_loops(G)
+        assert factor_directed(N, factor_shadow(shadow(N), 0)).k == 4
+        # cross edges, each on both of its ends' lists, count once
+        T, _ = cartesian_product([undirected_cycle(3), K2_LOOPED])
+        assert factor_full(T).k == 2
+        assert calls == []
+
+    def test_symmetric_loop_merge_is_still_reported(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        G, root = scrambled([looped_far_corner(), both_k2()], random.Random(5))
+        F = factor_full(G, root)
+        assert [(name, m) for name, _, m in F.stages] == [
+            ("prepare", 0), ("shadow", 0), ("directed", 0), ("loops", 1)
+        ]
+        assert F.k == 2
+        assert reconstruct_check(G, F)
+        assert calls == []
+
+    def test_one_way_edge_runs_the_scan(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        G, _ = cartesian_product([inconsistent_square(), both_k2()])
+        F = factor_full(G)
+        assert [(name, m) for name, _, m in F.stages] == [
+            ("prepare", 0), ("shadow", 0), ("directed", 1)
+        ]
+        assert calls == [True]
+        # a single one-way edge among both-ways ones is enough
+        calls.clear()
+        Q, _ = cartesian_product([both_k2()] * 3)
+        factor_full(DiGraph(Q.n, Q.arcs - {(0, 1)}))
+        assert calls == [True]
+
+    @staticmethod
+    def corpus():
+        """Symmetric graphs: symmetrized generated products with loops,
+        random both-ways graphs with loops, Moebius ladders, which reach
+        delta*, Klein-bottle grids, which reach Theta, and pendant grids."""
+        rng = random.Random(20261020)
+        for i in range(240):
+            nf = 2 + i % 3
+            G, _ = gen_product_instance(nf, (2, 6 if nf == 2 else 4), 0.3, seed=i)
+            yield symmetrized(G)
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            p = rng.choice([0.05, 0.1, 0.2, 0.4])
+            yield symmetrized(random_digraph(rng, n, extra_prob=p, loop_prob=0.2))
+        for r in range(3, 30):
+            yield mobius_ladder(r)
+        for m in range(3, 8):
+            for n in range(3, 7):
+                yield klein_bottle_grid(m, n)
+        for A in range(2, 14):
+            yield pendant_grid(A)
+
+    def test_the_skipped_scan_would_merge_nothing(self, monkeypatch):
+        seen = []
+        scans = loop_factor._merge_scans
+
+        def spy_scans(G, C, B):
+            seen.append((C, B))
+            return scans(G, C, B)
+
+        monkeypatch.setattr(loop_factor, "_merge_scans", spy_scans)
+        products = 0
+        for G in self.corpus():
+            S = shadow(G)
+            assert len(G.arcs) == 2 * len(S.ends)
+            F = factor_full(G)
+            ((C, B),) = seen
+            seen.clear()
+            assert F.stages[2][::2] == ("directed", 0)
+            assert directed_factor._direction_scan(G, C, ColorPartition(C.k, C), B) == 0
+            products += C.k > 1
+        # every generated product has several shadow classes
+        assert products >= 240
