@@ -29,9 +29,7 @@ from .errors import (
 from .loop_factor import factor_full, factor_with_loops
 from .oracle import (
     brute_force_prime,
-    canonical_small_graphs,
     gen_product_instance,
-    iso_check,
     reconstruct_check,
     reconstruct_check_parts,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "ShadowGraph",
     "bfs",
     "brute_force_prime",
-    "canonical_small_graphs",
     "cartesian_product",
     "coordinates_from_colors",
     "factor_directed",
@@ -78,7 +75,6 @@ __all__ = [
     "gen_product_instance",
     "group_coordinates",
     "is_connected",
-    "iso_check",
     "parse_coords",
     "parse_graph",
     "product_graph",

@@ -4,7 +4,8 @@ Subcommands: `factor` (prime factorization of a graph file), `product`
 (multiply graph files), `generate` (seeded random product instances),
 `verify` (check a claimed factorization against a graph), and `bench`
 (empirical scaling of `factor_full`'s merge entry, timed on the shadow
-coordinates and BFS that set-up builds as `factor_full` does). `factor` runs
+coordinates and BFS that `loop_factor._shadow_stage`, `factor_full`'s own
+first stage, builds). `factor` runs
 `factor_full` once and prints its report from the result: the root from
 the coordinates, the merge count and the per-pass times from `stages`.
 `product` writes the canonical text straight from the factors
@@ -39,7 +40,6 @@ from .core import (
     coords_codes,
     parse_coords,
     parse_graph,
-    shadow,
     to_text,
 )
 from .errors import (
@@ -48,10 +48,9 @@ from .errors import (
     GraphFormatError,
     NoUnloopedVertexError,
 )
-from .loop_factor import _merge_scans, factor_full, rooted_bfs
+from .loop_factor import _merge_scans, _shadow_stage, factor_full
 from .oracle import _orient, gen_product_instance, reconstruct_check, reconstruct_check_parts
 from .product import Coordinatization, cartesian_product, coords_text, product_text
-from .shadow_factor import _factored
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -293,11 +292,8 @@ def cmd_bench(args) -> int:
         if len(G.arcs) in seen:
             continue  # an earlier row already timed this size
         seen.add(len(G.arcs))
-        # set up as `factor_full` does; the reps time its merge entry
-        S = shadow(G)
-        B = rooted_bfs(G, S)
-        C = _factored(S, B)[1]
-        del S
+        # set up with `factor_full`'s own stage; the reps time its merge entry
+        B, C, _ = _shadow_stage(G)
 
         def run():
             return _merge_scans(G, C, B)

@@ -8,21 +8,21 @@ into the current classes: if the vertex's loop state disagrees with all of
 its projections, the classes of its down-edges are merged. The result is the
 prime factorization of the graph with loops.
 
-`factor_full` is the package's front door: it validates the input and
-factors the shadow; `_merge_scans` then runs the directed scan when some
-edge carries one arc only, and the loop scan when G has loops, in one
-partition of the shadow's colors, and regroups the coordinates once. The
-direction scan reads an edge's color from its code difference and its arcs
-from the graph, so the scans take only the shadow's coordinates and the
-BFS. The partition's projection tables, indexed by
-code (built by repetition in O(n*k) element copies, O(n) per merge), feed
-both scans and the regrouping. The loop scan keeps its flags in code
-order. The regrouping spreads one table of new codes over the grid, adds
-the merged classes' tables, and hands out each layer's arcs from its own
-BFS edges, in O(n*k + the sum of the layer degrees). `bench` sets up as
-`factor_full` does, and `factor_directed` checks a caller's shadow
-factorization before it calls `_merge_scans`. The result's `stages` hold
-each pass's time and merge count, which the `factor` command reports.
+`factor_full` is the package's front door: its `_shadow_stage`, which
+`bench` shares, validates the input and factors the shadow; `_merge_scans`
+then runs the directed scan when some edge carries one arc only, and the
+loop scan when G has loops, in one partition of the shadow's colors, and
+regroups the coordinates once. The direction scan reads an edge's color
+from its code difference and its arcs from the graph, so the scans take
+only the shadow's coordinates and the BFS. The partition's projection
+tables, indexed by code (built by repetition in O(n*k) element copies, O(n)
+per merge), feed both scans and the regrouping. The loop scan keeps its
+flags in code order. The regrouping spreads one table of new codes over
+the grid, adds the merged classes' tables, and hands out each layer's arcs
+from its own BFS edges, in O(n*k + the sum of the layer degrees).
+`factor_directed` checks a caller's shadow factorization before it calls
+`_merge_scans`. The result's `stages` hold each pass's time and merge
+count, which the `factor` command reports.
 """
 
 from __future__ import annotations
@@ -227,19 +227,28 @@ def factor_full(G: DiGraph, root: int | None = None) -> DirectedFactorization:
     factorization), then the scans. Its `partition` groups the shadow colors
     into the factors.
     """
+    B, C, setup = _shadow_stage(G, root)
+    if C is None:
+        return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
+    P, coordin, rows = _merge_scans(G, C, B)
+    return DirectedFactorization(P, coordin, rows[-1][2], (*setup, *rows))
+
+
+def _shadow_stage(G: DiGraph, root: int | None = None):
+    """The stages before the scans, shared by `factor_full` and `bench`:
+    the arc-count check, the shadow S of G, its BFS from `root` and the
+    factorization of S. Returns the BFS, the shadow coordinates (None when
+    G has one vertex) and the `prepare` and `shadow` stage rows. The scans
+    read only G, the coordinates and the BFS, so S is freed on return.
+    """
     t0 = perf_counter()
     check_arc_count(G)
     S = shadow(G)
     B = rooted_bfs(G, S, root)
-    if G.n == 1:
-        return DirectedFactorization(ColorPartition(0), Coordinatization((), ((),), 0), 0)
     t1 = perf_counter()
-    C = _factored(S, B)[1]
+    C = _factored(S, B)[1] if G.n > 1 else None
     t2 = perf_counter()
-    del S  # the scans read only G, C and B: free the edge numbering
-    P, coordin, rows = _merge_scans(G, C, B)
-    stages = (("prepare", t1 - t0, 0), ("shadow", t2 - t1, 0), *rows)
-    return DirectedFactorization(P, coordin, rows[-1][2], stages)
+    return B, C, (("prepare", t1 - t0, 0), ("shadow", t2 - t1, 0))
 
 
 def _merge_scans(G: DiGraph, C: Coordinatization, B: BfsOrder):

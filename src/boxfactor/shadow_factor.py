@@ -9,11 +9,16 @@ Computing Theta directly needs all-pairs distances and every pair of edges.
 
 Instead, `factor_shadow` climbs a ladder of edge colourings and checks each
 rung exactly with `coordinates_from_colors`, which accepts only a product
-colouring. The factor classes of any product decomposition are unions of
-sigma classes, so an accepted colouring is sigma whenever it refines sigma:
-the first rung accepted is the factorization, whichever rung that is. All
-rungs merge one `ColorPartition` of the root colours, one per root edge, and
-a rung is checked only when it merged classes of the one before:
+colouring. Its final test is the proof: a labelling that is a bijection
+onto the grid of the unit layers, under which every edge steps only its own
+digit along an edge of its layer, with matching edge counts, makes S their
+product (Hammack, Imrich and Klavzar, Handbook of Product Graphs), so that
+unit layers meet only in the root follows and is not checked. The factor
+classes of any product decomposition are unions of sigma classes, so an
+accepted colouring is sigma whenever it refines sigma: the first rung
+accepted is the factorization, whichever rung that is. All rungs merge
+one `ColorPartition` of the root colours, one per root edge, and a rung is
+checked only when it merged classes of the one before:
 
 1. Colour propagation (`_propagate`), after Imrich and Peterin's linear
    recognition of Cartesian products: one sweep over the BFS order gives
@@ -386,22 +391,23 @@ def coordinates_from_colors(
     """Turn an edge coloring into unit-layer factors and vertex coordinates.
 
     The unit layer of color a is the component of `root` in the color-a
-    subgraph; it must induce no other color and meet the other layers only
-    in the root. Each layer is built once, as a both-ways DiGraph, the
-    factor of the returned coordinates; the returned factors are their
-    shadows. Coordinates are filled as mixed-radix codes in the BFS order
-    `B` from the root (computed when omitted): a vertex takes the code of a
-    down-neighbour u with one digit replaced, in one stride step. That is
-    digit a, the color of edge vu, which it reads from a down-neighbour of
-    another color, or, when it has none, takes as its own local id in the
-    unit layer of a. O(m + k*deg(root)) in all, with no tuple per vertex.
+    subgraph, with its color-a edges only. Each layer is built once, as a
+    both-ways DiGraph, the factor of the returned coordinates; the returned
+    factors are their shadows. Coordinates are filled as mixed-radix codes
+    in the BFS order `B` from the root (computed when omitted): a vertex
+    takes the code of a down-neighbour u with one digit replaced, in one
+    stride step. That is digit a, the color of edge vu, which it reads from
+    a down-neighbour of another color, or, when it has none, takes as its
+    own local id in the unit layer of a. O(m + k*deg(root)) in all, with no
+    tuple per vertex.
 
     Raises FactorizationError when a vertex with down-edges of one color
-    only is off that color's unit layer, or the labeling is not a bijection
-    onto the grid, or some edge does not step exactly its own coordinate
-    along a factor edge, or the grid has edges S lacks; each of these means
-    `colors` is not a product coloring. Accepting therefore proves that S is
-    the product of the returned layers.
+    only is off that color's unit layer, or the final test fails: the
+    labeling is a bijection onto the grid, every edge steps exactly its own
+    coordinate along a factor edge, and the grid has no edges S lacks. That
+    test alone proves that S is the product of the returned layers, with
+    `colors` the product coloring; that the unit layers meet only in the
+    root and induce no other color follows from it.
     """
     ends = S.ends
     if len(colors) != len(ends) or not all(map(colors.__contains__, ends)):
@@ -429,7 +435,6 @@ def _coordinates(S: ShadowGraph, root: int, colors: list[int], B: BfsOrder) -> C
 
     factors = []
     locs: list[dict[int, int]] = []
-    owner = [-1] * n  # the unit layer holding v; -1 for the root and off-layer
     for a in range(k):
         seen = {root}
         stack = [root]
@@ -437,24 +442,13 @@ def _coordinates(S: ShadowGraph, root: int, colors: list[int], B: BfsOrder) -> C
             x = stack.pop()
             for w, e in zip(adj[x], inc[x]):
                 if w not in seen and colors[e] == a:
-                    if owner[w] >= 0:
-                        raise FactorizationError(
-                            f"the unit layers of colors {owner[w]} and {a} share "
-                            f"vertex {w}"
-                        )
-                    owner[w] = a
                     seen.add(w)
                     stack.append(w)
         loc = {h: i for i, h in enumerate(sorted(seen))}
         arcs = []
         for x, i in loc.items():
             for w, e in zip(adj[x], inc[x]):
-                if x < w and w in loc:
-                    c = colors[e]
-                    if c != a:
-                        raise FactorizationError(
-                            f"unit layer of color {a} induces an edge of color {c}"
-                        )
+                if x < w and colors[e] == a:
                     arcs += ((i, loc[w]), (loc[w], i))
         factors.append(DiGraph._unchecked(len(loc), arcs, ()))
         locs.append(loc)
@@ -477,12 +471,12 @@ def _coordinates(S: ShadowGraph, root: int, colors: list[int], B: BfsOrder) -> C
                 x = codes[w] // s % sizes[a]
                 break
         else:
-            if owner[v] != a:
+            x = locs[a].get(v)
+            if x is None:
                 raise FactorizationError(
                     f"vertex {v} has down-edges of color {a} only but is off "
                     f"its unit layer"
                 )
-            x = locs[a][v]
         cu = codes[u]
         codes[v] = cu + (x - cu // s % sizes[a]) * s
 

@@ -19,13 +19,13 @@ from boxfactor import (
     DisconnectedGraphError,
     FactorizationError,
     GraphFormatError,
+    OracleBoundError,
     ShadowFactorization,
     ShadowGraph,
     bfs,
     cartesian_product,
     coordinates_from_colors,
     group_coordinates,
-    iso_check,
     shadow,
     unit_layer,
 )
@@ -1062,6 +1062,145 @@ def coords_to_text(coords) -> str:
     return "".join(
         "c " + " ".join(map(str, (v, *cv))) + "\n" for v, cv in enumerate(coords)
     )
+
+
+def iso_check(G: DiGraph, H: DiGraph, max_n: int = 10) -> bool:
+    """Digraph-with-loops isomorphism by backtracking, bounded by `max_n`."""
+    if G.n != H.n or len(G.arcs) != len(H.arcs) or len(G.loops) != len(H.loops):
+        return False
+    n = G.n
+    if n > max_n:
+        raise OracleBoundError(f"{n} vertices exceeds the isomorphism bound of {max_n}")
+    if n == 0:
+        return True
+
+    def signatures(K: DiGraph):
+        out = [[] for _ in range(n)]
+        inn = [[] for _ in range(n)]
+        for u, v in K.arcs:
+            out[u].append(v)
+            inn[v].append(u)
+        base = [(len(out[v]), len(inn[v]), v in K.loops) for v in range(n)]
+        return [
+            (
+                base[v],
+                tuple(sorted(base[w] for w in out[v])),
+                tuple(sorted(base[w] for w in inn[v])),
+            )
+            for v in range(n)
+        ]
+
+    sg = signatures(G)
+    sh = signatures(H)
+    if sorted(sg) != sorted(sh):
+        return False
+    cands = [[h for h in range(n) if sh[h] == sg[g]] for g in range(n)]
+    order = sorted(range(n), key=lambda g: (len(cands[g]), g))
+    garcs, harcs = G.arcs, H.arcs
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(pos: int) -> bool:
+        if pos == n:
+            return True
+        g = order[pos]
+        for h in cands[g]:
+            if used[h]:
+                continue
+            ok = True
+            for q in range(pos):
+                gp = order[q]
+                hp = mapping[gp]
+                if ((g, gp) in garcs) != ((h, hp) in harcs) or (
+                    (gp, g) in garcs
+                ) != ((hp, h) in harcs):
+                    ok = False
+                    break
+            if ok:
+                mapping[g] = h
+                used[h] = True
+                if extend(pos + 1):
+                    return True
+                used[h] = False
+                mapping[g] = -1
+        return False
+
+    return extend(0)
+
+
+def canonical_small_graphs(n: int):
+    """One representative per isomorphism class of the valid inputs on n vertices.
+
+    Valid means: connected as an undirected graph, loops allowed, at least
+    one unlooped vertex. The representative is the graph whose (arc set, loop
+    set) bitmask encoding is lexicographically minimal over all vertex
+    permutations. Exhaustive in the arc masks, so only sensible for n <= 4.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    npairs = len(pairs)
+    pidx = {p: i for i, p in enumerate(pairs)}
+    perms = []
+    for pi in itertools.permutations(range(n)):
+        arcmap = [pidx[(pi[u], pi[v])] for (u, v) in pairs]
+        perms.append((arcmap, pi))
+    perms = perms[1:]  # identity never lowers the encoding
+    allv = (1 << n) - 1
+
+    for arcmask in range(1 << npairs):
+        if n > 1:
+            adjm = [0] * n
+            for i in range(npairs):
+                if arcmask >> i & 1:
+                    u, v = pairs[i]
+                    adjm[u] |= 1 << v
+                    adjm[v] |= 1 << u
+            reach = 1
+            frontier = 1
+            while frontier:
+                nxt = 0
+                for v in range(n):
+                    if frontier >> v & 1:
+                        nxt |= adjm[v]
+                frontier = nxt & ~reach
+                reach |= frontier
+            if reach != allv:
+                continue
+        # keep only permutations fixing the arc mask; skip the mask entirely
+        # if some permutation lowers it (then no loop mask can be canonical)
+        auts = []
+        lowered = False
+        for arcmap, pi in perms:
+            am = 0
+            for i in range(npairs):
+                if arcmask >> i & 1:
+                    am |= 1 << arcmap[i]
+            if am < arcmask:
+                lowered = True
+                break
+            if am == arcmask:
+                auts.append(pi)
+        if lowered:
+            continue
+        for loopmask in range(1 << n):
+            if loopmask == allv:
+                continue  # need an unlooped vertex
+            ok = True
+            for pi in auts:
+                lm = 0
+                for v in range(n):
+                    if loopmask >> v & 1:
+                        lm |= 1 << pi[v]
+                if lm < loopmask:
+                    ok = False
+                    break
+            if ok:
+                yield DiGraph(
+                    n,
+                    {pairs[i] for i in range(npairs) if arcmask >> i & 1},
+                    {v for v in range(n) if loopmask >> v & 1},
+                )
 
 
 def multiset_iso(claimed, truth) -> bool:

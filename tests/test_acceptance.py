@@ -16,7 +16,6 @@ from boxfactor import (
     DisconnectedGraphError,
     NoUnloopedVertexError,
     brute_force_prime,
-    canonical_small_graphs,
     cartesian_product,
     factor_full,
     gen_product_instance,
@@ -25,6 +24,7 @@ from boxfactor import (
 )
 from boxfactor.cli import main as cli_main
 from helpers import (
+    canonical_small_graphs,
     consistent_square,
     dist,
     inconsistent_square,

@@ -18,7 +18,6 @@ from boxfactor import (
     FactorizationError,
     GraphFormatError,
     NoUnloopedVertexError,
-    canonical_small_graphs,
     cartesian_product,
     factor_full,
     gen_product_instance,
@@ -27,6 +26,7 @@ from boxfactor import (
 from boxfactor import cli, loop_factor
 from boxfactor.cli import _bench_instance, main
 from helpers import (
+    canonical_small_graphs,
     consistent_square,
     coords_to_text,
     inconsistent_square,

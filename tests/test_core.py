@@ -640,9 +640,13 @@ class TestExports:
             "dist",
             "min_degree",
             "project_vertex",
+            "iso_check",
+            "canonical_small_graphs",
         ):
             assert name not in boxfactor.__all__
             assert not hasattr(boxfactor, name)
+        for name in ("iso_check", "canonical_small_graphs"):
+            assert not hasattr(boxfactor.oracle, name)
         for name in ("class_of", "count", "live_ids"):
             assert not hasattr(boxfactor.ColorPartition, name)
         assert not hasattr(boxfactor.Coordinatization, "vertex_of")

@@ -12,12 +12,10 @@ from boxfactor import (
     NoUnloopedVertexError,
     OracleBoundError,
     brute_force_prime,
-    canonical_small_graphs,
     cartesian_product,
     factor_full,
     gen_product_instance,
     is_connected,
-    iso_check,
     reconstruct_check,
     reconstruct_check_parts,
     shadow,
@@ -26,9 +24,11 @@ from boxfactor import (
 from boxfactor import oracle
 from helpers import (
     both_k2,
+    canonical_small_graphs,
     connected_digraphs,
     consistent_square,
     inconsistent_square,
+    iso_check,
     loop_product,
     looped_far_corner,
     naive_brute_force_prime,

@@ -16,7 +16,6 @@ from boxfactor import (
     Coordinatization,
     DiGraph,
     FactorizationError,
-    canonical_small_graphs,
     cartesian_product,
     coordinates_from_colors,
     factor_full,
@@ -32,6 +31,7 @@ from helpers import (
     PROPAGATION_RULES,
     both_k2,
     both_ways,
+    canonical_small_graphs,
     connected_digraphs,
     klein_bottle_grid,
     min_degree,
@@ -67,6 +67,23 @@ def theta_steps(monkeypatch):
         return join(*args)
 
     monkeypatch.setattr(shadow_factor, "_join_theta", spy)
+    return calls
+
+
+@pytest.fixture
+def rung_classes(monkeypatch):
+    """The class count of each colouring of the ladder that factor_shadow
+    checked, one list per call."""
+    calls = []
+    ladder = shadow_factor._ladder
+
+    def spy(*args):
+        calls.append([])
+        for labels in ladder(*args):
+            calls[-1].append(max(labels) + 1)
+            yield labels
+
+    monkeypatch.setattr(shadow_factor, "_ladder", spy)
     return calls
 
 
@@ -237,10 +254,11 @@ class TestCoordinatesFromColors:
         assert len(factor_shadow(S, 0).factors) == 1
 
     def test_unit_layers_meet_only_at_the_root(self):
-        # C4 0-1-2-3-0 colored by halves: both unit layers from 0 reach 2
+        # C4 0-1-2-3-0 colored by halves: both unit layers from 0 reach 2,
+        # so the layers' grid has more points than S has vertices
         S = shadow(undirected_cycle(4))
         colors = {(0, 1): 0, (1, 2): 0, (2, 3): 1, (0, 3): 1}
-        with pytest.raises(FactorizationError, match="share vertex 2"):
+        with pytest.raises(FactorizationError, match="grid size 9 does not match vertex count 4"):
             coordinates_from_colors(S, 0, colors)
         with pytest.raises(FactorizationError):
             naive_coordinates_from_colors(S, 0, colors)
@@ -725,6 +743,41 @@ class TestFallbackRungsAreNeeded:
         assert theta_steps == []
         assert F.colors == naive_factor_shadow(S, 0).colors
         assert set(F.colors.values()) == {0}
+
+    # With three or more rung-1 classes a rule that splits a rejected
+    # two-class colouring has nothing to act on, so these products still
+    # need delta* or Theta.
+
+    @pytest.mark.parametrize("root", [0, 7])
+    def test_pendant_grid_times_k2_is_accepted_at_delta_star(
+        self, root, rung_classes, theta_steps
+    ):
+        S = shadow(cartesian_product([pendant_grid(50), both_k2()])[0])
+        B = bfs(S, root)
+        col, P = self._rung_one_rejected(S, B, "grid size 306 does not match vertex count 302")
+        assert len(P) == 3
+        assert shadow_factor._close_pairs(S, col, P)
+        F = factor_shadow(S, root, B)
+        assert rung_classes == [[3, 2]]
+        assert theta_steps == []
+        assert F.colors == naive_factor_shadow(S, root).colors
+
+    @pytest.mark.parametrize(
+        "other, ladder, steps",
+        [(both_k2(), [3, 2], 4), (klein_bottle_grid(6, 5), [4, 3, 2], 7)],
+    )
+    def test_klein_bottle_grid_products_take_theta_steps(
+        self, other, ladder, steps, rung_classes, theta_steps
+    ):
+        S = shadow(cartesian_product([klein_bottle_grid(8, 8), other])[0])
+        B = bfs(S, 0)
+        col, P = self._rung_one_rejected(S, B, "changes coordinates|not injective")
+        assert len(P) == ladder[0]
+        assert not shadow_factor._close_pairs(S, col, P)
+        F = factor_shadow(S, 0, B)
+        assert rung_classes == [ladder]
+        assert len(theta_steps) == steps
+        assert F.colors == naive_factor_shadow(S, 0).colors
 
     @pytest.mark.parametrize(
         "G, root",
