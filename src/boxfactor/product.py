@@ -371,6 +371,8 @@ def unit_layer(
     """
     if root is None:
         root = C.root
+    elif not 0 <= root < len(C.codes):
+        raise ValueError(f"root {root} out of range")
     k = C.k
     pos = set(positions)
     for i in pos:

@@ -62,14 +62,16 @@ checked only when it merged classes of the one before:
    square's smallest corner only. This closes delta: tau plus the opposite
    edges of every chordless square, in O(sum over v of deg(v)^2 times the
    degree of a neighbour). It stops once one class is left.
-3. Theta, one edge at a time, for graphs that are locally but not globally
-   a product, such as a Moebius ladder: BFS-tree edges first, then the
-   rest. An edge xy is Theta-related to uv exactly when
-   d(u,x) - d(v,x) != d(u,y) - d(v,y), so two BFS distance rows, from u and
-   from v, give all of them in one sweep over the edges, whose classes are
-   joined. Once every edge is used the classes contain delta* and Theta, so
-   they are sigma itself. This takes O(n + m) memory and O(m*(n + m)) time
-   in the worst case.
+3. Theta, for graphs that are locally but not globally a product, such as
+   a Moebius ladder, one BFS-tree edge after another. An edge xy is
+   Theta-related to uv exactly when d(u,x) - d(v,x) != d(u,y) - d(v,y), so
+   two BFS distance rows, from u and from v, give all of them in one sweep
+   over the edges, whose classes are joined. With Theta_T the pairs of an
+   edge of a spanning tree T and an edge Theta-related to it, sigma is
+   (Theta_T u tau)* (Feder, Product graph representations, J. Graph Theory
+   16, 1992), and delta* joined every tau pair: after the tree edges the
+   classes are sigma, and the check accepts them. So Theta takes at most
+   n - 1 steps, O(n + m) memory and O(n*(n + m)) time.
 
 Each rung refines sigma, so no input costs more than rung 1, the delta*
 closure and Theta plus their failed checks; every check after the first
@@ -144,27 +146,26 @@ def _factored(S: ShadowGraph, B: BfsOrder) -> tuple[list[int], Coordinatization]
     for colors in _ladder(S, B):
         try:
             return colors, _coordinates(S, B.root, colors, B)
-        except FactorizationError as exc:
-            # strictly finer than sigma: take the next rung. The traceback
-            # would hold this frame, and so S and B, in a reference cycle
-            rejected = exc.with_traceback(None)
-    raise rejected
+        except FactorizationError:
+            pass  # finer than sigma: next rung; unbound, so no traceback cycle
+    raise FactorizationError("the last rung, sigma itself, was rejected: a bug")
 
 
 def _ladder(S: ShadowGraph, B: BfsOrder) -> Iterator[list[int]]:
     """The colourings of the edges of S that `factor_shadow` checks, by edge
     id, each refining sigma: colour propagation, then its classes joined by
-    delta*, then by the Theta relations of one edge after another. All three
-    merge one partition of the root colours, so a rung is yielded only when
-    it merged classes of the rung before.
+    delta*, then by the Theta relations of each BFS-tree edge, the last
+    being sigma (Feder). All three merge one partition of the root colours,
+    so a rung is yielded only when it merged classes of the rung before.
     """
     P = ColorPartition(len(S.adj[B.root]))
     col = _propagate(S, B, P)
     yield _numbered(col, P)
     if _close_pairs(S, col, P):
         yield _numbered(col, P)
-    for e in _theta_order(B, S.ends):
-        if _join_theta(S, col, P, e):
+    for v in B.order[1:]:
+        u = B.down[v][0]
+        if _join_theta(S, col, P, (u, v) if u < v else (v, u)):
             yield _numbered(col, P)
 
 
@@ -353,17 +354,6 @@ def _close_pairs(S: ShadowGraph, col: list[int], P: ColorPartition) -> bool:
     return live < start
 
 
-def _theta_order(
-    B: BfsOrder, edges: list[tuple[int, int]]
-) -> Iterator[tuple[int, int]]:
-    """The edges whose Theta relations are added, in order: the BFS-tree
-    edges in BFS order, then the others in `edges` order."""
-    tree = [(u, v) if u < v else (v, u) for v in B.order[1:] for u in B.down[v][:1]]
-    yield from tree
-    in_tree = set(tree)
-    yield from (e for e in edges if e not in in_tree)
-
-
 def _join_theta(
     S: ShadowGraph, col: list[int], P: ColorPartition, e: tuple[int, int]
 ) -> bool:
@@ -412,15 +402,15 @@ def coordinates_from_colors(
     ends = S.ends
     if len(colors) != len(ends) or not all(map(colors.__contains__, ends)):
         raise ValueError("colors must cover exactly the edges of S")
+    if B is None:
+        B = bfs(S, root)
+    elif B.root != root:
+        raise ValueError("BFS root differs from the factorization root")
     if S.n == 1:
         return (), Coordinatization((), ((),), 0)
     k = max(colors.values()) + 1
     if set(colors.values()) != set(range(k)):
         raise ValueError("colors must be 0..k-1 with every value used")
-    if B is None:
-        B = bfs(S, root)
-    elif B.root != root:
-        raise ValueError("BFS root differs from the factorization root")
     coordin = _coordinates(S, root, [colors[e] for e in ends], B)
     return tuple(map(shadow, coordin.factors)), coordin
 

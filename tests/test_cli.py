@@ -1,13 +1,17 @@
 import gc
 import hashlib
+import io
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxfactor import (
     ColorPartition,
@@ -713,6 +717,69 @@ class TestExitCodes:
         assert captured.err == "error: out of memory\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestFuzzedFiles:
+    """Mutated copies of the canonical graph, factor and table files of a
+    generated 2-factor product end in a documented exit code of `factor
+    --emit-coords --emit-colors --verify`, `product --coords` and `verify`:
+    0, 2 (malformed), 3 (disconnected), 4 (every vertex looped) or 5 (a
+    false claim), never 6 and never an escaped exception. Spans are cut,
+    CR, NUL or a superscript digit inserted, lines duplicated or swapped,
+    and ids set up to 10^6; no vertex-count header is set, as a huge n
+    needs a memory cap (`--max-memory`) to end in a documented exit."""
+
+    NAMES = ("g.dg", "g.dg.factor0", "g.dg.factor1", "g.dg.coords")
+
+    @staticmethod
+    def _mutated(text, data):
+        lines = text.splitlines(keepends=True)
+        kind = data.draw(st.sampled_from(["cut", "insert", "twice", "swap", "id"]))
+        if kind == "cut":
+            i = data.draw(st.integers(0, len(text)))
+            j = data.draw(st.integers(i, min(len(text), i + 12)))
+            return text[:i] + text[j:]
+        if kind == "insert":
+            i = data.draw(st.integers(0, len(text)))
+            return text[:i] + data.draw(st.sampled_from(["\r", "\0", "\u00b2"])) + text[i:]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "twice":
+            return "".join(lines[: i + 1] + lines[i:])
+        if kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            return "".join(lines)
+        words = lines[i].split()
+        if words[0] == "n" or len(words) < 2:
+            return text
+        words[data.draw(st.integers(1, len(words) - 1))] = str(data.draw(st.integers(0, 10**6)))
+        lines[i] = " ".join(words) + "\n"
+        return "".join(lines)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_every_run_ends_in_a_documented_exit(self, tmp_path_factory, data):
+        seed = data.draw(st.integers(0, 3))
+        G, _ = gen_product_instance(2, (2, 4), 0.3, seed=seed)
+        d = tmp_path_factory.mktemp("fuzz")
+        g = write_graph(d / "g.dg", G)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["factor", "--input", g, "--emit-coords"]) == 0
+        assert (d / "g.dg.factor1").exists() and not (d / "g.dg.factor2").exists()
+        name = data.draw(st.sampled_from(self.NAMES))
+        path = d / name
+        path.write_text(self._mutated(path.read_text(encoding="utf-8"), data), encoding="utf-8")
+        (d / "run.dg").write_text((d / "g.dg").read_text(encoding="utf-8"), encoding="utf-8")
+        factors = [str(d / "g.dg.factor0"), str(d / "g.dg.factor1")]
+        table = str(d / "g.dg.coords")
+        for argv in (
+            ["factor", "--input", str(d / "run.dg"), "--emit-coords", "--emit-colors", "--verify"],
+            ["product", *factors, "--coords", table, "-o", str(d / "back.dg")],
+            ["verify", g, *factors, "--coords", table],
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                rc = main(argv)
+            assert rc in (0, 2, 3, 4, 5), (name, argv[0], rc, err.getvalue())
 
 
 @pytest.fixture

@@ -433,6 +433,15 @@ class TestUnitLayer:
         with pytest.raises(ValueError, match=f"position {position} out of range"):
             unit_layer(P, C, {0, position})
 
+    @pytest.mark.parametrize("root", [-1, 6])
+    def test_root_out_of_range_raises(self, root):
+        # -1 must not answer for the last vertex
+        path = DiGraph(3, {(0, 1), (1, 0), (1, 2), (2, 1)}, set())
+        P, C = cartesian_product([path, both_k2()])
+        assert P.n == 6
+        with pytest.raises(ValueError, match=f"root {root} out of range"):
+            unit_layer(P, C, [0], root=root)
+
 
 class TestProductSquare:
     def test_k2_square(self):

@@ -280,6 +280,15 @@ class TestCoordinatesFromColors:
         with pytest.raises(ValueError, match="BFS root differs from the factorization root"):
             coordinates_from_colors(S, 0, colors, bfs(S, 1))
 
+    @pytest.mark.parametrize("root", [7, -1])
+    def test_root_out_of_range_on_one_vertex(self, root):
+        # as factor_shadow rejects it on the same input
+        S = shadow(DiGraph(1))
+        with pytest.raises(ValueError, match=f"root {root} out of range"):
+            coordinates_from_colors(S, root, {})
+        with pytest.raises(ValueError, match=f"root {root} out of range"):
+            factor_shadow(S, root)
+
 
 class TestAgainstNaiveClosure:
     """factor_shadow's classes equal (Theta u tau)* computed from the
@@ -347,6 +356,46 @@ class TestAgainstNaiveClosure:
         # the first BFS-tree edge in BFS order joins every class at once
         v = B.order[1]
         assert theta_steps == [edge_key(B.down[v][0], v)]
+
+    @staticmethod
+    def _tree_bound_corpus():
+        """(graph, roots): Klein-bottle grids at every root, Moebius ladders
+        at their Theta roots, and five composites, among them the Theta
+        roots of Moebius products; vertex (a, b) of G x H has id a*|H| + b."""
+        for m in range(3, 8):
+            for n in range(3, 7):
+                K = klein_bottle_grid(m, n)
+                yield K, range(K.n)
+        for r in range(5, 30, 2):
+            yield mobius_ladder(r), (3 * (r - 1) // 2, 3 * (r - 1) // 2 + 1)
+        M7, M9, K65 = mobius_ladder(7), mobius_ladder(9), klein_bottle_grid(6, 5)
+        for (G, H), roots in [
+            ((pendant_grid(50), both_k2()), (0, 7)),
+            ((klein_bottle_grid(8, 8), both_k2()), (0, 7, 127)),
+            ((klein_bottle_grid(8, 8), K65), (0, 1919)),
+            ((M7, K65), (0, 9 * 30, 10 * 30 + 17)),
+            ((M7, M9), (0, 9 * 18 + 12, 10 * 18 + 13, 9 * 18)),
+        ]:
+            yield cartesian_product([G, H])[0], roots
+
+    def test_theta_walks_only_the_bfs_tree(self, theta_steps):
+        # Feder: sigma = (Theta_T u tau)* for a spanning tree T, and delta*
+        # has joined every tau pair, so the BFS-tree edges end the ladder at
+        # sigma; were tau left unjoined, the ladder would give out before
+        # the reference, which walks every edge, and this would fail
+        took_theta = 0
+        for G, roots in self._tree_bound_corpus():
+            S = shadow(G)
+            for root in roots:
+                B = bfs(S, root)
+                theta_steps.clear()
+                F = factor_shadow(S, root, B)
+                tree = {edge_key(B.down[v][0], v) for v in B.order[1:]}
+                assert set(theta_steps) <= tree, (G, root)
+                assert F.colors == naive_factor_shadow(S, root).colors, (G, root)
+                took_theta += bool(theta_steps)
+        # 158 of the 490 rooted runs need Theta
+        assert took_theta == 158
 
 
 @functools.cache
@@ -461,6 +510,18 @@ class TestLadder:
                 assert F.coordin.coords == want.coordin.coords, (G, r)
                 runs += 1
         assert runs > 10_000
+
+    def test_a_rejected_last_rung_is_an_invariant_failure(self, monkeypatch, rungs):
+        # the last rung is sigma, which the check accepts; a rejection of it
+        # names the broken invariant instead of leaving the ladder at None
+        def reject(*args):
+            raise FactorizationError("rejected")
+
+        monkeypatch.setattr(shadow_factor, "_coordinates", reject)
+        with pytest.raises(FactorizationError, match="the last rung, sigma itself, was rejected"):
+            factor_shadow(shadow(mobius_ladder(5)), 6)
+        # rung 1, then the first tree edge's Theta step joins every class
+        assert rungs == [2]
 
     def test_checks_at_most_root_degree(self, monkeypatch):
         # every rung after the first merges root colours, so a run checks
