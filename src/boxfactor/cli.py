@@ -226,8 +226,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _directed_path(n: int, loop_at_end: bool = True) -> DiGraph:
-    loops = {n - 1} if loop_at_end and n > 1 else set()
+def _directed_path(n: int) -> DiGraph:
+    loops = {n - 1} if n > 1 else set()
     return DiGraph(n, {(i, i + 1) for i in range(n - 1)}, loops)
 
 

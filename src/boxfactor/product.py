@@ -162,6 +162,9 @@ class Coordinatization:
         st = self.strides
         sizes = [F.n for F in self.factors]
         keep = set(positions)
+        for i in keep:
+            if not 0 <= i < self.k:
+                raise ValueError(f"position {i} out of range")
         r = self.codes[self.root]
         table = [r - sum(r // st[j] % sizes[j] * st[j] for j in keep)]
         for j in range(min(keep, default=self.k), self.k):
@@ -198,6 +201,8 @@ class ColorPartition:
     def __init__(self, k: int, C: Coordinatization | None = None):
         if k < 0:
             raise ValueError("color count must be nonnegative")
+        if C is not None and k != C.k:
+            raise ValueError(f"color count {k} differs from the {C.k} positions of C")
         self._table = list(range(k))
         self._members: dict[int, list[int]] = {i: [i] for i in range(k)}
         self.columns: dict[int, list[int]] = {}

@@ -116,22 +116,10 @@ class ShadowFactorization:
     coordin: Coordinatization
 
 
-def factor_shadow(
-    S: ShadowGraph, root: int, B: BfsOrder | None = None
-) -> ShadowFactorization:
-    """Factor a connected shadow into its prime layers through `root`.
-
-    `B` is the BFS order of S from `root`; it is computed (which also proves
-    connectivity) when the caller does not already hold it.
-    """
-    n = S.n
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range")
-    if B is None:
-        B = bfs(S, root)
-    elif B.root != root:
-        raise ValueError("BFS root differs from the factorization root")
-    if n == 1:
+def factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
+    """Factor a connected shadow into its prime layers through `root`."""
+    B = bfs(S, root)
+    if S.n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
     colors, coordin = _factored(S, B)
     factors = tuple(map(shadow, coordin.factors))
@@ -145,7 +133,7 @@ def _factored(S: ShadowGraph, B: BfsOrder) -> tuple[list[int], Coordinatization]
     and never builds the colour dict."""
     for colors in _ladder(S, B):
         try:
-            return colors, _coordinates(S, B.root, colors, B)
+            return colors, _coordinates(S, colors, B)
         except FactorizationError:
             pass  # finer than sigma: next rung; unbound, so no traceback cycle
     raise FactorizationError("the last rung, sigma itself, was rejected: a bug")
@@ -373,10 +361,7 @@ def _join_theta(
 
 
 def coordinates_from_colors(
-    S: ShadowGraph,
-    root: int,
-    colors: dict[tuple[int, int], int],
-    B: BfsOrder | None = None,
+    S: ShadowGraph, root: int, colors: dict[tuple[int, int], int]
 ) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
     """Turn an edge coloring into unit-layer factors and vertex coordinates.
 
@@ -384,12 +369,11 @@ def coordinates_from_colors(
     subgraph, with its color-a edges only. Each layer is built once, as a
     both-ways DiGraph, the factor of the returned coordinates; the returned
     factors are their shadows. Coordinates are filled as mixed-radix codes
-    in the BFS order `B` from the root (computed when omitted): a vertex
-    takes the code of a down-neighbour u with one digit replaced, in one
-    stride step. That is digit a, the color of edge vu, which it reads from
-    a down-neighbour of another color, or, when it has none, takes as its
-    own local id in the unit layer of a. O(m + k*deg(root)) in all, with no
-    tuple per vertex.
+    in the BFS order from the root: a vertex takes the code of a
+    down-neighbour u with one digit replaced, in one stride step. That is
+    digit a, the color of edge vu, which it reads from a down-neighbour of
+    another color, or, when it has none, takes as its own local id in the
+    unit layer of a. O(m + k*deg(root)) in all, with no tuple per vertex.
 
     Raises FactorizationError when a vertex with down-edges of one color
     only is off that color's unit layer, or the final test fails: the
@@ -402,23 +386,22 @@ def coordinates_from_colors(
     ends = S.ends
     if len(colors) != len(ends) or not all(map(colors.__contains__, ends)):
         raise ValueError("colors must cover exactly the edges of S")
-    if B is None:
-        B = bfs(S, root)
-    elif B.root != root:
-        raise ValueError("BFS root differs from the factorization root")
+    B = bfs(S, root)
     if S.n == 1:
         return (), Coordinatization((), ((),), 0)
     k = max(colors.values()) + 1
     if set(colors.values()) != set(range(k)):
         raise ValueError("colors must be 0..k-1 with every value used")
-    coordin = _coordinates(S, root, [colors[e] for e in ends], B)
+    coordin = _coordinates(S, [colors[e] for e in ends], B)
     return tuple(map(shadow, coordin.factors)), coordin
 
 
-def _coordinates(S: ShadowGraph, root: int, colors: list[int], B: BfsOrder) -> Coordinatization:
-    """`coordinates_from_colors` on valid inputs, with the colors of S's
-    edges listed by edge id, over the unit layers as both-ways DiGraphs."""
+def _coordinates(S: ShadowGraph, colors: list[int], B: BfsOrder) -> Coordinatization:
+    """`coordinates_from_colors` from the root of B on valid inputs, with the
+    colors of S's edges listed by edge id, over the unit layers as both-ways
+    DiGraphs."""
     n = S.n
+    root = B.root
     k = max(colors) + 1
     adj = S.adj
     inc = S.inc

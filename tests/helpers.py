@@ -363,7 +363,7 @@ def naive_factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     while True:
         colors = dict(zip(edges, number_classes(edges, labels, B.bfsnum)))
         try:
-            factors, coordin = coordinates_from_colors(S, root, colors, B)
+            factors, coordin = coordinates_from_colors(S, root, colors)
             return ShadowFactorization(root, colors, factors, coordin)
         except FactorizationError:
             if not any(join_theta(S, edges, labels, e) for e in steps):

@@ -983,6 +983,13 @@ class TestBenchCommand:
         G = _bench_instance("randprod", target, random.Random(seed))[0]
         assert hashlib.sha256(to_text(G).encode()).hexdigest() == digest
 
+    def test_randprod_shrinks_until_a_draw_fits(self):
+        # 8,250 arcs start the draw at n = 50; that draw is too large, and
+        # the next, at 49, fits
+        G, C = _bench_instance("randprod", 8250, random.Random(0))
+        assert [F.n for F in C.factors] == [49, 49]
+        assert len(G.arcs) == 8134
+
     @pytest.mark.parametrize("lo, hi", [("3", "80"), ("80", "40")])
     def test_arc_range_out_of_order_exits_2(self, lo, hi, capsys):
         assert main(["bench", "--family", "grid", "--min-arcs", lo, "--max-arcs", hi]) == 2

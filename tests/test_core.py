@@ -482,6 +482,12 @@ class TestShadow:
         S = shadow(DiGraph(2, {(0, 1)}, {1}))
         assert S.ends == [(0, 1)]
 
+    def test_equal_shadows_hash_alike(self):
+        G = DiGraph(3, {(0, 1), (1, 2), (2, 1)}, {0})
+        G2 = DiGraph(3, [(2, 1), (1, 2), (0, 1)], [0])
+        assert shadow(G2) == shadow(G)
+        assert hash(shadow(G2)) == hash(shadow(G))
+
     @settings(deadline=None)
     @given(connected_digraphs())
     def test_loops_never_affect_shadow(self, G):

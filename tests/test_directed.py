@@ -105,6 +105,16 @@ class TestColorPartition:
         assert merge_classes(P, {0, 1}) == 0
         assert class_count(P) == 1
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_color_count_must_match_the_coordinates(self, k):
+        # the partition keeps one column per position of C
+        path = DiGraph(3, {(0, 1), (1, 0), (1, 2), (2, 1)}, set())
+        _, C = cartesian_product([both_k2(), path])
+        assert C.k == 2
+        with pytest.raises(ValueError, match=f"color count {k} differs from the 2 positions"):
+            ColorPartition(k, C)
+        assert len(ColorPartition(2, C).columns) == 2
+
 
 class TestExamples:
     def test_consistent_square_splits(self):
@@ -342,7 +352,7 @@ class TestAgainstNaiveScans:
     def test_seeded_products(self):
         merged = {"directed": 0, "loops": 0}
         for G, root, B in self.seeded_runs():
-            SF = factor_shadow(shadow(G), root, B)
+            SF = factor_shadow(shadow(G), root)
             N = strip_loops(G)
             NF = factor_directed(N, SF, B)
             self.same(NF, naive_factor_directed(N, SF, B))
@@ -360,7 +370,7 @@ class TestAgainstNaiveScans:
         merged = {"directed": 0, "loops": 0}
         for G, root, B in self.seeded_runs():
             F = factor_full(G, root)
-            SF = factor_shadow(shadow(G), root, B)
+            SF = factor_shadow(shadow(G), root)
             NF = factor_directed(strip_loops(G), SF, B)
             R = factor_with_loops(G, NF, B) if G.loops else NF
             assert F.factors == R.factors
@@ -449,7 +459,7 @@ class TestFactorOrder:
             if [tuple(sorted(P.members(i))) for i in live_ids(P)] != P.classes():
                 by_id.append(seed)
             B = bfs(shadow(G), root)
-            NF = factor_directed(G, factor_shadow(shadow(G), root, B), B)
+            NF = factor_directed(G, factor_shadow(shadow(G), root), B)
             assert F.factors == NF.factors
             assert F.coordin.coords == NF.coordin.coords
         assert by_id == [154, 441, 796]

@@ -407,7 +407,7 @@ class TestLoopScanOnMergedClasses:
             G = relabel(P, perm)
             root = rng.choice([v for v in range(G.n) if v not in G.loops])
             B = bfs(shadow(G), root)
-            C = factor_shadow(shadow(G), root, B).coordin
+            C = factor_shadow(shadow(G), root).coordin
             # group the colors at random, as the direction scan might
             groups = ColorPartition(C.k, C)
             for _ in range(rng.randint(0, C.k - 1)):
@@ -450,8 +450,7 @@ class TestRegroupFromColumns:
             factors += [undirected_cycle(3)] * triangles + [K2] * plain
             rng.shuffle(factors)
             G, root = scrambled(factors, rng)
-            B = bfs(shadow(G), root)
-            C = factor_shadow(shadow(G), root, B).coordin
+            C = factor_shadow(shadow(G), root).coordin
             F = factor_full(G, root)
             directed, loops = [m for _, _, m in F.stages[2:]]
             assert directed == dcycles and loops == 1
@@ -563,7 +562,7 @@ class TestScrambledLayout:
     def test_factor_full_matches_the_naive_scans(self):
         G, _, B = self.layout()
         F = factor_full(G, B.root)
-        SF = factor_shadow(shadow(G), B.root, B)
+        SF = factor_shadow(shadow(G), B.root)
         assert list(SF.coordin.codes) != list(range(G.n))
         assert list(B.order) not in (list(range(G.n)), SF.coordin.vertex_at)
         NF = naive_factor_directed(strip_loops(G), SF, B)

@@ -91,6 +91,11 @@ class TestReconstructCheck:
         G = both_k2()
         assert not reconstruct_check_parts(G, [G], [(0, 0), (1, 1)])
 
+    def test_fewer_rows_than_vertices_fail(self):
+        P, C = cartesian_product([both_k2(), undirected_path(3)])
+        assert P.n == 6
+        assert not reconstruct_check_parts(P, C.factors, [(0, 0)])
+
 
 def perturbations(rng: random.Random, factors, coords, G: DiGraph):
     """(graph, factors, coords) claims near a valid one: the claim itself,

@@ -239,6 +239,15 @@ class TestCoordinatization:
                 assert project(D, v, keep) == expect
                 assert D.vertex_at[D.projection_codes(keep)[D.codes[v]]] == expect
 
+    @pytest.mark.parametrize("position", [-1, 2])
+    def test_projection_position_out_of_range_raises(self, position):
+        # -1 must not keep nothing
+        path = DiGraph(3, {(0, 1), (1, 0), (1, 2), (2, 1)}, set())
+        _, C = cartesian_product([both_k2(), path])
+        assert C.k == 2
+        with pytest.raises(ValueError, match=f"position {position} out of range"):
+            C.projection_codes([position])
+
 
 class TestCodesFirst:
     """`Coordinatization._of_codes` holds the codes and derives `coords` on

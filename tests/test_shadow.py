@@ -181,11 +181,6 @@ class TestFactorShadowExamples:
         with pytest.raises(ValueError):
             factor_shadow(shadow(both_k2()), 5)
 
-    def test_bfs_from_another_root_rejected(self):
-        S = shadow(undirected_cycle(4))
-        with pytest.raises(ValueError, match="BFS root differs from the factorization root"):
-            factor_shadow(S, 0, bfs(S, 1))
-
     def test_disconnected_rejected(self):
         from boxfactor import DisconnectedGraphError
 
@@ -274,11 +269,9 @@ class TestCoordinatesFromColors:
             with pytest.raises(ValueError, match="cover exactly the edges"):
                 coordinates_from_colors(S, 0, colors)
 
-    def test_bfs_from_another_root_rejected(self):
-        S = shadow(undirected_cycle(4))
-        colors = {(0, 1): 0, (2, 3): 0, (0, 3): 1, (1, 2): 1}
-        with pytest.raises(ValueError, match="BFS root differs from the factorization root"):
-            coordinates_from_colors(S, 0, colors, bfs(S, 1))
+    def test_one_vertex_has_no_factors(self):
+        S = shadow(DiGraph(1))
+        assert coordinates_from_colors(S, 0, {}) == ((), Coordinatization((), ((),), 0))
 
     @pytest.mark.parametrize("root", [7, -1])
     def test_root_out_of_range_on_one_vertex(self, root):
@@ -352,7 +345,7 @@ class TestAgainstNaiveClosure:
     def test_theta_is_added_tree_edges_first(self, theta_steps):
         S = shadow(mobius_ladder(5))
         B = bfs(S, 6)
-        factor_shadow(S, 6, B)
+        factor_shadow(S, 6)
         # the first BFS-tree edge in BFS order joins every class at once
         v = B.order[1]
         assert theta_steps == [edge_key(B.down[v][0], v)]
@@ -389,7 +382,7 @@ class TestAgainstNaiveClosure:
             for root in roots:
                 B = bfs(S, root)
                 theta_steps.clear()
-                F = factor_shadow(S, root, B)
+                F = factor_shadow(S, root)
                 tree = {edge_key(B.down[v][0], v) for v in B.order[1:]}
                 assert set(theta_steps) <= tree, (G, root)
                 assert F.colors == naive_factor_shadow(S, root).colors, (G, root)
@@ -486,7 +479,7 @@ def _check_rung_one(S, r, sigma):
     for c in classes:
         assert len({where[i] for i in c}) == 1, (S, r)
     try:
-        shadow_factor._coordinates(S, r, colors, B)
+        shadow_factor._coordinates(S, colors, B)
     except FactorizationError:
         return False
     assert classes == sigma, (S, r)
@@ -557,7 +550,7 @@ class TestLadder:
                 B = bfs(S, r)
                 first = _rung_one(S, B)
                 try:
-                    check(S, r, first, B)
+                    check(S, first, B)
                     accepted = True
                 except FactorizationError:
                     accepted = False
@@ -757,7 +750,7 @@ class TestPropagation:
         col = shadow_factor._propagate(S, B, P)
         assert len(P.classes()) == 2
         assert not shadow_factor._close_pairs(S, col, P)
-        F = factor_shadow(S, 6, B)
+        F = factor_shadow(S, 6)
         assert rungs == [2]
         assert len(theta_steps) == 1
         assert F.colors == naive_factor_shadow(S, 6).colors
@@ -777,7 +770,7 @@ class TestFallbackRungsAreNeeded:
         P = ColorPartition(len(S.adj[B.root]))
         col = shadow_factor._propagate(S, B, P)
         with pytest.raises(FactorizationError, match=match):
-            shadow_factor._coordinates(S, B.root, shadow_factor._numbered(col, P), B)
+            shadow_factor._coordinates(S, shadow_factor._numbered(col, P), B)
         return col, P
 
     @pytest.mark.parametrize("m, n, root", [(6, 5, 0), (6, 5, 1), (6, 5, 17), (8, 8, 36)])
@@ -786,7 +779,7 @@ class TestFallbackRungsAreNeeded:
         B = bfs(S, root)
         col, P = self._rung_one_rejected(S, B, "changes coordinates|not injective")
         assert not shadow_factor._close_pairs(S, col, P)
-        F = factor_shadow(S, root, B)
+        F = factor_shadow(S, root)
         assert theta_steps
         assert F.colors == naive_factor_shadow(S, root).colors
         assert set(F.colors.values()) == {0}
@@ -799,7 +792,7 @@ class TestFallbackRungsAreNeeded:
             S, B, "grid size 153 does not match vertex count 151"
         )
         assert shadow_factor._close_pairs(S, col, P)
-        F = factor_shadow(S, 0, B)
+        F = factor_shadow(S, 0)
         assert rungs == [2]
         assert theta_steps == []
         assert F.colors == naive_factor_shadow(S, 0).colors
@@ -818,7 +811,7 @@ class TestFallbackRungsAreNeeded:
         col, P = self._rung_one_rejected(S, B, "grid size 306 does not match vertex count 302")
         assert len(P) == 3
         assert shadow_factor._close_pairs(S, col, P)
-        F = factor_shadow(S, root, B)
+        F = factor_shadow(S, root)
         assert rung_classes == [[3, 2]]
         assert theta_steps == []
         assert F.colors == naive_factor_shadow(S, root).colors
@@ -835,7 +828,7 @@ class TestFallbackRungsAreNeeded:
         col, P = self._rung_one_rejected(S, B, "changes coordinates|not injective")
         assert len(P) == ladder[0]
         assert not shadow_factor._close_pairs(S, col, P)
-        F = factor_shadow(S, 0, B)
+        F = factor_shadow(S, 0)
         assert rung_classes == [ladder]
         assert len(theta_steps) == steps
         assert F.colors == naive_factor_shadow(S, 0).colors
