@@ -69,8 +69,11 @@ class ShadowGraph:
     The edges are numbered once, on first use, in ascending (min, max)
     order: `ends[i]` is edge i, `inc[v]` lists the ids of the edges to
     `adj[v]`, aligned with it (so the id of edge vw is
-    `inc[v][bisect_left(adj[v], w)]`). A caller that only walks `adj`, such
-    as `bfs`, pays for none of the numbering.
+    `inc[v][bisect_left(adj[v], w)]`). A caller that only walks `adj` pays
+    for none of the numbering: `bfs`, and the shadow factorization, which
+    keeps each edge's colour in its BFS slot and numbers the edges only when
+    its first colouring is rejected, or when `factor_shadow` keys its
+    colours by edge.
     """
 
     __slots__ = ("n", "adj", "_ids")

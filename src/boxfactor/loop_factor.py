@@ -246,7 +246,7 @@ def _shadow_stage(G: DiGraph, root: int | None = None):
     S = shadow(G)
     B = rooted_bfs(G, S, root)
     t1 = perf_counter()
-    C = _factored(S, B)[1] if G.n > 1 else None
+    C = _factored(S, B)[2] if G.n > 1 else None
     t2 = perf_counter()
     return B, C, (("prepare", t1 - t0, 0), ("shadow", t2 - t1, 0))
 

@@ -52,9 +52,13 @@ checked only when it merged classes of the one before:
    with vu lies in vu's factor, since two edges of different factors span
    the product square, whose far corner is one level below the upper
    ones. On products the colouring is almost always sigma itself and is
-   accepted; nothing rests on that. The sweep does O(1) bisections of the
-   sorted adjacency lists per pair of a down- or cross-edge and a
-   down-neighbour, O(m) on bounded down-degrees.
+   accepted; nothing rests on that. Every colour is kept in the edge's BFS
+   slot: its position in B.down[v] of its upper end v, or in B.cross[v] of
+   its later end v. The sweep reads another vertex's edge colour by its
+   position in that vertex's down or cross tuple, a scan of that short
+   tuple per pair of a down- or cross-edge and a down-neighbour, O(m) on
+   bounded down-degrees. It numbers no edges and searches no adjacency
+   list.
 2. delta* (`_close_pairs`), for a rejected rung 1, joins rung 1's classes.
    At every vertex v each pair of edges va, vw is tested: a pair on no
    chordless square is tau and joins the classes of its colours, otherwise
@@ -75,11 +79,13 @@ checked only when it merged classes of the one before:
 
 Each rung refines sigma, so no input costs more than rung 1, the delta*
 closure and Theta plus their failed checks; every check after the first
-follows a merge of root colours, so there are at most deg(root) checks. The
-rungs work on the edge ids of the shadow and look an edge up by its ids'
-alignment with the sorted adjacency lists. The classes are numbered by
-their smallest root colour, which is BFS order from the root, and
-`coordinates_from_colors` turns them into unit-layer factors and vertex
+follows a merge of root colours, so there are at most deg(root) checks.
+Every rung only merges classes of rung 1's root colours, so each check reads
+the same slots through a table from root colour to class number. delta* and
+Theta walk the edge ids of the shadow, which are numbered, and the slot
+colours mapped onto them, only once rung 1 is rejected. The classes are
+numbered by their smallest root colour, which is BFS order from the root,
+and `coordinates_from_colors` turns them into unit-layer factors and vertex
 coordinates.
 """
 
@@ -100,14 +106,14 @@ class ShadowFactorization:
     """Edge coloring of a shadow into prime factor classes.
 
     `colors` maps each edge (keyed (min, max)) to a color in 0..k-1;
-    `factor_shadow` inserts the edges in the shadow's edge-id order, so the
-    values, in order, are the color of edge 0, 1, ... The factor of color j
-    is `factors[j]`, an undirected layer with local ids in ascending host id
-    order: the shadow of `coordin.factors[j]`, the layer as a both-ways
-    DiGraph. `coordin` gives every vertex of the shadow the mixed-radix code
-    of its local factor ids. Color numbering follows the BFS order from
-    `root`: classes are sorted by the smallest (bfsnum, bfsnum) endpoint pair
-    among their edges.
+    `factor_shadow` inserts the edges in ascending key order, which is the
+    shadow's edge-id order, so the values, in order, are the color of edge
+    0, 1, ... The factor of color j is `factors[j]`, an undirected layer
+    with local ids in ascending host id order: the shadow of
+    `coordin.factors[j]`, the layer as a both-ways DiGraph. `coordin` gives
+    every vertex of the shadow the mixed-radix code of its local factor ids.
+    Color numbering follows the BFS order from `root`: classes are sorted by
+    the smallest (bfsnum, bfsnum) endpoint pair among their edges.
     """
 
     root: int
@@ -121,51 +127,72 @@ def factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     B = bfs(S, root)
     if S.n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
-    colors, coordin = _factored(S, B)
+    slots, number, coordin = _factored(S, B)
+    colors = dict(zip(S.ends, [number[c] for c in _edge_colors(S, B, slots)]))
     factors = tuple(map(shadow, coordin.factors))
-    return ShadowFactorization(root, dict(zip(S.ends, colors)), factors, coordin)
+    return ShadowFactorization(root, colors, factors, coordin)
 
 
-def _factored(S: ShadowGraph, B: BfsOrder) -> tuple[list[int], Coordinatization]:
+def _factored(S: ShadowGraph, B: BfsOrder):
     """`factor_shadow` on S, of two or more vertices, from the root of its
-    BFS order B, trusted: the colour of every edge by edge id, and the
-    coordinates. `factor_full` reads only the coordinates, so it calls this
-    and never builds the colour dict."""
-    for colors in _ladder(S, B):
+    BFS order B, trusted: the root colour of every edge in its slots, as
+    `_propagate` returns them, the number of each root colour's class in the
+    accepted colouring, and the coordinates. `factor_full` reads only the
+    coordinates, so it calls this and never keys a colour by its edge."""
+    P = ColorPartition(len(S.adj[B.root]))
+    slots = _propagate(S, B, P)
+    for number in _ladder(S, B, slots, P):
         try:
-            return colors, _coordinates(S, colors, B)
+            return slots, number, _coordinates(S, B, slots, number)
         except FactorizationError:
             pass  # finer than sigma: next rung; unbound, so no traceback cycle
     raise FactorizationError("the last rung, sigma itself, was rejected: a bug")
 
 
-def _ladder(S: ShadowGraph, B: BfsOrder) -> Iterator[list[int]]:
-    """The colourings of the edges of S that `factor_shadow` checks, by edge
-    id, each refining sigma: colour propagation, then its classes joined by
-    delta*, then by the Theta relations of each BFS-tree edge, the last
-    being sigma (Feder). All three merge one partition of the root colours,
-    so a rung is yielded only when it merged classes of the rung before.
+def _ladder(S: ShadowGraph, B: BfsOrder, slots, P: ColorPartition) -> Iterator[list[int]]:
+    """The colourings of the edges of S that `factor_shadow` checks, each
+    refining sigma, as the class number of every root colour: colour
+    propagation, whose root colours `slots` holds and P partitions, then its
+    classes joined by delta*, then by the Theta relations of each BFS-tree
+    edge, the last being sigma (Feder). Each rung only merges classes of P,
+    so the slots stay, and a rung is yielded only when it merged classes of
+    the rung before. The later rungs walk edge ids, so the slots are mapped
+    onto them once, after rung 1 is rejected.
     """
-    P = ColorPartition(len(S.adj[B.root]))
-    col = _propagate(S, B, P)
-    yield _numbered(col, P)
+    yield _numbered(P)
+    col = _edge_colors(S, B, slots)
     if _close_pairs(S, col, P):
-        yield _numbered(col, P)
+        yield _numbered(P)
     for v in B.order[1:]:
         u = B.down[v][0]
         if _join_theta(S, col, P, (u, v) if u < v else (v, u)):
-            yield _numbered(col, P)
+            yield _numbered(P)
 
 
-def _numbered(col: list[int], P: ColorPartition) -> list[int]:
-    """The colour of every edge: the number of the class in P of its root
-    colour, classes numbered by their smallest root colour. That is their
-    smallest (bfsnum, bfsnum) pair, as every class holds a root edge."""
+def _numbered(P: ColorPartition) -> list[int]:
+    """The number of the class in P of every root colour, classes numbered
+    by their smallest root colour. That is their smallest (bfsnum, bfsnum)
+    pair, as every class holds a root edge."""
     number = [0] * P.k
     for i, members in enumerate(P.classes()):
         for c in members:
             number[c] = i
-    return [number[c] for c in col]
+    return number
+
+
+def _edge_colors(S: ShadowGraph, B: BfsOrder, slots) -> list[int]:
+    """The colour of every edge of S in `slots` (laid out as `_propagate`
+    returns them, over B), by edge id."""
+    adj = S.adj
+    inc = S.inc
+    col = [0] * len(S.ends)
+    for v, (nb, ids) in enumerate(zip(adj, inc)):
+        for w, c in zip(B.down[v], slots[0][v]):
+            col[ids[bisect_left(nb, w)]] = c
+        for w, c in zip(B.cross[v], slots[1][v]):
+            if c is not None:
+                col[ids[bisect_left(nb, w)]] = c
+    return col
 
 
 def _join(P: ColorPartition, a: int, b: int) -> bool:
@@ -177,24 +204,31 @@ def _join(P: ColorPartition, a: int, b: int) -> bool:
     return True
 
 
-def _propagate(S: ShadowGraph, B: BfsOrder, P: ColorPartition) -> list[int]:
-    """Rung 1: the root colour of every edge of S by edge id, propagated
-    from the root's edges along B under the rules of the module docstring,
-    merging root colours in P, a fresh partition of the root's deg colours.
+def _propagate(S: ShadowGraph, B: BfsOrder, P: ColorPartition):
+    """Rung 1: the root colour of every edge of S, propagated from the
+    root's edges along B under the rules of the module docstring, merging
+    root colours in P, a fresh partition of the root's deg colours.
 
-    The root edge to the i-th neighbour of the root starts with colour i.
+    The colours are returned in the edges' BFS slots, as two lists of
+    per-vertex lists, (down, cross): `down[v][i]` is the colour of the edge
+    from v to `B.down[v][i]`, and `cross[v][i]` that of the edge to
+    `B.cross[v][i]` when that vertex comes before v in BFS order. A
+    cross-edge's colour is held at its later end only, and its slot at the
+    earlier end is None: finding that slot would scan the earlier end's
+    cross list, O(deg^2) per vertex on a dense level. The root edge to the
+    i-th neighbour of the root starts with colour i.
     """
     adj = S.adj
-    inc = S.inc
     down = B.down
     cross = B.cross
     root = B.root
-    col = [-1] * len(S.ends)
+    dcol: list = [()] * S.n
+    xcol: list = [()] * S.n
     rn = adj[root]
     k = len(rn)
 
-    for c, e in enumerate(inc[root]):
-        col[e] = c
+    for c, a in enumerate(rn):
+        dcol[a] = [c]
     # The root pairs ra, rw that pass every root test, by colour: a and w
     # have two common neighbours, r and a level-2 x with down-neighbours a
     # and w only, and deg x + deg r = deg a + deg w. Every other pair merges.
@@ -230,43 +264,49 @@ def _propagate(S: ShadowGraph, B: BfsOrder, P: ColorPartition) -> list[int]:
         P.merge(todo)
 
     # the down-edges below level 1, at their upper ends; u is the tree
-    # neighbour of v, and cu becomes the colour of vu
+    # neighbour of v, and cu becomes the colour of vu. A join of two colours
+    # merges their classes in P; most find them merged already.
+    table = P.table
     merged = bytearray(S.n)  # all of u's down-edge colours merged
     for v in B.order[k + 1 :]:
         dv = down[v]
         u = dv[0]
-        nb = adj[v]
-        ids = inc[v]
-        du = down[u]
+        col_u = dcol[u]
         cu = -1
-        same = [ids[bisect_left(nb, u)]]  # edges that take vu's colour
-        for w in dv[1:]:
-            e = ids[bisect_left(nb, w)]
-            if w in cross[u]:
-                same.append(e)
-                continue
-            dw = down[w]
-            for x in du:
-                if x in dw:
-                    break
-            else:
-                same.append(e)
-                continue
-            col[e] = col[inc[u][bisect_left(adj[u], x)]]
-            c = col[inc[w][bisect_left(adj[w], x)]]
-            if cu >= 0:
-                _join(P, cu, c)
-            cu = c
+        if len(dv) > 1:
+            du = down[u]
+            cross_u = cross[u]
+            row = [0] * len(dv)
+            same = [0]  # the slots that take vu's colour
+            for j in range(1, len(dv)):
+                w = dv[j]
+                if w not in cross_u:
+                    dw = down[w]
+                    for i, x in enumerate(du):
+                        if x in dw:
+                            break
+                    else:
+                        same.append(j)
+                        continue
+                    row[j] = col_u[i]
+                    c = dcol[w][dw.index(x)]
+                    if cu >= 0 and table[cu] != table[c]:
+                        P.merge((table[cu], table[c]))
+                    cu = c
+                else:
+                    same.append(j)
         if cu < 0:  # v and u lie in one unit layer
-            au = adj[u]
-            iu = inc[u]
-            cu = col[iu[bisect_left(au, du[0])]]
+            cu = col_u[0]
             if not merged[u]:
                 merged[u] = 1
-                for x in du[1:]:
-                    _join(P, cu, col[iu[bisect_left(au, x)]])
-        for e in same:
-            col[e] = cu
+                for c in col_u[1:]:
+                    _join(P, cu, c)
+            if len(dv) == 1:
+                dcol[v] = [cu]
+                continue
+        for j in same:
+            row[j] = cu
+        dcol[v] = row
     # the cross-edges, at their later ends in BFS order
     bn = B.bfsnum
     for v in B.order[1:]:
@@ -274,37 +314,36 @@ def _propagate(S: ShadowGraph, B: BfsOrder, P: ColorPartition) -> list[int]:
         if not cv:
             continue
         b = bn[v]
-        nb = adj[v]
-        ids = inc[v]
+        row = xcol[v] = [None] * len(cv)
         dv = down[v]
         u = dv[0]
-        au = adj[u]
-        iu = inc[u]
-        cu = col[ids[bisect_left(nb, u)]]
-        for y in cv:
+        cross_u = cross[u]
+        bu = bn[u]
+        cu = dcol[v][0]
+        for j, y in enumerate(cv):
             if bn[y] > b:
                 continue
-            ay = adj[y]
-            iy = inc[y]
             dy = down[y]
-            e = ids[bisect_left(nb, y)]
             if u in dy:  # a triangle
-                col[e] = cu
-                _join(P, cu, col[iy[bisect_left(ay, u)]])
-                continue
-            c = -1  # the colour of vy, from the far edges ux of squares v-u-x-y
-            for x in dy:
-                if x in dv:
-                    continue
-                i = bisect_left(au, x)
-                if i == len(au) or au[i] != x:
-                    continue
-                if c >= 0:
-                    _join(P, c, col[iu[i]])
-                c = col[iu[i]]
-                _join(P, cu, col[iy[bisect_left(ay, x)]])
-            col[e] = cu if c < 0 else c
-    return col
+                c = cu
+                _join(P, cu, dcol[y][dy.index(u)])
+            else:
+                c = -1  # the colour of vy, from the far edges ux of squares v-u-x-y
+                for i, x in enumerate(dy):
+                    if x in dv or x not in cross_u:
+                        continue
+                    if bn[x] < bu:  # ux is held at its later end
+                        cx = xcol[u][cross_u.index(x)]
+                    else:
+                        cx = xcol[x][cross[x].index(u)]
+                    if c >= 0:
+                        _join(P, c, cx)
+                    c = cx
+                    _join(P, cu, dcol[y][i])
+                if c < 0:
+                    c = cu
+            row[j] = c
+    return dcol, xcol
 
 
 def _close_pairs(S: ShadowGraph, col: list[int], P: ColorPartition) -> bool:
@@ -365,11 +404,14 @@ def coordinates_from_colors(
 ) -> tuple[tuple[ShadowGraph, ...], Coordinatization]:
     """Turn an edge coloring into unit-layer factors and vertex coordinates.
 
-    The unit layer of color a is the component of `root` in the color-a
-    subgraph, with its color-a edges only. Each layer is built once, as a
-    both-ways DiGraph, the factor of the returned coordinates; the returned
-    factors are their shadows. Coordinates are filled as mixed-radix codes
-    in the BFS order from the root: a vertex takes the code of a
+    The unit layer of color a holds the root and every vertex with a
+    down-edge of color a, in the BFS order from the root, to a vertex of the
+    layer; its edges are the color-a edges between its vertices. On a
+    product coloring that is the component of `root` in the color-a
+    subgraph, as a unit layer of a product is convex. Each layer is built
+    once, as a both-ways DiGraph, the factor of the returned coordinates;
+    the returned factors are their shadows. Coordinates are filled as
+    mixed-radix codes in the BFS order: a vertex takes the code of a
     down-neighbour u with one digit replaced, in one stride step. That is
     digit a, the color of edge vu, which it reads from a down-neighbour of
     another color, or, when it has none, takes as its own local id in the
@@ -380,11 +422,11 @@ def coordinates_from_colors(
     labeling is a bijection onto the grid, every edge steps exactly its own
     coordinate along a factor edge, and the grid has no edges S lacks. That
     test alone proves that S is the product of the returned layers, with
-    `colors` the product coloring; that the unit layers meet only in the
-    root and induce no other color follows from it.
+    `colors` the product coloring, whatever vertex sets the layers were
+    given; that the unit layers meet only in the root and induce no other
+    color follows from it.
     """
-    ends = S.ends
-    if len(colors) != len(ends) or not all(map(colors.__contains__, ends)):
+    if len(colors) != S.edge_count:
         raise ValueError("colors must cover exactly the edges of S")
     B = bfs(S, root)
     if S.n == 1:
@@ -392,56 +434,99 @@ def coordinates_from_colors(
     k = max(colors.values()) + 1
     if set(colors.values()) != set(range(k)):
         raise ValueError("colors must be 0..k-1 with every value used")
-    coordin = _coordinates(S, [colors[e] for e in ends], B)
+    bn = B.bfsnum
+    try:
+        slots = tuple(
+            [
+                [colors[(w, v) if w < v else (v, w)] if bn[w] < bn[v] else None for w in nb]
+                for v, nb in enumerate(lists)
+            ]
+            for lists in (B.down, B.cross)
+        )
+    except KeyError:
+        raise ValueError("colors must cover exactly the edges of S") from None
+    coordin = _coordinates(S, B, slots, list(range(k)))
     return tuple(map(shadow, coordin.factors)), coordin
 
 
-def _coordinates(S: ShadowGraph, colors: list[int], B: BfsOrder) -> Coordinatization:
-    """`coordinates_from_colors` from the root of B on valid inputs, with the
-    colors of S's edges listed by edge id, over the unit layers as both-ways
-    DiGraphs."""
+def _coordinates(S: ShadowGraph, B: BfsOrder, slots, number: list[int]) -> Coordinatization:
+    """`coordinates_from_colors` from the root of B on valid inputs, over
+    the unit layers as both-ways DiGraphs. The colour of every edge is
+    `number[c]`, with c its colour in `slots`, laid out as `_propagate`
+    returns them."""
     n = S.n
     root = B.root
-    k = max(colors) + 1
+    k = max(number) + 1
     adj = S.adj
-    inc = S.inc
+    level = B.level
+    down = B.down
+    cross = B.cross
+    dcol, xcol = slots
+    if k == 1:  # S is its own unit layer, with local ids its vertex ids
+        arcs = [(v, w) for v, nb in enumerate(adj) for w in nb]
+        return Coordinatization._of_codes((DiGraph._unchecked(n, arcs, ()),), range(n), root)
 
+    # each unit layer in BFS order: a vertex one level further out than a
+    # layer vertex x joins when one of its down-edges has the layer's colour
+    # and leads into the layer, which by then holds every vertex on x's
+    # level; the cross-edges of that colour between layer vertices join too
     factors = []
     locs: list[dict[int, int]] = []
     for a in range(k):
         seen = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for w, e in zip(adj[x], inc[x]):
-                if w not in seen and colors[e] == a:
-                    seen.add(w)
-                    stack.append(w)
+        looked = {root}
+        edges = []
+        queue = [root]
+        for x in queue:
+            for y, c in zip(cross[x], xcol[x]):
+                if c is not None and number[c] == a and y in seen:
+                    edges.append((y, x))
+            lw = level[x] + 1
+            for w in adj[x]:
+                if level[w] == lw and w not in looked:
+                    looked.add(w)
+                    ends = [y for y, c in zip(down[w], dcol[w]) if number[c] == a and y in seen]
+                    if ends:
+                        seen.add(w)
+                        queue.append(w)
+                        edges += ((y, w) for y in ends)
         loc = {h: i for i, h in enumerate(sorted(seen))}
         arcs = []
-        for x, i in loc.items():
-            for w, e in zip(adj[x], inc[x]):
-                if x < w and colors[e] == a:
-                    arcs += ((i, loc[w]), (loc[w], i))
+        for x, w in edges:
+            i, j = loc[x], loc[w]
+            arcs += ((i, j), (j, i))
         factors.append(DiGraph._unchecked(len(loc), arcs, ()))
         locs.append(loc)
 
-    # codes in BFS order: v takes u's code with digit a, the colour of edge
-    # vu, replaced; digit a of code c is c // st[a] % sizes[a]
     sizes = [len(loc) for loc in locs]
     st = [prod(sizes[a + 1 :]) for a in range(k)]
+    if st[0] * sizes[0] != n:
+        raise FactorizationError(
+            f"grid size {st[0] * sizes[0]} does not match vertex count {n}"
+        )
+    # codes in BFS order: v takes u's code with digit a, the colour of edge
+    # vu, replaced; digit a of code c is c // st[a] % sizes[a]. Each edge is
+    # checked at its later end: it must step exactly its own digit along an
+    # edge of its factor, that is, shift the code by (j - i) * st[c] from a
+    # code with digit i, for an arc (i, j) of factor c: a move of factor c.
+    # The tree edge vu changes only digit a by construction.
+    moves = [{(i, (j - i) * s) for i, j in F.arcs} for F, s in zip(factors, st)]
+    # the place value, size and moves of the class of each root colour
+    st_of = [st[a] for a in number]
+    size_of = [sizes[a] for a in number]
+    moves_of = [moves[a] for a in number]
     codes = [0] * n
     codes[root] = sum(loc[root] * s for loc, s in zip(locs, st))
     for v in B.order[1:]:
-        down = B.down[v]
-        nb = adj[v]
-        ids = inc[v]
-        u = down[0]
-        a = colors[ids[bisect_left(nb, u)]]
-        s = st[a]
-        for w in down[1:]:
-            if colors[ids[bisect_left(nb, w)]] != a:
-                x = codes[w] // s % sizes[a]
+        dv = down[v]
+        cv = dcol[v]
+        c0 = cv[0]
+        a = number[c0]
+        s = st_of[c0]
+        size = size_of[c0]
+        for w, c in zip(dv, cv):
+            if number[c] != a:
+                x = codes[w] // s % size
                 break
         else:
             x = locs[a].get(v)
@@ -450,34 +535,43 @@ def _coordinates(S: ShadowGraph, colors: list[int], B: BfsOrder) -> Coordinatiza
                     f"vertex {v} has down-edges of color {a} only but is off "
                     f"its unit layer"
                 )
-        cu = codes[u]
-        codes[v] = cu + (x - cu // s % sizes[a]) * s
+        cu = codes[dv[0]]
+        xu = cu // s % size
+        code = codes[v] = cu + (x - xu) * s
+        if (xu, code - cu) not in moves_of[c0]:
+            raise _step_error(v, dv[0], a, cu, code, st, sizes)
+        for j in range(1, len(dv)):
+            c = cv[j]
+            cw = codes[dv[j]]
+            if (cw // st_of[c] % size_of[c], code - cw) not in moves_of[c]:
+                raise _step_error(v, dv[j], number[c], cw, code, st, sizes)
+        if xcol[v]:
+            for w, c in zip(cross[v], xcol[v]):
+                if c is None:
+                    continue  # held at w, the later end
+                cw = codes[w]
+                if (cw // st_of[c] % size_of[c], code - cw) not in moves_of[c]:
+                    raise _step_error(v, w, number[c], cw, code, st, sizes)
 
     coordin = Coordinatization._of_codes(factors, codes, root)
     coordin.vertex_at  # force the injectivity check
-
-    # every edge must step exactly its own coordinate along a factor edge;
-    # it changes no other digit exactly when it shifts the code by the
-    # step in its own digit times that digit's place value
-    for (u, v), c in zip(S.ends, colors):
-        s, size = st[c], sizes[c]
-        a, b = codes[u] // s % size, codes[v] // s % size
-        if codes[v] - codes[u] != (b - a) * s:
-            diffs = [
-                i for i in range(k) if codes[u] // st[i] % sizes[i] != codes[v] // st[i] % sizes[i]
-            ]
-            raise FactorizationError(
-                f"edge ({u}, {v}) of color {c} changes coordinates {diffs}"
-            )
-        if (a, b) not in factors[c].arcs:
-            raise FactorizationError(
-                f"edge ({u}, {v}) does not project to an edge of factor {c}"
-            )
     # the labeling is a bijection onto the grid and maps edges to grid edges,
     # so S is the product of the layers exactly when the edge counts agree
     grid_edges = sum(len(F.arcs) // 2 * (n // F.n) for F in factors)
-    if grid_edges != len(colors):
+    if grid_edges != S.edge_count:
         raise FactorizationError(
-            f"the layers multiply to {grid_edges} edges, the graph has {len(colors)}"
+            f"the layers multiply to {grid_edges} edges, the graph has {S.edge_count}"
         )
     return coordin
+
+
+def _step_error(v, w, c, cw, code, st, sizes) -> FactorizationError:
+    """The error for the edge vw of colour c, whose step from code cw to
+    code is no move of factor c: it changes other digits, or its digit
+    steps along no edge of the factor."""
+    e = (v, w) if v < w else (w, v)
+    s = st[c]
+    if code - cw == (code // s % sizes[c] - cw // s % sizes[c]) * s:
+        return FactorizationError(f"edge {e} does not project to an edge of factor {c}")
+    diffs = [d for d, (t, size) in enumerate(zip(st, sizes)) if cw // t % size != code // t % size]
+    return FactorizationError(f"edge {e} of color {c} changes coordinates {diffs}")

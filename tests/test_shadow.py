@@ -16,6 +16,7 @@ from boxfactor import (
     Coordinatization,
     DiGraph,
     FactorizationError,
+    ShadowGraph,
     cartesian_product,
     coordinates_from_colors,
     factor_full,
@@ -463,10 +464,36 @@ def _sigma(S):
     return _partition(list(naive_factor_shadow(S, 0).colors.values()))
 
 
+def _rung_one_slots(S, B):
+    """Rung 1 from B's root: the root colours in the edges' BFS slots, and
+    their partition."""
+    P = ColorPartition(len(S.adj[B.root]))
+    return shadow_factor._propagate(S, B, P), P
+
+
+def _by_edge_id(S, B, slots):
+    """The colours in `slots` listed by edge id; each down list and cross
+    list of B has one slot per entry, and a cross-edge's colour is held at
+    its later end in BFS order, with None at the earlier end."""
+    eid = {e: i for i, e in enumerate(S.ends)}
+    col = [None] * len(eid)
+    for v in range(S.n):
+        for nb, cols in ((B.down[v], slots[0][v]), (B.cross[v], slots[1][v])):
+            assert len(cols) == len(nb), (S, v)
+            for w, c in zip(nb, cols):
+                later = B.bfsnum[w] < B.bfsnum[v]
+                assert (c is not None) == later, (S, v, w)
+                if later:
+                    col[eid[edge_key(v, w)]] = c
+    assert None not in col
+    return col
+
+
 def _rung_one(S, B):
     """Rung 1's colouring of the edges of S from B's root, by edge id."""
-    P = ColorPartition(len(S.adj[B.root]))
-    return shadow_factor._numbered(shadow_factor._propagate(S, B, P), P)
+    slots, P = _rung_one_slots(S, B)
+    number = shadow_factor._numbered(P)
+    return [number[c] for c in _by_edge_id(S, B, slots)]
 
 
 def _check_rung_one(S, r, sigma):
@@ -478,8 +505,9 @@ def _check_rung_one(S, r, sigma):
     where = {i: j for j, c in enumerate(sigma) for i in c}
     for c in classes:
         assert len({where[i] for i in c}) == 1, (S, r)
+    slots, P = _rung_one_slots(S, B)
     try:
-        shadow_factor._coordinates(S, colors, B)
+        shadow_factor._coordinates(S, B, slots, shadow_factor._numbered(P))
     except FactorizationError:
         return False
     assert classes == sigma, (S, r)
@@ -548,15 +576,16 @@ class TestLadder:
                     continue
                 assert outcomes == [False] * (len(outcomes) - 1) + [True], (G, r)
                 B = bfs(S, r)
-                first = _rung_one(S, B)
+                slots, P = _rung_one_slots(S, B)
+                first = shadow_factor._numbered(P)
                 try:
-                    check(S, first, B)
+                    check(S, B, slots, first)
                     accepted = True
                 except FactorizationError:
                     accepted = False
                 assert (len(outcomes) == 1) == accepted, (G, r)
                 # each later check follows a merge of rung 1's classes
-                assert len(outcomes) - 1 <= len(set(first)) - len(F.factors), (G, r)
+                assert len(outcomes) - 1 <= len(P) - len(F.factors), (G, r)
                 climbed += not accepted
         assert climbed > 20
 
@@ -616,7 +645,7 @@ class TestLadder:
             m = len(S.ends)
             P = ColorPartition(m)
             shadow_factor._close_pairs(S, list(range(m)), P)
-            delta = shadow_factor._numbered(list(range(m)), P)
+            delta = shadow_factor._numbered(P)
             assert _partition(delta) == _partition(naive_square_closure(S, S.ends))
             sigma = _sigma(S)
             for r in roots:
@@ -740,14 +769,29 @@ class TestPropagation:
         assert F.colors == naive_factor_shadow(S, 5).colors
         assert set(F.colors.values()) == {0}
 
+    def test_slot_colouring_matches_the_reference_at_every_root(self):
+        # the slots keyed back to edges against the reference propagation,
+        # on the graphs whose rung 1 is rejected, from every root
+        graphs = [mobius_ladder(r) for r in range(3, 40)]
+        graphs += [klein_bottle_grid(m, n) for m in range(3, 8) for n in range(3, 7)]
+        graphs += [pendant_grid(A) for A in (3, 5, 10)]
+        runs = 0
+        for G in graphs:
+            S = shadow(G)
+            for r in range(S.n):
+                B = bfs(S, r)
+                assert _partition(_rung_one(S, B)) == _partition(naive_propagate(S, B)), (G, r)
+                runs += 1
+        assert runs == 2061
+
     def test_moebius_ladder_climbs_to_theta(self, rungs, theta_steps):
         # from root 6, rung 1 leaves two classes and delta* joins neither to
         # the other, so it is not checked again; the first Theta step joins
         # them
         S = shadow(mobius_ladder(5))
         B = bfs(S, 6)
-        P = ColorPartition(len(S.adj[6]))
-        col = shadow_factor._propagate(S, B, P)
+        slots, P = _rung_one_slots(S, B)
+        col = _by_edge_id(S, B, slots)
         assert len(P.classes()) == 2
         assert not shadow_factor._close_pairs(S, col, P)
         F = factor_shadow(S, 6)
@@ -767,11 +811,10 @@ class TestFallbackRungsAreNeeded:
     def _rung_one_rejected(S, B, match):
         """The colours and partition of rung 1 from B's root, checked to be
         rejected with a message matching `match`."""
-        P = ColorPartition(len(S.adj[B.root]))
-        col = shadow_factor._propagate(S, B, P)
+        slots, P = _rung_one_slots(S, B)
         with pytest.raises(FactorizationError, match=match):
-            shadow_factor._coordinates(S, shadow_factor._numbered(col, P), B)
-        return col, P
+            shadow_factor._coordinates(S, B, slots, shadow_factor._numbered(P))
+        return _by_edge_id(S, B, slots), P
 
     @pytest.mark.parametrize("m, n, root", [(6, 5, 0), (6, 5, 1), (6, 5, 17), (8, 8, 36)])
     def test_klein_bottle_grid_takes_a_theta_step(self, m, n, root, theta_steps):
@@ -923,6 +966,18 @@ class TestAgainstNaiveCoordinates:
         accepted, rejected = tally
         assert accepted > 1000 and rejected > 1000
 
+    @pytest.mark.parametrize("family", ["grid", "cube", "randprod"])
+    def test_scrambled_products(self, family):
+        # vertex ids that do not follow the BFS order from either root
+        G, C = _bench_instance(family, 1000, random.Random(1000))
+        H, perm = _scrambled(G, 1000)
+        at = vertex_of(C)
+        corner = perm[at[(0,) * C.k]]
+        middle = perm[at[tuple(F.n // 2 for F in C.factors)]]
+        tally = [0, 0]
+        self._agree(H, [corner, middle], random.Random(1000), tally)
+        assert tally[0] >= 2 and tally[1] >= 2
+
 
 def _renumbered(edges, labels):
     """The coloring edges[i] -> labels[i], renumbered to 0..k-1."""
@@ -990,8 +1045,8 @@ class TestDeltaStarStopsAtOneClass:
             live.append(len(P))
             return join(P, a, b)
 
-        P = ColorPartition(len(S.adj[0]))
-        col = shadow_factor._propagate(S, B, P)
+        slots, P = _rung_one_slots(S, B)
+        col = _by_edge_id(S, B, slots)
         assert len(P) == 2
         monkeypatch.setattr(shadow_factor, "_join", spy)
         # a scan that cannot end early (one colour per edge leaves two
@@ -1042,6 +1097,31 @@ class TestCoordinatesWithoutTheColourDict:
             seen.clear()
 
 
+class TestSlotColouring:
+    """Rung 1 keeps every edge's colour in its BFS slots, and its check
+    reads them there: an accepted rung 1 numbers no edges."""
+
+    def test_an_accepted_run_numbers_no_edges(self, monkeypatch, rungs):
+        def refuse(*args):
+            raise AssertionError("an edge id was looked up")
+
+        inputs = [gen_product_instance(2 + i % 3, (2, 5), 0.3, seed=i)[0] for i in range(12)]
+        for family in ("grid", "cube", "randprod"):
+            G, _ = _bench_instance(family, 4000, random.Random(4000))
+            inputs.append(_scrambled(G, 4000)[0])
+        with monkeypatch.context() as m:
+            m.setattr(ShadowGraph, "_numbered", refuse)
+            m.setattr(shadow_factor, "bisect_left", refuse)
+            for G in inputs:
+                assert len(factor_full(G).factors) >= 2
+        assert rungs == [1] * len(inputs)
+        # a rejected rung 1 maps the slots onto edge ids for the later rungs
+        rungs.clear()
+        for G in (mobius_ladder(9), klein_bottle_grid(6, 5)):
+            assert factor_full(G).factors == (G,)
+        assert len(rungs) == 2 and min(rungs) > 1
+
+
 class TestCodesOnly:
     """Coordinates are held as codes from the shadow check to the writer:
     `factor_full` builds no coordinate tuple unless `coords` is read."""
@@ -1050,7 +1130,7 @@ class TestCodesOnly:
         for seed in range(6):
             G, _ = gen_product_instance(2 + seed % 2, (2, 4), 0.3, seed)
             S = shadow(G)
-            _, C = shadow_factor._factored(S, bfs(S, 0))
+            C = shadow_factor._factored(S, bfs(S, 0))[2]
             assert "coords" not in vars(C)
             F = factor_full(G)
             assert "coords" not in vars(F.coordin)
@@ -1103,6 +1183,23 @@ class TestLargeInstance:
         assert [f.n for f in F.factors] == [320]
         assert set(F.colors.values()) == {0}
         assert peak < 1000 * (S.n + S.edge_count), peak
+
+    def test_factor_full_in_bounded_memory(self):
+        # a scrambled grid of about 20,000 arcs: the shadow, its BFS, the
+        # slot colours and the codes, and no edge numbering
+        G, _ = _bench_instance("grid", 20000, random.Random(20000))
+        H = _scrambled(G, 20000)[0]
+        S = shadow(H)
+        size = S.n + S.edge_count
+        del S
+        tracemalloc.start()
+        try:
+            F = factor_full(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(F.factors) == 2
+        assert peak < 160 * size, peak / size
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_moebius_times_path_past_the_naive_bound(self, q):
