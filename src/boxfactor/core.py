@@ -16,7 +16,6 @@ result or error.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
@@ -66,43 +65,18 @@ class ShadowGraph:
 
     Made only by `shadow(G)`. `adj[v]` lists the neighbours of v in
     ascending order, so every traversal of this structure is deterministic.
-    The edges are numbered once, on first use, in ascending (min, max)
-    order: `ends[i]` is edge i, `inc[v]` lists the ids of the edges to
-    `adj[v]`, aligned with it (so the id of edge vw is
-    `inc[v][bisect_left(adj[v], w)]`). A caller that only walks `adj` pays
-    for none of the numbering: `bfs`, and the shadow factorization, which
-    keeps each edge's colour in its BFS slot and numbers the edges only when
-    its first colouring is rejected, or when `factor_shadow` keys its
-    colours by edge.
+    The adjacency lists are the only edge layout: the shadow factorization
+    keeps each edge's colour in its BFS slot, and keys the colours by
+    `(min, max)` pair only when its first colouring is rejected, or when
+    `factor_shadow` returns them. `ends` lists the edges as such pairs in
+    ascending order, derived from `adj` on each use.
     """
 
-    __slots__ = ("n", "adj", "_ids")
-
-    def _numbered(self):
-        """(ends, inc), built on first use in one sweep over the
-        sorted adjacency lists: the edges to larger neighbours of 0, 1, ...
-        come in ascending (min, max) order, and every vertex meets the edges
-        to its smaller neighbours, in ascending order, before its own."""
-        if self._ids is None:
-            ends: list[tuple[int, int]] = []
-            inc: list[list[int]] = [[] for _ in range(self.n)]
-            for u, nb in enumerate(self.adj):
-                iu = inc[u]
-                for v in nb[bisect_right(nb, u) :]:
-                    i = len(ends)
-                    iu.append(i)
-                    inc[v].append(i)
-                    ends.append((u, v))
-            self._ids = (ends, inc)
-        return self._ids
+    __slots__ = ("n", "adj")
 
     @property
     def ends(self) -> list[tuple[int, int]]:
-        return self._numbered()[0]
-
-    @property
-    def inc(self) -> list[list[int]]:
-        return self._numbered()[1]
+        return [(u, w) for u, nb in enumerate(self.adj) for w in nb if u < w]
 
     @property
     def edge_count(self) -> int:
@@ -146,7 +120,6 @@ def shadow(G: DiGraph) -> ShadowGraph:
     S = object.__new__(ShadowGraph)
     S.n = G.n
     S.adj = tuple(map(tuple, map(sorted, map(set, nbrs))))
-    S._ids = None
     return S
 
 

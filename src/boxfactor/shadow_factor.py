@@ -57,8 +57,8 @@ checked only when it merged classes of the one before:
    its later end v. The sweep reads another vertex's edge colour by its
    position in that vertex's down or cross tuple, a scan of that short
    tuple per pair of a down- or cross-edge and a down-neighbour, O(m) on
-   bounded down-degrees. It numbers no edges and searches no adjacency
-   list.
+   bounded down-degrees. It keys no colour by its edge and searches no
+   adjacency list.
 2. delta* (`_close_pairs`), for a rejected rung 1, joins rung 1's classes.
    At every vertex v each pair of edges va, vw is tested: a pair on no
    chordless square is tau and joins the classes of its colours, otherwise
@@ -81,17 +81,16 @@ Each rung refines sigma, so no input costs more than rung 1, the delta*
 closure and Theta plus their failed checks; every check after the first
 follows a merge of root colours, so there are at most deg(root) checks.
 Every rung only merges classes of rung 1's root colours, so each check reads
-the same slots through a table from root colour to class number. delta* and
-Theta walk the edge ids of the shadow, which are numbered, and the slot
-colours mapped onto them, only once rung 1 is rejected. The classes are
-numbered by their smallest root colour, which is BFS order from the root,
-and `coordinates_from_colors` turns them into unit-layer factors and vertex
-coordinates.
+the same slots through a table from root colour to class number. The slots
+are the one colour layout: only once rung 1 is rejected are their colours
+keyed by edge, as (min, max) pairs, for delta* and Theta to walk. The
+classes are numbered by their smallest root colour, which is BFS order from
+the root, and `coordinates_from_colors` turns them into unit-layer factors
+and vertex coordinates.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
@@ -106,11 +105,10 @@ class ShadowFactorization:
     """Edge coloring of a shadow into prime factor classes.
 
     `colors` maps each edge (keyed (min, max)) to a color in 0..k-1;
-    `factor_shadow` inserts the edges in ascending key order, which is the
-    shadow's edge-id order, so the values, in order, are the color of edge
-    0, 1, ... The factor of color j is `factors[j]`, an undirected layer
-    with local ids in ascending host id order: the shadow of
-    `coordin.factors[j]`, the layer as a both-ways DiGraph. `coordin` gives
+    `factor_shadow` inserts the edges in ascending key order, the order of
+    the shadow's `ends`. The factor of color j is `factors[j]`, an
+    undirected layer with local ids in ascending host id order: the shadow
+    of `coordin.factors[j]`, the layer as a both-ways DiGraph. `coordin` gives
     every vertex of the shadow the mixed-radix code of its local factor ids.
     Color numbering follows the BFS order from `root`: classes are sorted by
     the smallest (bfsnum, bfsnum) endpoint pair among their edges.
@@ -128,7 +126,7 @@ def factor_shadow(S: ShadowGraph, root: int) -> ShadowFactorization:
     if S.n == 1:
         return ShadowFactorization(root, {}, (), Coordinatization((), ((),), 0))
     slots, number, coordin = _factored(S, B)
-    colors = dict(zip(S.ends, [number[c] for c in _edge_colors(S, B, slots)]))
+    colors = {e: number[c] for e, c in sorted(_edge_colors(B, slots).items())}
     factors = tuple(map(shadow, coordin.factors))
     return ShadowFactorization(root, colors, factors, coordin)
 
@@ -156,11 +154,11 @@ def _ladder(S: ShadowGraph, B: BfsOrder, slots, P: ColorPartition) -> Iterator[l
     classes joined by delta*, then by the Theta relations of each BFS-tree
     edge, the last being sigma (Feder). Each rung only merges classes of P,
     so the slots stay, and a rung is yielded only when it merged classes of
-    the rung before. The later rungs walk edge ids, so the slots are mapped
-    onto them once, after rung 1 is rejected.
+    the rung before. The later rungs walk the edges, so the slot colours
+    are keyed by edge once, after rung 1 is rejected.
     """
     yield _numbered(P)
-    col = _edge_colors(S, B, slots)
+    col = _edge_colors(B, slots)
     if _close_pairs(S, col, P):
         yield _numbered(P)
     for v in B.order[1:]:
@@ -180,18 +178,15 @@ def _numbered(P: ColorPartition) -> list[int]:
     return number
 
 
-def _edge_colors(S: ShadowGraph, B: BfsOrder, slots) -> list[int]:
-    """The colour of every edge of S in `slots` (laid out as `_propagate`
-    returns them, over B), by edge id."""
-    adj = S.adj
-    inc = S.inc
-    col = [0] * len(S.ends)
-    for v, (nb, ids) in enumerate(zip(adj, inc)):
-        for w, c in zip(B.down[v], slots[0][v]):
-            col[ids[bisect_left(nb, w)]] = c
-        for w, c in zip(B.cross[v], slots[1][v]):
-            if c is not None:
-                col[ids[bisect_left(nb, w)]] = c
+def _edge_colors(B: BfsOrder, slots) -> dict[tuple[int, int], int]:
+    """The colour of every edge in `slots`, laid out as `_propagate` returns
+    them over B, keyed (min, max)."""
+    col = {}
+    for lists, cols in zip((B.down, B.cross), slots):
+        for v, (nb, cv) in enumerate(zip(lists, cols)):
+            for w, c in zip(nb, cv):
+                if c is not None:  # None: a cross-edge held at its later end
+                    col[(w, v) if w < v else (v, w)] = c
     return col
 
 
@@ -346,53 +341,52 @@ def _propagate(S: ShadowGraph, B: BfsOrder, P: ColorPartition):
     return dcol, xcol
 
 
-def _close_pairs(S: ShadowGraph, col: list[int], P: ColorPartition) -> bool:
-    """Close delta in P, a partition of the colours `col` of S's edges by
-    edge id: at every vertex v, join the classes of each pair of edges va,
-    vw on no chordless square, and of the opposite edges of each chordless
-    square v-a-x-w whose smallest corner is v. Reports whether any two
-    classes merged. Stops at the first vertex that finds one class left,
+def _close_pairs(S: ShadowGraph, col: dict[tuple[int, int], int], P: ColorPartition) -> bool:
+    """Close delta in P, a partition of the colours `col` of S's edges,
+    keyed (min, max): at every vertex v, join the classes of each pair of
+    edges va, vw on no chordless square, and of the opposite edges of each
+    chordless square v-a-x-w whose smallest corner is v. Reports whether any
+    two classes merged. Stops at the first vertex that finds one class left,
     as nothing can merge any more.
     """
     adj = S.adj
-    inc = S.inc
     nbrs = list(map(set, adj))
     start = live = len(P)  # each join that merges leaves one class fewer
     for v, nb in enumerate(adj):
         if live == 1:
             break
         nv = nbrs[v]
-        ids = inc[v]
+        cols = [col[(w, v) if w < v else (v, w)] for w in nb]
         for i, a in enumerate(nb):
             na = nbrs[a]
             off = na - nv  # with v dropped: the far corners of squares on va
             off.discard(v)
-            ca = col[ids[i]]
-            for w, iw in zip(nb[i + 1 :], ids[i + 1 :]):
+            ca = cols[i]
+            for w, cw in zip(nb[i + 1 :], cols[i + 1 :]):
                 # a, w adjacent: every square on va, vw has a chord
                 far = () if w in na else off & nbrs[w]
                 if not far:
-                    live -= _join(P, ca, col[iw])
+                    live -= _join(P, ca, cw)
                 elif v < a:  # the lists are sorted, so a < w
                     for x in far:
                         if v < x:
-                            live -= _join(P, ca, col[inc[w][bisect_left(adj[w], x)]])
-                            live -= _join(P, col[iw], col[inc[a][bisect_left(adj[a], x)]])
+                            live -= _join(P, ca, col[(w, x) if w < x else (x, w)])
+                            live -= _join(P, cw, col[(a, x) if a < x else (x, a)])
     return live < start
 
 
 def _join_theta(
-    S: ShadowGraph, col: list[int], P: ColorPartition, e: tuple[int, int]
+    S: ShadowGraph, col: dict[tuple[int, int], int], P: ColorPartition, e: tuple[int, int]
 ) -> bool:
-    """Join in P the classes of the colours `col` (by edge id) of all edges
-    Theta-related to e; report whether any two classes merged.
+    """Join in P the classes of the colours `col` (keyed (min, max)) of all
+    edges Theta-related to e; report whether any two classes merged.
 
     For e = uv, xy is Theta-related exactly when d(u,x) - d(v,x) differs
     from d(u,y) - d(v,y); e itself is. O(n + m) time and memory.
     """
     g = [a - b for a, b in zip(_sweep(S, e[0])[1], _sweep(S, e[1])[1])]
     table = P.table
-    joined = {table[c] for (x, y), c in zip(S.ends, col) if g[x] != g[y]}
+    joined = {table[c] for (x, y), c in col.items() if g[x] != g[y]}
     if len(joined) == 1:
         return False
     P.merge(joined)

@@ -16,7 +16,6 @@ from boxfactor import (
     Coordinatization,
     DiGraph,
     FactorizationError,
-    ShadowGraph,
     cartesian_product,
     coordinates_from_colors,
     factor_full,
@@ -448,7 +447,8 @@ def _scrambled_product(family, size):
 
 
 def _partition(labels):
-    """The classes of a labeling of edge ids, as a set of id sets."""
+    """The classes of a labeling of the edges listed in the order of
+    `S.ends`, as a set of sets of positions in that list."""
     classes = {}
     for i, c in enumerate(labels):
         classes.setdefault(c, set()).add(i)
@@ -456,8 +456,9 @@ def _partition(labels):
 
 
 def _sigma(S):
-    """The sigma classes of S as sets of edge ids: from the definitions up
-    to NAIVE_MAX_N vertices, else from the all-pairs closure plus Theta."""
+    """The sigma classes of S as sets of positions in `S.ends`: from the
+    definitions up to NAIVE_MAX_N vertices, else from the all-pairs closure
+    plus Theta."""
     if S.n <= NAIVE_MAX_N:
         eid = {e: i for i, e in enumerate(S.ends)}
         return {frozenset(eid[e] for e in c) for c in naive_shadow_classes(S)}
@@ -471,12 +472,12 @@ def _rung_one_slots(S, B):
     return shadow_factor._propagate(S, B, P), P
 
 
-def _by_edge_id(S, B, slots):
-    """The colours in `slots` listed by edge id; each down list and cross
-    list of B has one slot per entry, and a cross-edge's colour is held at
-    its later end in BFS order, with None at the earlier end."""
-    eid = {e: i for i, e in enumerate(S.ends)}
-    col = [None] * len(eid)
+def _by_edge(S, B, slots):
+    """The colours in `slots` keyed (min, max), in the order of `S.ends`;
+    each down list and cross list of B has one slot per entry, and a
+    cross-edge's colour is held at its later end in BFS order, with None at
+    the earlier end."""
+    col = dict.fromkeys(S.ends)
     for v in range(S.n):
         for nb, cols in ((B.down[v], slots[0][v]), (B.cross[v], slots[1][v])):
             assert len(cols) == len(nb), (S, v)
@@ -484,16 +485,18 @@ def _by_edge_id(S, B, slots):
                 later = B.bfsnum[w] < B.bfsnum[v]
                 assert (c is not None) == later, (S, v, w)
                 if later:
-                    col[eid[edge_key(v, w)]] = c
-    assert None not in col
+                    col[edge_key(v, w)] = c
+    assert len(col) == len(S.ends)
+    assert None not in col.values()
     return col
 
 
 def _rung_one(S, B):
-    """Rung 1's colouring of the edges of S from B's root, by edge id."""
+    """Rung 1's colouring of the edges of S from B's root, listed in the
+    order of `S.ends`."""
     slots, P = _rung_one_slots(S, B)
     number = shadow_factor._numbered(P)
-    return [number[c] for c in _by_edge_id(S, B, slots)]
+    return [number[c] for c in _by_edge(S, B, slots).values()]
 
 
 def _check_rung_one(S, r, sigma):
@@ -644,7 +647,7 @@ class TestLadder:
             # delta* over one colour per edge
             m = len(S.ends)
             P = ColorPartition(m)
-            shadow_factor._close_pairs(S, list(range(m)), P)
+            shadow_factor._close_pairs(S, dict(zip(S.ends, range(m))), P)
             delta = shadow_factor._numbered(P)
             assert _partition(delta) == _partition(naive_square_closure(S, S.ends))
             sigma = _sigma(S)
@@ -791,7 +794,7 @@ class TestPropagation:
         S = shadow(mobius_ladder(5))
         B = bfs(S, 6)
         slots, P = _rung_one_slots(S, B)
-        col = _by_edge_id(S, B, slots)
+        col = _by_edge(S, B, slots)
         assert len(P.classes()) == 2
         assert not shadow_factor._close_pairs(S, col, P)
         F = factor_shadow(S, 6)
@@ -814,7 +817,7 @@ class TestFallbackRungsAreNeeded:
         slots, P = _rung_one_slots(S, B)
         with pytest.raises(FactorizationError, match=match):
             shadow_factor._coordinates(S, B, slots, shadow_factor._numbered(P))
-        return _by_edge_id(S, B, slots), P
+        return _by_edge(S, B, slots), P
 
     @pytest.mark.parametrize("m, n, root", [(6, 5, 0), (6, 5, 1), (6, 5, 17), (8, 8, 36)])
     def test_klein_bottle_grid_takes_a_theta_step(self, m, n, root, theta_steps):
@@ -1046,14 +1049,14 @@ class TestDeltaStarStopsAtOneClass:
             return join(P, a, b)
 
         slots, P = _rung_one_slots(S, B)
-        col = _by_edge_id(S, B, slots)
+        col = _by_edge(S, B, slots)
         assert len(P) == 2
         monkeypatch.setattr(shadow_factor, "_join", spy)
         # a scan that cannot end early (one colour per edge leaves two
         # delta* classes) makes the joins of a full scan, whatever the colours
         m = len(S.ends)
         Q = ColorPartition(m)
-        shadow_factor._close_pairs(S, list(range(m)), Q)
+        shadow_factor._close_pairs(S, dict(zip(S.ends, range(m))), Q)
         assert len(Q) > 1
         full = len(live)
         live.clear()
@@ -1099,27 +1102,41 @@ class TestCoordinatesWithoutTheColourDict:
 
 class TestSlotColouring:
     """Rung 1 keeps every edge's colour in its BFS slots, and its check
-    reads them there: an accepted rung 1 numbers no edges."""
+    reads them there: an accepted rung 1 keys no colour by its edge."""
 
     def test_an_accepted_run_numbers_no_edges(self, monkeypatch, rungs):
-        def refuse(*args):
-            raise AssertionError("an edge id was looked up")
+        calls = []
+        edge_colors = shadow_factor._edge_colors
 
+        def spy(*args):
+            calls.append(args)
+            return edge_colors(*args)
+
+        monkeypatch.setattr(shadow_factor, "_edge_colors", spy)
         inputs = [gen_product_instance(2 + i % 3, (2, 5), 0.3, seed=i)[0] for i in range(12)]
         for family in ("grid", "cube", "randprod"):
             G, _ = _bench_instance(family, 4000, random.Random(4000))
             inputs.append(_scrambled(G, 4000)[0])
-        with monkeypatch.context() as m:
-            m.setattr(ShadowGraph, "_numbered", refuse)
-            m.setattr(shadow_factor, "bisect_left", refuse)
-            for G in inputs:
-                assert len(factor_full(G).factors) >= 2
+        for G in inputs:
+            assert len(factor_full(G).factors) >= 2
         assert rungs == [1] * len(inputs)
-        # a rejected rung 1 maps the slots onto edge ids for the later rungs
+        assert calls == []
+        # a rejected rung 1 keys the slot colours by edge once, for the later rungs
         rungs.clear()
         for G in (mobius_ladder(9), klein_bottle_grid(6, 5)):
+            calls.clear()
             assert factor_full(G).factors == (G,)
+            assert len(calls) == 1
         assert len(rungs) == 2 and min(rungs) > 1
+
+    def test_colors_list_the_edges_in_the_order_of_ends(self, rungs):
+        # keyed from the slots after an accepted rung 1, and after a
+        # rejection on the other three
+        G, _ = gen_product_instance(3, (2, 5), 0.3, seed=1)
+        for H in (G, mobius_ladder(9), klein_bottle_grid(6, 5), pendant_grid(10)):
+            S = shadow(H)
+            assert list(factor_shadow(S, 0).colors) == S.ends, H
+        assert rungs[0] == 1 and min(rungs[1:]) > 1
 
 
 class TestCodesOnly:
