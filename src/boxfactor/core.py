@@ -15,6 +15,7 @@ result or error.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -112,14 +113,22 @@ class BfsOrder:
 
 def shadow(G: DiGraph) -> ShadowGraph:
     """Forget directions and loops: the undirected support of G, whose
-    arcs `DiGraph` has checked."""
+    arcs `DiGraph` has checked.
+
+    Each edge is listed once, from its arc (u, v) with u < v when both arcs
+    are present and from its one arc otherwise, so no list holds a
+    neighbour twice; each list is then sorted in place."""
+    arcs = G.arcs
     nbrs: list[list[int]] = [[] for _ in range(G.n)]
-    for u, v in G.arcs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    for u, v in arcs:
+        if u < v or (v, u) not in arcs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    for nb in nbrs:
+        nb.sort()
     S = object.__new__(ShadowGraph)
     S.n = G.n
-    S.adj = tuple(map(tuple, map(sorted, map(set, nbrs))))
+    S.adj = tuple(map(tuple, nbrs))
     return S
 
 
@@ -153,6 +162,9 @@ def bfs(S: ShadowGraph, root: int) -> BfsOrder:
     monotone in level. One sweep fills the down and cross lists too: when v
     is dequeued, every neighbour one level further is reached, so v is one of
     its down-neighbours, and every neighbour on v's own level is reached.
+    Down-neighbours arrive in BFS order; each down list is then sorted in
+    place, so `down[v]` ascends by id and `down[v][0]` is v's tree edge.
+    Cross lists ascend by id as they are filled.
     """
     n = S.n
     if not 0 <= root < n:
@@ -186,13 +198,14 @@ def bfs(S: ShadowGraph, root: int) -> BfsOrder:
     bfsnum = [0] * n
     for i, v in enumerate(order):
         bfsnum[v] = i
-    # down-neighbours arrive in BFS order; the lists hold them by id
+    for d in down:
+        d.sort()
     return BfsOrder(
         root,
         tuple(order),
         tuple(bfsnum),
         tuple(level),
-        tuple(map(tuple, map(sorted, down))),
+        tuple(map(tuple, down)),
         tuple(cross),
     )
 
@@ -212,13 +225,16 @@ def is_connected(S: ShadowGraph) -> bool:
 # Both parsers first try a bulk reader that takes only text laid out like
 # that (lines within a section may come in any order). It walks each section
 # in slices of whole lines, at most _SLICE characters each, checks every
-# slice in full against an anchored pattern, converts it with str.split and
-# map(int, ...), and checks ranges, self arcs and duplicates over whole lists.
-# The patterns admit only ASCII digits, single spaces and '\n', so
-# str.splitlines sees the same lines. Bounding the slice bounds the stack
-# that `re` keeps for each repeated line. Any text that fails a check goes
-# whole to the line parser, which reads every hand-written layout and is the
-# only source of GraphFormatError.
+# slice in full against an anchored pattern, decodes a slice of arc lines as
+# one JSON list (its "\na " and spaces made commas) and a slice of loop lines
+# with str.split and map(int, ...), and checks ranges, self arcs and
+# duplicates over whole lists. JSON refuses a leading zero, which int()
+# reads, so such text goes to the line parser too. The patterns admit only
+# ASCII digits, single spaces and '\n', so str.splitlines sees the same
+# lines. Bounding the slice bounds the stack that `re` keeps for each
+# repeated line. Any text that fails a check goes whole to the line parser,
+# which reads every hand-written layout and is the only source of
+# GraphFormatError.
 
 # Characters per checked slice. Larger slices are no faster, and the token
 # lists and the regex stack of a slice grow with it.
@@ -269,10 +285,11 @@ def _bulk_graph(text: str) -> DiGraph:
     def arc_slices():
         nonlocal count
         for part in _slices(_ARC_LINES, text, a0, l0):
-            t = part.split()
-            us = list(map(int, t[1::3]))
-            vs = list(map(int, t[2::3]))
-            if max(us) >= n or max(vs) >= n or any(map(eq, us, vs)):
+            # "a 1 2\na 3 4\n" -> [1, 2, 3, 4]
+            t = json.loads("[" + part[2:-1].replace("\na ", ",").replace(" ", ",") + "]")
+            us = t[0::2]
+            vs = t[1::2]
+            if max(t) >= n or any(map(eq, us, vs)):
                 raise _NotCanonical
             count += len(us)
             yield zip(us, vs)
@@ -358,7 +375,7 @@ def parse_graph(text: str) -> DiGraph:
     """
     try:
         return _bulk_graph(text)
-    except (_NotCanonical, ValueError):  # ValueError: int() digit limit
+    except (_NotCanonical, ValueError):  # ValueError: JSON or int() refuses an id
         pass
     return _parse_graph_lines(text)
 

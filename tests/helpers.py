@@ -85,6 +85,15 @@ def shadow_graph(n: int, edges) -> ShadowGraph:
     return shadow(DiGraph(n, edges))
 
 
+def naive_shadow_adj(G: DiGraph) -> tuple[tuple[int, ...], ...]:
+    """Reference for `shadow(G).adj`: each vertex's neighbours over its
+    arcs either way, deduplicated by a set and sorted."""
+    return tuple(
+        tuple(sorted({v for u, v in G.arcs if u == x} | {u for u, v in G.arcs if v == x}))
+        for x in range(G.n)
+    )
+
+
 def both_ways(S: ShadowGraph) -> DiGraph:
     """The loopless DiGraph with both arcs along every edge of S."""
     return DiGraph(S.n, {a for u, v in S.ends for a in ((u, v), (v, u))})

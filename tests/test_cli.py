@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -28,7 +29,7 @@ from boxfactor import (
     to_text,
 )
 from boxfactor import cli, loop_factor
-from boxfactor.cli import _bench_instance, main
+from boxfactor.cli import _bench_instance, _bench_random_digraph, main
 from helpers import (
     canonical_small_graphs,
     consistent_square,
@@ -1074,6 +1075,8 @@ def _golden_inputs():
     G, _ = gen_product_instance(2, (3, 5), 0.3, 7)
     root = max(v for v in range(G.n) if v not in G.loops)
     out.append(("gen7root", G, ["--root", str(root)]))
+    # a prime with loops and one-way arcs: one class from the shadow stage on
+    out.append(("prime300", _bench_random_digraph(random.Random(1), 300), []))
     return out
 
 
@@ -1092,8 +1095,9 @@ def _golden_digests(tmp_path, capsys, name, G, extra):
 
 
 # sha256 of what `factor --emit-coords --emit-colors --verify` writes for each
-# golden input, taken before the shadow edges were numbered once per run;
-# every byte must stay the same
+# golden input, taken before the shadow edges were numbered once per run
+# (prime300: before the arc ids were decoded as JSON); every byte must stay
+# the same
 GOLDEN = {
     "gen2": {
         "stdout": "ed0995c90995ac563bf5ed538695d52bca126d5fa1979b191a8404b6f629f681",
@@ -1157,13 +1161,20 @@ GOLDEN = {
         "factor0": "cfcac23400f0690486f4816a95bf87cdc03ea37524add24420c232191884a50c",
         "factor1": "92e552f930a8a0316b3eadf9d1d4ea09951045b04238e3518c7ec8758718c37f",
     },
+    "prime300": {
+        "stdout": "7ee015372b18ba7a7bc9b6fa65161582c406b69a4a1b44c2239d20216f58ab80",
+        "colors": "2bac7a8c8b36d1f6e66eeea87177db517a4750db5565bdd410442897077c7177",
+        "coords": "6cc7862281c4b89857f427d908d69210465b21c396dbda73062a39aa93d8a62d",
+        "factor0": "552074e94775d15dc9930b5348cd0590e375dc280537b49a7324a6ad98c67844",
+    },
 }
 
 
 class TestGoldenOutputs:
     """`factor` writes the same bytes as before on a fixed set of inputs:
     generated products that merge in each scan, a scrambled grid and cube,
-    K5 x K5, a Moebius ladder and a run with --root."""
+    K5 x K5, a Moebius ladder, a run with --root and a looped prime with
+    one-way arcs."""
 
     @pytest.mark.parametrize(
         "name, G, extra", [pytest.param(*case, id=case[0]) for case in _golden_inputs()]
@@ -1171,3 +1182,53 @@ class TestGoldenOutputs:
     def test_same_bytes(self, name, G, extra, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the report names the input path
         assert _golden_digests(tmp_path, capsys, name, G, extra) == GOLDEN[name]
+
+
+class TestBenchE2eScript:
+    """`tools/bench_e2e.py` writes the scrambled bench instances and prints
+    one JSON row per whole `factor` run, or the job summary's blocks."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_e2e.py"
+
+    def _run(self, *args):
+        run = subprocess.run(
+            [sys.executable, str(self.SCRIPT), *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    def test_json_rows(self):
+        rows = [json.loads(line) for line in self._run("grid:300", "cube:200").splitlines()]
+        assert [(r["family"], r["target"], r["arcs"], r["labelling"]) for r in rows] == [
+            ("grid", 300, 264, "scrambled"), ("cube", 200, 160, "scrambled")]
+        stages = ["time_parse", "time_prepare", "time_shadow", "time_directed", "time_loops"]
+        for r in rows:
+            assert list(r) == ["family", "target", "arcs", "labelling", *stages,
+                               "time_total", "ru_maxrss_kb"]
+            assert sum(r[k] for k in stages) <= r["time_total"] and r["ru_maxrss_kb"] > 0
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_the_measuring_process_stays_small(self):
+        """A child's `ru_maxrss` starts from the peak RSS of the process that
+        starts it, so the script builds each instance in a spawned process.
+        `factor` on 264 arcs needs about half the memory of importing the
+        helpers (and hypothesis); read through a parent that had imported
+        them, the row would read as much as they do. The probe reads its own
+        peak from VmHWM, which a process does not inherit."""
+        probe = (
+            "import sys; sys.path[:0] = sys.argv[1:]; import helpers; "
+            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))"
+        )
+        root = self.SCRIPT.parents[1]
+        heavy = subprocess.run(
+            [sys.executable, "-c", probe, str(root / "src"), str(root / "tests")],
+            capture_output=True, text=True, check=True,
+        )
+        assert 4 * json.loads(self._run("grid:300"))["ru_maxrss_kb"] < 3 * int(heavy.stdout)
+
+    def test_markdown_blocks(self):
+        out = self._run("grid:300", "--markdown").splitlines()
+        assert out[:2] == ["grid, scrambled, arcs: 264:", "```"]
+        assert out[2].startswith("time_parse: ") and out[-2].startswith("peak_rss_kb: ")
+        assert out[-1] == "```" and len(out) == 10

@@ -29,6 +29,7 @@ from helpers import (
     naive_is_connected,
     naive_parse_coords,
     naive_parse_graph,
+    naive_shadow_adj,
     naive_to_text,
     random_digraph,
     shadow_graph,
@@ -365,8 +366,29 @@ class TestBulkReader:
     def test_error_planted_in_a_later_slice(self, small_slices, text):
         assert_agrees(text)
 
+    def test_leading_zero_ids_fall_back(self, small_slices):
+        # JSON refuses a leading zero that int() reads, so the whole text goes
+        # to the line parser: the same graph, or its error and line
+        early = "n 12\na 01 2\na 0 007\n"
+        late = "n 12\n" + "".join(f"a {v} {v + 1}\n" for v in range(10)) + "a 3 007\n"
+        cases = [
+            (early, "ok"),
+            (late, "ok"),
+            ("n 12\na 01 2\na 1 2\n", "error"),  # duplicate arc, line 3
+            (late + "a 3 7\n", "error"),  # duplicate arc in a later slice
+            (late.replace("a 3 007", "a 3 012"), "error"),  # out of range
+            (late.replace("a 3 007", "a 07 7"), "error"),  # a loop
+        ]
+        for text, kind in cases:
+            with pytest.raises(ValueError):
+                core._bulk_graph(text)
+            assert assert_agrees(text)[0] == kind, text
+        assert parse_graph(early).arcs == {(1, 2), (0, 7)}
+        assert parse_graph(late) == parse_graph(late.replace("007", "7"))
+
     def test_id_past_the_int_digit_limit_falls_back(self):
-        # int() refuses the long id in bulk; the line parser stops at line 3 first
+        # the JSON decoder's int() refuses the long id in bulk; the line
+        # parser stops at line 3 first
         huge = "1" * 5000
         with pytest.raises(GraphFormatError, match="line 3: duplicate arc"):
             parse_graph(f"n 3\na 0 1\na 0 1\na 0 {huge}\n")
@@ -494,6 +516,32 @@ class TestShadow:
         assert shadow(strip_loops(G)) == shadow(G)
 
     @settings(deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                        lambda e: e[0] < e[1]
+                    ),
+                    st.sampled_from(["forward", "backward", "both"]),
+                ),
+            )
+        )
+    )
+    def test_adjacency_matches_the_set_reference(self, drawn):
+        # one-way arcs either way and two-way pairs, each edge listed once
+        n, kinds = drawn
+        arcs = set()
+        for (u, v), kind in kinds.items():
+            if kind != "backward":
+                arcs.add((u, v))
+            if kind != "forward":
+                arcs.add((v, u))
+        G = DiGraph(n, arcs)
+        assert shadow(G).adj == naive_shadow_adj(G)
+
+    @settings(deadline=None)
     @given(connected_digraphs())
     def test_edge_ids_sorted_aligned_and_carry_the_arcs(self, G):
         S = shadow(G)
@@ -578,6 +626,33 @@ class TestBfs:
                 assert B.level[u] == B.level[v] - 1
             for u in B.cross[v]:
                 assert B.level[u] == B.level[v]
+
+    @staticmethod
+    def assert_lists_ascend(S, B):
+        # down-neighbours arrive in BFS order and are sorted in place; the
+        # first is the tree edge, the smallest id one level closer
+        for v in range(S.n):
+            closer = [u for u in S.adj[v] if B.level[u] == B.level[v] - 1]
+            assert list(B.down[v]) == sorted(B.down[v]) == closer
+            assert list(B.cross[v]) == sorted(B.cross[v])
+
+    @settings(deadline=None)
+    @given(connected_digraphs(min_n=2, max_n=9), st.randoms(use_true_random=False))
+    def test_down_lists_ascend_by_id(self, G, rng):
+        S = shadow(G)
+        self.assert_lists_ascend(S, bfs(S, rng.randrange(G.n)))
+
+    def test_down_lists_ascend_on_scrambled_grids(self):
+        # from level 3 on, BFS order and id order part on a scrambled grid
+        rng = random.Random(5)
+        for a in range(4, 9):
+            edges = [(a * i + j, a * i + j + 1) for i in range(a) for j in range(a - 1)]
+            edges += [(a * i + j, a * i + j + a) for i in range(a - 1) for j in range(a)]
+            perm = list(range(a * a))
+            rng.shuffle(perm)
+            S = shadow_graph(a * a, [(perm[u], perm[v]) for u, v in edges])
+            for root in range(0, a * a, 3):
+                self.assert_lists_ascend(S, bfs(S, root))
 
 
 class TestAgainstNaiveBfs:
